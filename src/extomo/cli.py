@@ -13,8 +13,7 @@ Subcommand grammar::
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or configuration error.
 Every run writes a directory with the echoed config, the report JSON, the
-raw sweep CSV, a human-readable summary, and the package version.  The
-``EXTOMO_THREADS`` environment variable caps BLAS/OpenMP worker counts.
+raw sweep CSV, a human-readable summary, and the package version.
 Configs are flat ``key = value`` text; a ``--config`` file is merged
 below command-line flags.  Same config + seed reproduces metrics
 byte-identically.
@@ -106,24 +105,6 @@ def _parse_config_file(path):
     except OSError as exc:
         raise UsageError(f"config-unreadable {path}: {exc}") from exc
     return params
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("EXTOMO_THREADS")
-    if not cap:
-        return None
-    try:
-        limit = int(cap)
-    except ValueError as exc:
-        raise UsageError(f"bad-env EXTOMO_THREADS={cap!r}") from exc
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
-    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +593,6 @@ def _usage():
 def run(argv):
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        _apply_thread_cap()
         if not argv:
             print(_usage())
             return 2

@@ -65,15 +65,26 @@ def verify_xray_identity(g, omega, v=None, truncation=120.0, n_samples=2401,
     Also checks the restricted-line variant: for the modulus density |g|,
     the line through the origin equals 2 pi S(|g|)(omega)^2.
 
-    The density's quadrature grid must resolve phases e^{i s xi} out to
-    |s| = truncation (roughly truncation/2 polar nodes), otherwise the
-    line side picks up aliasing noise instead of decay.
+    The line samples are uniform, so ``extend`` evaluates each line by one
+    type-1 NUFFT: the cost is about nodes x kernel width plus an FFT of
+    2 n_samples, not n_samples x nodes phases.
+
+    The density's quadrature grid must resolve phases e^{i x.xi} out to
+    the line's largest radius hypot(|v|, truncation), otherwise the line
+    side picks up aliasing noise instead of decay; a grid whose
+    exactness degree is below that radius raises PreconditionError.
     """
     omega = _as_unit(omega, "omega")
     n = omega.size
     if v is None:
         v = np.zeros(n)
     v = np.asarray(v, dtype=float)
+    radius = float(np.hypot(np.linalg.norm(v), truncation))
+    if g.grid.exactness_degree < radius:
+        raise PreconditionError(
+            f"grid of exactness degree {g.grid.exactness_degree} cannot resolve "
+            f"phases out to the line radius {radius:g}; refine the grid or "
+            "lower the truncation")
 
     def field(pts):
         return np.abs(extend(g, pts)) ** 2
@@ -120,6 +131,10 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     below roughly twice the polar node count), so the default truncation
     is modest; the integrand concentrates at small radius anyway because
     the stationary direction leaves the cap support.
+
+    Each offset costs one type-1 NUFFT: a 2-D one over the n_samples^2
+    hyperplane patch for n = 3 (``extend_plane_field``), a 1-D one over
+    the line for n = 2 (``extend`` on uniform samples).
     """
     omega = _as_unit(omega, "omega")
     n = omega.size

@@ -24,6 +24,7 @@ __all__ = [
     "make_sphere_grid",
     "reflect",
     "project_perp",
+    "perp_basis",
     "poisson_kernel_circle",
     "poisson_mollify_circle",
     "poisson_kernel_rn",
@@ -41,6 +42,20 @@ def _as_unit(v, name="vector"):
     if abs(nrm - 1.0) > UNIT_TOL:
         raise InvalidArgumentError(f"{name} must be a unit vector (|{name}| = {nrm:.3g})")
     return v / nrm
+
+
+def perp_basis(omega):
+    """Deterministic orthonormal basis of the hyperplane orthogonal to omega."""
+    omega = _as_unit(omega, "omega")
+    n = omega.size
+    if n == 2:
+        return np.array([[-omega[1], omega[0]]])
+    e1 = np.zeros(3)
+    e1[np.argmin(np.abs(omega))] = 1.0
+    e1 = e1 - (e1 @ omega) * omega
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(omega, e1)
+    return np.array([e1, e2])
 
 
 @dataclass(frozen=True)

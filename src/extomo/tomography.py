@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
 from .extension import SampledField
-from .sphere import _as_unit, project_perp
+from .sphere import _as_unit, perp_basis
 
 __all__ = [
     "Line",
@@ -34,20 +34,6 @@ __all__ = [
     "tube_sum_field",
     "kakeya_dual_functional",
 ]
-
-
-def perp_basis(omega):
-    """Deterministic orthonormal basis of the hyperplane orthogonal to omega."""
-    omega = _as_unit(omega, "omega")
-    n = omega.size
-    if n == 2:
-        return np.array([[-omega[1], omega[0]]])
-    e1 = np.zeros(3)
-    e1[np.argmin(np.abs(omega))] = 1.0
-    e1 = e1 - (e1 @ omega) * omega
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(omega, e1)
-    return np.array([e1, e2])
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,6 @@ class TestUsage:
     def test_bad_tolerance_shape(self, capsys):
         assert run(["sweep", "t-delta", "--tol.slope", "1,2,3"]) == 2
 
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXTOMO_THREADS", "lots")
-        assert run(["list"]) == 2
-
     def test_funk_needs_n3(self, capsys):
         assert run(["transform", "dump", "--transform", "funk",
                     "--n", "2"]) == 2

@@ -30,6 +30,14 @@ class TestIdentities:
                                    n_slice=32)
         assert rep.pass_, rep.summary()
 
+    def test_xray_unresolved_line_rejected(self):
+        # degree 47 < radius 120: the line side would alias, not decay
+        grid = make_sphere_grid(24, 48)
+        one = Density(grid, np.ones(grid.node_count))
+        with pytest.raises(PreconditionError, match="degree 47.*radius 120"):
+            verify_xray_identity(one, np.array([0.0, 0.0, 1.0]),
+                                 truncation=120.0)
+
     def test_radon_identity_margin_enforced(self):
         grid = make_circle_grid(64)
         # equator-touching support violates the hemisphere margin

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, ResourceLimitError
-from extomo.extension import (SampledField, SliceMeasureSpec, extend,
-                              extend_field, extend_plane_field, extend_slice,
+from extomo.extension import (SampledField, SliceMeasureSpec, _direct_sum,
+                              _uniform_step, extend, extend_field,
+                              extend_plane_field, extend_slice,
                               sigma_hat_closed_form, slice_mass,
                               stationary_phase_decay_check)
-from extomo.sphere import Density, bump_cap_density, make_sphere_grid
+from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
+                           make_sphere_grid, perp_basis)
 
 
 class TestExtend:
@@ -83,6 +87,73 @@ class TestExtendField:
         # middle sample sits at x = t omega + u[2] e1 + u[2] e2 for the
         # deterministic in-plane basis; check the center point directly
         assert vals[2, 2] == pytest.approx(extend(g, t * omega), rel=1e-12)
+
+
+def _random_density(n, rng):
+    grid = make_circle_grid(64) if n == 2 else make_sphere_grid(8, 16)
+    vals = rng.standard_normal(grid.node_count) + 1j * rng.standard_normal(grid.node_count)
+    return Density(grid, vals)
+
+
+def _mass(g):
+    return np.abs(g.grid.weights * g.values).sum()
+
+
+def _uniform_line(n, M, spacing, offset, rng):
+    """x_k = x_0 + k d with |d| = spacing, a random direction and offset."""
+    d = rng.standard_normal(n)
+    d *= spacing / np.linalg.norm(d)
+    x0 = offset * rng.uniform(-1.0, 1.0, n)
+    return x0 + np.arange(M)[:, None] * d
+
+
+class TestFastPaths:
+    """The NUFFT paths against the direct sum, the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), M=st.integers(2, 3000),
+           spacing=st.floats(1e-3, 16.0), offset=st.floats(0.0, 50.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=3, M=2401, spacing=0.1, offset=0.0, seed=0)
+    @example(n=2, M=2400, spacing=0.25, offset=40.0, seed=1)
+    @example(n=3, M=3000, spacing=10.0, offset=3.0, seed=2)
+    @example(n=2, M=2, spacing=5.0, offset=1.0, seed=3)
+    @example(n=3, M=3, spacing=np.pi, offset=0.0, seed=4)
+    def test_uniform_line_matches_direct(self, n, M, spacing, offset, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_density(n, rng)
+        pts = _uniform_line(n, M, spacing, offset, rng)
+        assert _uniform_step(pts) is not None
+        err = np.abs(extend(g, pts) - _direct_sum(g, pts)).max()
+        assert err <= 1e-11 * _mass(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([2, 3]), M=st.integers(3, 500),
+           spacing=st.floats(1e-2, 16.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_perturbed_line_takes_direct_path(self, n, M, spacing, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_density(n, rng)
+        pts = _uniform_line(n, M, spacing, 5.0, rng)
+        pts[rng.integers(1, M - 1)] += 1e-9 * spacing * rng.standard_normal(n)
+        assert _uniform_step(pts) is None
+        assert np.array_equal(extend(g, pts), _direct_sum(g, pts))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_samples=st.integers(2, 64), truncation=st.floats(0.5, 80.0),
+           t=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_samples=5, truncation=2.0, t=0.7, seed=0)
+    @example(n_samples=6, truncation=60.0, t=0.5, seed=1)
+    def test_plane_field_matches_extend(self, n_samples, truncation, t, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_density(3, rng)
+        omega = rng.standard_normal(3)
+        omega /= np.linalg.norm(omega)
+        vals, u = extend_plane_field(g, omega, t, truncation, n_samples)
+        e1, e2 = perp_basis(omega)
+        a, b = np.meshgrid(u, u, indexing="ij")
+        pts = t * omega + a.reshape(-1, 1) * e1 + b.reshape(-1, 1) * e2
+        ref = extend(g, pts).reshape(n_samples, n_samples)
+        assert np.abs(vals - ref).max() <= 1e-11 * _mass(g)
 
 
 class TestSampledField:
