@@ -10,7 +10,7 @@ and reproducible experiments with persisted reports (``experiments``,
 __version__ = "0.1.0"
 
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
-                     PreconditionError, ResourceLimitError)
+                     PreconditionError)
 from .sphere import (CapSpec, Density, SphereGrid, bump_cap_density,
                      knapp_cap_density, make_circle_grid, make_sphere_grid)
 from .extension import SampledField, extend, sigma_hat_closed_form
@@ -21,7 +21,6 @@ __all__ = [
     "InvalidArgumentError",
     "NonFiniteObjectiveError",
     "PreconditionError",
-    "ResourceLimitError",
     "CapSpec",
     "Density",
     "SphereGrid",

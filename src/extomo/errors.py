@@ -14,10 +14,3 @@ class NonFiniteObjectiveError(RuntimeError):
     """An optimization objective evaluated to NaN or infinity; the
     message carries the offending iterate for diagnosis."""
 
-
-class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds the configured cost budget."""
-
-    def __init__(self, message, budget=None):
-        super().__init__(message)
-        self.budget = budget

@@ -276,11 +276,6 @@ def xray_multiscale_lower_bound(delta_list=(0.2, 0.1, 0.05, 0.025)):
     return fit_log_growth(np.log(1.0 / deltas), (values * deltas) ** 2)
 
 
-def _lp_quasinorm(values, weights, p):
-    absv = np.abs(values)
-    return float(np.add.reduce(weights * absv ** p)) ** (1.0 / p)
-
-
 def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
                     family="constant", seed=0, max_nodes=16384):
     """Quasinorm growth of the bilinear equator-singular operator (n = 2).
@@ -320,11 +315,9 @@ def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
                     vals += c * np.exp(1j * k * grid.angles)
                 return Density(grid, vals)
             g1, g2 = smooth(rng), smooth(rng)
-        bt = bt_delta_circle_grid(g1, g2, delta)
-        ratios_half.append(_lp_quasinorm(bt, grid.weights, 0.5)
-                           / (g1.norm(1) * g2.norm(1)))
-        ratios_one.append(_lp_quasinorm(bt, grid.weights, 1.0)
-                          / (g1.norm(2) * g2.norm(2)))
+        bt = Density(grid, bt_delta_circle_grid(g1, g2, delta))
+        ratios_half.append(bt.norm(0.5) / (g1.norm(1) * g2.norm(1)))
+        ratios_one.append(bt.norm(1.0) / (g1.norm(2) * g2.norm(2)))
     logs = np.log(1.0 / np.asarray(delta_list))
     fit_half = fit_log_growth(logs ** 2, ratios_half)
     fit_one = fit_log_growth(logs, ratios_one)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import j0, j1
 
 from ..errors import InvalidArgumentError
-from ..extension import extend
+from ..extension import extend_field
 from ..reports import ExperimentReport, experiment_rng, fit_log_growth
 from ..sphere import Density, make_circle_grid, poisson_mollify_circle
 from ..spherical import bt_delta_circle_grid
@@ -45,20 +45,13 @@ def gamma_R_weight(R):
     return weight
 
 
-def _ball_quadrature_2d(field, weight, R, spacing=0.25):
-    """Trapezoid integral of field * weight over the disc of radius R."""
-    n = int(2 * R / spacing) + 1
-    u = np.linspace(-R, R, n)
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    xx, yy = np.meshgrid(u, u, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = xx.ravel() ** 2 + yy.ravel() ** 2 <= R * R
-    vals = np.zeros(pts.shape[0])
-    vals[inside] = field(pts[inside]) * weight(pts[inside])
-    du = u[1] - u[0]
-    return float(np.add.reduce(
-        ((w[:, None] * w[None, :]).ravel() * vals)) * du * du)
+def _ball_quadrature_2d(g, weight, R, spacing=0.25):
+    """Trapezoid integral of |g dsigma hat|^2 * weight over the disc of radius R."""
+    field = extend_field(g, R, int(2 * R / spacing) + 1)
+    xx, yy = field.meshgrid()
+    w = weight(np.column_stack([xx.ravel(), yy.ravel()])).reshape(xx.shape)
+    w = np.where(xx ** 2 + yy ** 2 <= R * R, w, 0.0)
+    return float(field.integrate(lambda values: np.abs(values) ** 2 * w))
 
 
 def _gaussian_test_functions(n_funcs, rng):
@@ -115,7 +108,7 @@ def _sw_operator(w, omega, half_width, truncation, samples_per_axis=129,
     of the weight's line transform in direction omega."""
     prof = xray_profile(w, omega, half_width, samples_per_axis, truncation,
                         n_samples)
-    return frac_laplacian(prof, 0.25, taper=True).l2_norm()
+    return frac_laplacian(prof, 0.25, taper=True).lp_norm(2)
 
 
 def _symmetric_cap_pair(grid, radius=0.4):
@@ -156,7 +149,9 @@ def verify_wstein(pairs=None, R_list=(16, 32, 64), C_max=50.0, n_omega=64,
                   spacing=0.25):
     """Weighted ball mass against the bilinear square-function bound (n = 2).
 
-    LHS: integral of |g dsigma hat|^2 w over the ball of radius R.
+    LHS: integral of |g dsigma hat|^2 w over the ball of radius R, by the
+    trapezoid rule at ``spacing`` on the box [-R, R]^2 masked to the disc;
+    the box field is one NUFFT evaluation (``extend_field``).
     RHS: sphere integral of [BT_(1/R)(h, h)(omega)^(1/2) +
     BT_(1/R)(h, h)(omega_perp)^(1/2)] * Sw(omega), where h is the squared
     Poisson mollification of |g| at scale 1/R and Sw is the L^2_v norm of
@@ -180,10 +175,7 @@ def verify_wstein(pairs=None, R_list=(16, 32, 64), C_max=50.0, n_omega=64,
         habs = g.map(np.abs)
         Cs = []
         for R in R_list:
-            def field(pts):
-                return np.abs(extend(g, pts)) ** 2
-
-            lhs = _ball_quadrature_2d(field, w, float(R), spacing=spacing)
+            lhs = _ball_quadrature_2d(g, w, float(R), spacing=spacing)
             h = poisson_mollify_circle(habs, 1.0 / R).map(lambda v: v ** 2)
             bt = bt_delta_circle_grid(h, h, 1.0 / R).real
             sub = np.arange(0, N, stride)
@@ -213,6 +205,8 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         ||g||_2^2) for the truncated radial weight (1 + |x|^2)^(-1/2)
         over random smooth densities -- the sup-line-transform bound is
         known for radial weights, so the constants must stay bounded.
+        The ball mass is a masked trapezoid rule on the box [-R_mt, R_mt]^2,
+        whose field is one NUFFT evaluation (``extend_field``).
 
     (b) C_q at q = 2: the L^1_omega L^2_v norm of the half-derivative of
         the line transform of gamma_R |g dsigma hat|^2, divided by
@@ -242,11 +236,7 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         for k, c in enumerate(coef):
             vals += c * np.exp(1j * k * grid.angles)
         g = Density(grid, vals)
-
-        def field(pts):
-            return np.abs(extend(g, pts)) ** 2
-
-        lhs = _ball_quadrature_2d(field, w_rad, R_mt)
+        lhs = _ball_quadrature_2d(g, w_rad, R_mt)
         C_mt.append(lhs / (sup_xw * g.norm(2) ** 2))
     report.raw_data["C_mt"] = C_mt
     report.check("C_mt_max", max(C_mt), hi=C_max)
@@ -272,7 +262,7 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
                             half_width=3.0 * R, samples_per_axis=n_v,
                             truncation=3.0 * R, n_samples=2 * int(6.0 * R))
         half = frac_laplacian(prof, 0.25, taper=True)
-        C2.append(2.0 * np.pi * half.l2_norm() / (np.log(R) * norm_sq))
+        C2.append(2.0 * np.pi * half.lp_norm(2) / (np.log(R) * norm_sq))
         alpha = 0.5 * (1.0 - 1.0 / q_probe)
         qprime = q_probe / (q_probe - 1.0)
         probe = frac_laplacian(prof, alpha, taper=True)

@@ -6,22 +6,22 @@ slice measures delta(xi.omega - t) dsigma, which carry a coarea weight
 (1 - t^2)^(-1/2) per unit arc length.
 
 The quadrature sum over nodes is evaluated one of two ways, chosen by the
-shape of the point set alone.  Uniformly spaced collinear points (the
-samples of a line, as ``xray`` and the n = 2 ``radon`` pass them) and the
-uniform hyperplane patches of ``extend_plane_field`` go through a type-1
+shape of the point set alone.  Every uniform grid goes through one type-1
 non-uniform FFT (Gaussian gridding at 2x oversampling, Greengard & Lee
-2004) whose error is below 1e-12 times sum |w_j g_j|.  Every other point
-set takes the direct sum, one exp(i x.xi) per (point, node) pair.
+2004) whose error is below 1e-12 times sum |w_j g_j|: uniformly spaced
+collinear points (the samples of a line, as ``xray`` and the n = 2
+``radon`` pass them), the n = 2 boxes of ``extend_field`` and the uniform
+hyperplane patches of ``extend_plane_field``.  Every other point set takes
+the direct sum, one exp(i x.xi) per (point, node) pair.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError
 from .reports import ExperimentReport
 from .sphere import (Density, SphereGrid, _as_unit, make_circle_grid,
                      make_sphere_grid, perp_basis)
@@ -37,9 +37,6 @@ __all__ = [
     "stationary_phase_decay_check",
     "sigma_hat_closed_form",
 ]
-
-# direct-path cost ceiling: grid points x quadrature nodes
-DEFAULT_COST_BUDGET = 2 * 10 ** 8
 
 # type-1 NUFFT accuracy, relative to sum |w_j g_j|; at 2x oversampling the
 # Gaussian kernel needs exp(-2 pi m / 3) <= eps, so m cells on each side
@@ -92,29 +89,6 @@ class SampledField:
             vals = vals * w.reshape(shape)
         total = np.add.reduce(vals.ravel())
         return total * self.spacing ** self.dim
-
-    def to_csv(self, path):
-        ax = self.axis()
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        coords = np.column_stack([grd.ravel() for grd in grids])
-        flat = self.values.ravel()
-        data = np.column_stack([np.arange(flat.size), coords, flat.real, flat.imag])
-        np.savetxt(path, data, delimiter=",",
-                   header="index," + ",".join(f"x{i}" for i in range(self.dim)) + ",re,im")
-        with open(str(path) + ".json", "w") as fh:
-            json.dump({"dim": self.dim, "half_width": self.half_width,
-                       "points_per_axis": self.points_per_axis}, fh)
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(str(path) + ".json") as fh:
-            meta = json.load(fh)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        flat = data[:, 1 + meta["dim"]] + 1j * data[:, 2 + meta["dim"]]
-        shape = (meta["points_per_axis"],) * meta["dim"]
-        return cls(dim=meta["dim"], half_width=meta["half_width"],
-                   points_per_axis=meta["points_per_axis"],
-                   values=flat.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -240,37 +214,24 @@ def extend(g, x, chunk=None):
     return out[0] if single else out
 
 
-def extend_field(g, half_width, points_per_axis, accelerate=False,
-                 cost_budget=DEFAULT_COST_BUDGET):
-    """Evaluate the extension operator on a uniform box grid.
+def extend_field(g, half_width, points_per_axis):
+    """Evaluate the extension operator on the uniform box [-L, L]^2 (n = 2).
 
-    With ``accelerate`` the phase factorises over the Cartesian axes, so
-    the field is accumulated from per-axis phase matrices by tensor
-    contraction (BLAS) instead of forming every x.xi product.
+    The box is one 2-D uniform grid, evaluated by a type-1 NUFFT (error
+    below 1e-12 times sum |w_j g_j|).  Returns a SampledField whose
+    values[a, b] sits at (axis[a], axis[b]).
     """
-    dim = g.grid.dim
+    if g.grid.dim != 2:
+        raise InvalidArgumentError("extend_field requires dim 2")
     M = int(points_per_axis)
-    cost = M ** dim * g.grid.node_count
-    if not accelerate and cost > cost_budget:
-        raise ResourceLimitError(
-            f"direct field evaluation cost {cost:.3g} exceeds budget {cost_budget:.3g};"
-            " pass accelerate=True", budget=cost_budget)
-    ax = np.linspace(-half_width, half_width, M)
-    coeff = g.grid.weights * g.values
-    if accelerate:
-        # per-axis phase matrices P_d[j, m] = exp(i ax[m] * node[j, d])
-        phases = [np.exp(1j * np.outer(g.grid.nodes[:, d], ax)) for d in range(dim)]
-        if dim == 2:
-            vals = np.einsum("j,jm,jn->mn", coeff, phases[0], phases[1])
-        else:
-            vals = np.einsum("jm,jnp->mnp", (coeff[:, None] * phases[0]),
-                             np.einsum("jn,jp->jnp", phases[1], phases[2]))
-    else:
-        grids = np.meshgrid(*([ax] * dim), indexing="ij")
-        pts = np.column_stack([grd.ravel() for grd in grids])
-        vals = extend(g, pts).reshape((M,) * dim)
-    return SampledField(dim=dim, half_width=float(half_width),
-                        points_per_axis=M, values=vals)
+    if M < 2:
+        raise InvalidArgumentError("points_per_axis must be >= 2")
+    du = 2.0 * half_width / (M - 1)
+    mid = -half_width + (M // 2) * du
+    values = _nufft_extend(g, np.array([mid, mid]),
+                           [np.array([du, 0.0]), np.array([0.0, du])], M)
+    return SampledField(dim=2, half_width=float(half_width),
+                        points_per_axis=M, values=values)
 
 
 def extend_plane_field(g, omega, t, truncation, n_samples):

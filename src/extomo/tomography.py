@@ -97,17 +97,6 @@ class LineProfile:
     def axis(self):
         return np.linspace(-self.half_width, self.half_width, self.samples_per_axis)
 
-    def l2_norm(self):
-        """L^2 norm over the offset plane (trapezoid rule)."""
-        w = np.ones(self.samples_per_axis)
-        w[0] = w[-1] = 0.5
-        vals = np.abs(self.values) ** 2
-        for axis_idx in range(vals.ndim):
-            shape = [1] * vals.ndim
-            shape[axis_idx] = self.samples_per_axis
-            vals = vals * w.reshape(shape)
-        return float(np.sqrt(np.add.reduce(vals.ravel()) * self.spacing ** self.values.ndim))
-
     def lp_norm(self, p):
         if np.isinf(p):
             return float(np.abs(self.values).max())
@@ -291,7 +280,7 @@ def xray_isometry_ratio(f, n, f_l2, sphere_grid, half_width=24.0,
     for node, weight in zip(sphere_grid.nodes, sphere_grid.weights):
         prof = xray_profile(f, node, half_width, samples_per_axis, truncation, n_samples)
         half = frac_laplacian(prof, 0.25, taper=taper)
-        total += weight * half.l2_norm() ** 2
+        total += weight * half.lp_norm(2) ** 2
     return float(np.sqrt(total) / f_l2)
 
 

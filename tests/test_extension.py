@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extomo.errors import InvalidArgumentError, ResourceLimitError
+from extomo.errors import InvalidArgumentError
+from extomo.experiments.reductions import _slice_xray_profile
 from extomo.extension import (SampledField, SliceMeasureSpec, _direct_sum,
                               _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
@@ -67,16 +68,9 @@ class TestExtend:
 
 
 class TestExtendField:
-    def test_accelerated_matches_direct(self, rng):
-        grid = make_sphere_grid(8, 16)
-        g = Density(grid, rng.standard_normal(grid.node_count))
-        direct = extend_field(g, 3.0, 9)
-        fast = extend_field(g, 3.0, 9, accelerate=True)
-        assert np.abs(direct.values - fast.values).max() < 1e-10
-
-    def test_budget_enforced(self, one_sphere):
-        with pytest.raises(ResourceLimitError):
-            extend_field(one_sphere, 10.0, 200, cost_budget=10 ** 6)
+    def test_box_needs_dim_2(self, one_sphere):
+        with pytest.raises(InvalidArgumentError):
+            extend_field(one_sphere, 3.0, 9)
 
     def test_plane_field_matches_pointwise(self, rng):
         grid = make_sphere_grid(8, 16)
@@ -97,6 +91,25 @@ def _random_density(n, rng):
 
 def _mass(g):
     return np.abs(g.grid.weights * g.values).sum()
+
+
+def _dense_slice_profile(g, omega, half_width, n_v, n_t, n_slice):
+    """The slice line transform by two separable phase matrices per slice."""
+    basis = perp_basis(omega)
+    u = np.linspace(-half_width, half_width, n_v)
+    phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
+    prof = np.zeros((n_v, n_v))
+    for t, wt in zip(t_nodes, t_weights):
+        rho = np.sqrt(1.0 - t * t)
+        pts = (t * omega[None, :]
+               + rho * (np.cos(phi)[:, None] * basis[0][None, :]
+                        + np.sin(phi)[:, None] * basis[1][None, :]))
+        coeff = g.evaluate(pts) * (2.0 * np.pi / n_slice)
+        P1 = np.exp(1j * np.outer(u, rho * np.cos(phi)))
+        P2 = np.exp(1j * np.outer(u, rho * np.sin(phi)))
+        prof += wt * np.abs((P1 * coeff) @ P2.T) ** 2
+    return 2.0 * np.pi * prof
 
 
 def _uniform_line(n, M, spacing, offset, rng):
@@ -156,20 +169,46 @@ class TestFastPaths:
         assert np.abs(vals - ref).max() <= 1e-11 * _mass(g)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.sampled_from([16, 64, 512]), points_per_axis=st.integers(2, 64),
+           half_width=st.floats(0.5, 80.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(N=512, points_per_axis=33, half_width=8.0, seed=0)
+    @example(N=512, points_per_axis=64, half_width=80.0, seed=1)
+    @example(N=64, points_per_axis=2, half_width=0.5, seed=2)
+    def test_box_field_matches_direct(self, N, points_per_axis, half_width, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_circle_grid(N)
+        g = Density(grid, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        field = extend_field(g, half_width, points_per_axis)
+        a, b = field.meshgrid()
+        ref = _direct_sum(g, np.column_stack([a.ravel(), b.ravel()]))
+        assert field.values.shape == (points_per_axis, points_per_axis)
+        assert np.abs(field.values - ref.reshape(a.shape)).max() <= 1e-11 * _mass(g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_v=st.integers(2, 40), half_width=st.floats(0.5, 40.0),
+           n_t=st.integers(1, 6), n_slice=st.integers(3, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_v=33, half_width=12.0, n_t=24, n_slice=128, seed=0)
+    @example(n_v=32, half_width=12.0, n_t=4, n_slice=128, seed=1)
+    def test_slice_profile_matches_dense(self, n_v, half_width, n_t, n_slice, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_density(3, rng)
+        omega = rng.standard_normal(3)
+        omega /= np.linalg.norm(omega)
+        prof = _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice)
+        ref = _dense_slice_profile(g, omega, half_width, n_v, n_t, n_slice)
+        # each slice sum errs by at most 1e-12 of C = 2 pi max |g|; squared,
+        # weighted by t-weights summing to 2 and scaled by 2 pi
+        C = 2.0 * np.pi * np.abs(g.values).max()
+        assert np.abs(prof.values - ref).max() <= 1e-11 * 4.0 * np.pi * C ** 2
+
+
 class TestSampledField:
     def test_integrate_constant(self):
         f = SampledField(dim=2, half_width=1.0, points_per_axis=11,
                          values=np.ones((11, 11), dtype=complex))
         assert f.integrate().real == pytest.approx(4.0)
-
-    def test_csv_round_trip(self, tmp_path, rng):
-        vals = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        f = SampledField(dim=2, half_width=2.0, points_per_axis=7, values=vals)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        back = SampledField.from_csv(path)
-        assert back.half_width == f.half_width
-        assert np.allclose(back.values, f.values)
 
 
 class TestSliceMeasures:

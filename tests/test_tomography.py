@@ -155,7 +155,7 @@ class TestXrayProfile:
         # ||X f||_{L^2(v)} for f = e^{-|x|^2}: profile sqrt(pi) e^{-v^2}
         prof = xray_profile(gaussian_2d, np.array([1.0, 0.0]), 10.0, 401, 10.0)
         expected = np.sqrt(np.pi * np.sqrt(np.pi / 2.0))
-        assert prof.l2_norm() == pytest.approx(expected, rel=1e-6)
+        assert prof.lp_norm(2) == pytest.approx(expected, rel=1e-6)
 
 
 class TestMaximalOperators:
