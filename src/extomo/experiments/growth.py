@@ -367,8 +367,9 @@ def necessity_band_example(delta_list=(0.2, 0.1, 0.05, 0.025), eps=0.25,
         F = np.empty(n_u)
         for i, th in enumerate(theta):
             u_vec = np.array([np.sin(th), 0.0, np.cos(th)])
-            ba = np.array([abs(BA_t(g, g, u_vec, t, n_slice=n_slice))
-                           for t in t_nodes])
+            ba = BA_t(g, g, u_vec, t_nodes, n_slice=n_slice)
+            # as abs() of each complex; np.abs of an array can differ by an ulp
+            ba = np.hypot(ba.real, ba.imag)
             F[i] = np.add.reduce(s_weights * ba ** 2) / (2.0 * eps)
         plateau.append(abs(BA_t(g, g, np.array([1.0, 0.0, 0.0]), delta / 2,
                                 n_slice=n_slice)))

@@ -176,8 +176,9 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
         lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
 
     def t_integral(u_vec):
-        ba = np.array([abs(BA_t(g, g, u_vec, t, n_slice=n_slice))
-                       for t in t_sub])
+        ba = BA_t(g, g, u_vec, t_sub, n_slice=n_slice)
+        # as abs() of each complex; np.abs of an array can differ by an ulp
+        ba = np.hypot(ba.real, ba.imag)
         return np.add.reduce(s_weights * ba ** 2) / (2.0 * eps)
 
     if q == 2.0:

@@ -93,14 +93,18 @@ class SampledField:
 
 @dataclass(frozen=True)
 class SliceMeasureSpec:
-    """The slice measure delta(xi.omega - t) dsigma(xi)."""
+    """The slice measure delta(xi.omega - t) dsigma(xi).
+
+    t may be a 1-D array: one slice measure per offset, all with the same
+    omega.
+    """
 
     omega: np.ndarray
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _as_unit(self.omega, "omega"))
-        if not abs(self.t) < 1.0:
+        if not np.all(np.abs(self.t) < 1.0):
             raise InvalidArgumentError("slice offset t must satisfy |t| < 1")
 
 
@@ -255,16 +259,32 @@ def extend_plane_field(g, omega, t, truncation, n_samples):
 
 
 def slice_circle_points(omega, t, n_slice):
-    """Equispaced points on the slice circle {xi.omega = t} of S^2."""
+    """Equispaced points on the slice circle {xi.omega = t} of S^2.
+
+    t may be a 1-D array: the frame is built once and the points come back
+    as an (n_t, n_slice, 3) stack, (n_slice, 3) for a scalar t.
+    """
     # both normalise the given omega once, so the frame matches omega exactly
     e1, e2 = perp_basis(omega)
     omega = _as_unit(omega, "omega")
+    t = np.asarray(t, dtype=float)[..., None, None]
     rho = np.sqrt(1.0 - t * t)
     phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
-    pts = (t * omega[None, :]
-           + rho * (np.cos(phi)[:, None] * e1[None, :]
-                    + np.sin(phi)[:, None] * e2[None, :]))
-    return pts, phi
+    return (t * omega[None, :]
+            + rho * (np.cos(phi)[:, None] * e1[None, :]
+                     + np.sin(phi)[:, None] * e2[None, :]))
+
+
+def _slice_pair_points(omega, t):
+    """The two points of the n = 2 slice {xi.omega = t} and (1 - t^2)^(1/2).
+
+    Points are (..., 2, 2): t omega + root perp, then t omega - root perp.
+    """
+    perp = np.array([-omega[1], omega[0]])
+    t = np.asarray(t, dtype=float)[..., None]
+    root = np.sqrt(1.0 - t * t)
+    pts = np.stack([t * omega + root * perp, t * omega - root * perp], axis=-2)
+    return pts, root[..., 0]
 
 
 def extend_slice(g, spec, v, n_slice=256):
@@ -274,23 +294,22 @@ def extend_slice(g, spec, v, n_slice=256):
     slice is a circle integrated with an equispaced rule (the coarea
     weight cancels against the circle radius, leaving plain d(phi)); for
     n = 2 it is the sum of the two point masses with weight
-    (1 - t^2)^(-1/2) each.
+    (1 - t^2)^(-1/2) each.  An array ``spec.t`` gives one value per offset.
     """
     omega, t = spec.omega, spec.t
     v = np.asarray(v, dtype=float)
     if abs(v @ omega) > 1e-10:
         raise InvalidArgumentError("v must be orthogonal to omega")
     if g.grid.dim == 2:
-        perp = np.array([-omega[1], omega[0]])
-        root = np.sqrt(1.0 - t * t)
-        pts = np.array([t * omega + root * perp, t * omega - root * perp])
-        gv = g.evaluate(pts)
-        phases = np.exp(1j * pts @ v)
-        return (gv @ phases) / root
-    pts, _ = slice_circle_points(omega, t, n_slice)
-    gv = g.evaluate(pts)
+        pts, root = _slice_pair_points(omega, t)
+    else:
+        pts = slice_circle_points(omega, t, n_slice)
+    gv = g.evaluate(pts.reshape(-1, g.grid.dim)).reshape(pts.shape[:-1])
     phases = np.exp(1j * pts @ v)
-    return np.add.reduce(gv * phases) * (2.0 * np.pi / n_slice)
+    if g.grid.dim == 2:
+        # one length-2 dot per offset, the same BLAS dot as gv @ phases
+        return (gv[..., None, :] @ phases[..., None])[..., 0, 0] / root
+    return np.add.reduce(gv * phases, axis=-1) * (2.0 * np.pi / n_slice)
 
 
 def slice_mass(n, t, n_slice=256):

@@ -9,10 +9,12 @@ g~(xi) = conj(g(-xi)).
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, PreconditionError
-from .extension import SliceMeasureSpec, extend_slice, slice_circle_points
-from .sphere import Density, _as_unit
+from .extension import (SliceMeasureSpec, _slice_pair_points, extend_slice,
+                        slice_circle_points)
+from .sphere import _as_unit
 
 __all__ = [
     "funk_At",
@@ -22,12 +24,12 @@ __all__ = [
     "BA_t",
     "BT_delta",
     "bt_delta_circle_grid",
-    "sphere_autoconvolution",
-    "mollified_sphere_convolution",
-    "fit_autoconvolution_constant",
     "rotcurv",
     "phi_zero",
 ]
+
+# complex entries per block of rows in bt_delta_circle_grid (2 MB)
+_BT_BLOCK = 2 ** 17
 
 
 def funk_At(f, omega, t, n_slice=256):
@@ -35,13 +37,15 @@ def funk_At(f, omega, t, n_slice=256):
 
     A_0 is the Funk transform.  Carries the coarea weight of the slice
     measure, so f = 1 gives the slice mass (2 pi for n = 3,
-    2 (1 - t^2)^(-1/2) for n = 2).
+    2 (1 - t^2)^(-1/2) for n = 2).  t may be a 1-D array, which gives
+    an array of averages.
     """
     spec = SliceMeasureSpec(_as_unit(omega, "omega"), t)
     val = extend_slice(f, spec, np.zeros(spec.omega.size), n_slice=n_slice)
-    if np.isrealobj(f.values) or np.all(f.values.imag == 0):
-        return float(val.real)
-    return complex(val)
+    real = np.isrealobj(f.values) or np.all(f.values.imag == 0)
+    if np.ndim(t) == 0:
+        return float(val.real) if real else complex(val)
+    return val.real if real else val
 
 
 def T_delta(f, omega, delta, support_margin=1e-8):
@@ -89,7 +93,7 @@ def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
     for sign in (1.0, -1.0):
         t = sign * np.sin(theta)
         jac = np.cos(theta) * delta * np.exp(u) / (np.sin(theta) + delta)
-        vals = np.array([funk_At(f, omega, tk, n_slice=n_slice) for tk in t])
+        vals = funk_At(f, omega, t, n_slice=n_slice)
         total += np.add.reduce(wu * vals * jac)
     return float(total) if np.isscalar(total) or np.isrealobj(np.asarray(total)) \
         else complex(total)
@@ -99,7 +103,7 @@ def S_operator(f, omega, n_t=128, n_slice=256):
     """(integral over t in (-1,1) of A_t f(omega)^2)^(1/2) by Gauss-Legendre."""
     omega = _as_unit(omega, "omega")
     t, wt = np.polynomial.legendre.leggauss(n_t)
-    vals = np.array([funk_At(f, omega, tk, n_slice=n_slice) for tk in t])
+    vals = funk_At(f, omega, t, n_slice=n_slice)
     return float(np.sqrt(np.add.reduce(wt * np.abs(vals) ** 2)))
 
 
@@ -114,33 +118,33 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
 
     ``method`` selects the generic slice path ("slice"), the n = 2
     closed two-point form ("closed"), or the fast path when available
-    ("auto").  The two paths agree to quadrature accuracy.
+    ("auto").  The two paths agree to quadrature accuracy.  t may be a
+    1-D array: the slices of all offsets are evaluated together and an
+    array comes back; a scalar t gives a complex.
     """
-    omega = _as_unit(omega, "omega")
-    if not abs(t) < 1.0:
-        raise InvalidArgumentError("|t| < 1 required")
+    spec = SliceMeasureSpec(omega, t)
+    omega = spec.omega
     n = omega.size
     if method not in ("auto", "slice", "closed"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "closed" and n != 2:
         raise InvalidArgumentError("closed form is n = 2 only")
-    if n == 2 and method in ("auto", "closed"):
-        perp = np.array([-omega[1], omega[0]])
-        root = np.sqrt(1.0 - t * t)
-        p_plus = t * omega + root * perp
-        p_minus = t * omega - root * perp
-        va = g1.evaluate(np.array([p_plus, p_minus]))
-        vb = np.conj(g2.evaluate(np.array([p_minus, p_plus])))
-        return complex((va[0] * vb[0] + va[1] * vb[1]) / root)
     if n == 2:
-        perp = np.array([-omega[1], omega[0]])
-        root = np.sqrt(1.0 - t * t)
-        pts = np.array([t * omega + root * perp, t * omega - root * perp])
-        vals = g1.evaluate(pts) * _tilde_after_reflection(g2, omega, pts)
-        return complex(np.add.reduce(vals) / root)
-    pts, _ = slice_circle_points(omega, t, n_slice)
-    vals = g1.evaluate(pts) * _tilde_after_reflection(g2, omega, pts)
-    return complex(np.add.reduce(vals) * (2.0 * np.pi / n_slice))
+        pts, root = _slice_pair_points(omega, t)
+    else:
+        pts = slice_circle_points(omega, t, n_slice)
+    shape = pts.shape[:-1]
+    flat = pts.reshape(-1, n)
+    if n == 2 and method in ("auto", "closed"):
+        # g1 at (p+, p-) against conj g2 at (p-, p+)
+        va = g1.evaluate(flat).reshape(shape)
+        vb = np.conj(g2.evaluate(pts[..., ::-1, :].reshape(-1, n))).reshape(shape)
+        out = (va[..., 0] * vb[..., 0] + va[..., 1] * vb[..., 1]) / root
+    else:
+        vals = g1.evaluate(flat) * _tilde_after_reflection(g2, omega, flat)
+        out = np.add.reduce(vals.reshape(shape), axis=-1)
+        out = out / root if n == 2 else out * (2.0 * np.pi / n_slice)
+    return complex(out) if np.ndim(t) == 0 else out
 
 
 def BT_delta(g1, g2, omega, delta):
@@ -170,78 +174,18 @@ def bt_delta_circle_grid(g1, g2, delta):
     N = grid.node_count
     a = grid.weights * g1.values
     b = np.conj(g2.values)
-    kern = 1.0 / (np.abs(np.cos(grid.angles)) + delta)  # index j - k mod N
-    j = np.arange(N)
+    # index m = j - k mod N; cast to complex once rather than in every block
+    kern = (1.0 / (np.abs(np.cos(grid.angles)) + delta)).astype(complex)
+    # out[k] = sum_m kern[m] a[(k + m) % N] b[(k - m) % N]; both factors
+    # are strided views, A[k, m] = a[(k + m) % N] and B[k, m] = b[(k - m) % N]
+    A = sliding_window_view(np.concatenate([a, a[:-1]]), N)
+    B = sliding_window_view(np.concatenate([b[1:], b]), N)[:, ::-1]
     out = np.empty(N, dtype=complex)
-    for k in range(N):
-        out[k] = np.add.reduce(a * b[(2 * k - j) % N] * kern[(j - k) % N])
+    step = max(1, _BT_BLOCK // N)
+    for start in range(0, N, step):
+        rows = slice(start, start + step)
+        out[rows] = (A[rows] * B[rows]) @ kern
     return out
-
-
-def sphere_autoconvolution(g1, g2, x, constant=1.0, exclusion_radius=0.05,
-                           n_slice=256):
-    """(g1 dsigma) * (g2 dsigma)(x) through the bilinear slice form.
-
-    Evaluates constant / |x| * BA_{|x|/2}(g1, g2)(x / |x|).  The constant
-    for this package's slice normalisation is 1; callers may pass a
-    measured value from :func:`fit_autoconvolution_constant`.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    if not exclusion_radius <= r <= 2.0 - exclusion_radius:
-        raise InvalidArgumentError(
-            f"|x| = {r:.3g} outside [{exclusion_radius}, {2 - exclusion_radius}]")
-    return constant / r * BA_t(g1, g2, x / r, r / 2.0, n_slice=n_slice)
-
-
-def mollified_sphere_convolution(g1, g2, x, h=0.03):
-    """Cross-check oracle for the sphere autoconvolution.
-
-    Replaces the second surface measure by a Gaussian-thickened shell of
-    width h and integrates over the first sphere by quadrature:
-    sum of w g1(xi) psi_h(|x - xi| - 1) g2((x - xi)/|x - xi|).
-    """
-    if h <= 0:
-        raise InvalidArgumentError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    diff = x[None, :] - g1.grid.nodes
-    dist = np.linalg.norm(diff, axis=1)
-    # nodes hit by x exactly contribute psi_h(-1) ~ 0; drop them rather
-    # than divide by zero in the direction normalisation
-    safe = dist > 1e-12
-    dist = np.where(safe, dist, 1.0)
-    shell = np.exp(-0.5 * ((dist - 1.0) / h) ** 2) / (np.sqrt(2 * np.pi) * h)
-    vals = np.where(safe, g1.values * shell * g2.evaluate(diff / dist[:, None]), 0.0)
-    return complex(g1.grid.integrate(vals))
-
-
-def fit_autoconvolution_constant(g1, g2, radii, direction=None, h=0.03,
-                                 n_slice=256):
-    """Least-squares fit of the constant linking the BA path to the oracle.
-
-    Returns (constant, max relative residual) over sample points
-    r * direction for r in ``radii``.
-    """
-    n = g1.grid.dim
-    if direction is None:
-        direction = np.zeros(n)
-        direction[0] = 1.0
-    direction = _as_unit(direction, "direction")
-    ba_vals = []
-    oracle_vals = []
-    for r in radii:
-        x = r * direction
-        ba_vals.append((BA_t(g1, g2, direction, r / 2.0, n_slice=n_slice) / r).real)
-        oracle_vals.append(mollified_sphere_convolution(g1, g2, x, h=h).real)
-    ba_vals = np.asarray(ba_vals)
-    oracle_vals = np.asarray(oracle_vals)
-    denom = np.add.reduce(ba_vals ** 2)
-    if denom == 0:
-        raise InvalidArgumentError("BA path vanishes at every sample point")
-    c = float(np.add.reduce(ba_vals * oracle_vals) / denom)
-    resid = float(np.max(np.abs(c * ba_vals - oracle_vals)
-                         / np.maximum(np.abs(oracle_vals), 1e-300)))
-    return c, resid
 
 
 def rotcurv(phi, x, y, step=1e-4):

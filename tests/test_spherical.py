@@ -1,16 +1,16 @@
-"""Slice-averaging operators, bilinear forms, autoconvolution, curvature."""
+"""Slice-averaging operators, bilinear forms, curvature."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
 from extomo.sphere import Density, bump_cap_density, make_circle_grid, \
     make_sphere_grid
 from extomo.spherical import (BA_t, BT_delta, S_operator, T_delta,
-                              bt_delta_circle_grid,
-                              fit_autoconvolution_constant, funk_At,
-                              mollified_sphere_convolution, phi_zero, rotcurv,
-                              sphere_autoconvolution, t_delta_via_slices)
+                              bt_delta_circle_grid, funk_At, phi_zero, rotcurv,
+                              t_delta_via_slices)
 
 
 class TestFunkAt:
@@ -151,6 +151,24 @@ class TestBilinear:
             direct = BT_delta(g1, g2, grid.nodes[k], 0.05)
             assert fast[k] == pytest.approx(direct, rel=1e-10)
 
+    # a block holds 2^17 // N rows, so N > 362 gives several blocks, most
+    # often with a partial last one
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(4, 700), delta=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(N=700, delta=1e-3, seed=0)
+    @example(N=699, delta=1.0, seed=1)
+    @example(N=4, delta=0.1, seed=2)
+    @example(N=5, delta=0.1, seed=3)
+    def test_bt_grid_matches_every_node(self, N, delta, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_circle_grid(N)
+        g1 = Density(grid, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        g2 = Density(grid, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        fast = bt_delta_circle_grid(g1, g2, delta)
+        direct = np.array([BT_delta(g1, g2, node, delta) for node in grid.nodes])
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(fast).max()
+
     def test_cauchy_schwarz_diagonal(self, circle_grid, rng):
         # |BT_delta(g, h)| <= BT(g,g)^(1/2) BT(h,h)^(1/2) for densities
         # symmetric under theta -> -theta (so the reflected factor in the
@@ -168,44 +186,52 @@ class TestBilinear:
         assert cross <= diag * (1 + 1e-9)
 
 
-class TestAutoconvolution:
-    def test_circle_closed_form(self, one_circle):
-        # (sigma * sigma)(x) = 2 / (|x| sqrt(1 - (|x|/2)^2)) on |x| < 2
-        for r in (0.5, 1.0, 1.5):
-            x = np.array([r, 0.0])
-            val = sphere_autoconvolution(one_circle, one_circle, x).real
-            expected = 2.0 / (r * np.sqrt(1.0 - (r / 2.0) ** 2))
-            assert val == pytest.approx(expected, rel=1e-10)
+class TestArrayOffsets:
+    """An array of offsets t gives, bit for bit, the scalar-t calls."""
 
-    def test_exclusion_window(self, one_circle):
-        with pytest.raises(InvalidArgumentError):
-            sphere_autoconvolution(one_circle, one_circle, np.array([2.0, 0.0]))
+    T = np.array([-0.95, -0.4, 0.0, 0.3, 0.77])
 
-    def test_slice_outside_support_vanishes(self):
-        grid = make_sphere_grid(24, 48)
-        g = bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), 0.3)
-        # |x| = 0.3 along e3: the slice {xi_3 = 0.15} misses the cap
-        val = sphere_autoconvolution(g, g, np.array([0.0, 0.0, 0.3]))
-        assert abs(val) < 1e-12
+    @staticmethod
+    def _densities(n, rng):
+        if n == 2:
+            grid = make_circle_grid(128)
+            vals = [rng.standard_normal(128) + 1j * rng.standard_normal(128)
+                    for _ in range(2)]
+            return [Density(grid, v) for v in vals], np.array([0.6, 0.8])
+        grid = make_sphere_grid(16, 32)
+        caps = [bump_cap_density(grid, np.array([0.0, 0.6, 0.8]), 1.2),
+                bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), 0.9)]
+        return caps, np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
 
-    def test_constant_fit_near_one(self):
-        # the mollified-shell oracle pins the convolution constant at 1
-        grid = make_sphere_grid(48, 96)
-        one = Density(grid, np.ones(grid.node_count),
-                      evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-        c, resid = fit_autoconvolution_constant(one, one,
-                                                radii=(0.6, 0.9, 1.2, 1.5))
-        assert c == pytest.approx(1.0, abs=0.02)
-        assert resid < 0.02
+    @pytest.mark.parametrize("n, method", [(3, "auto"), (2, "closed"),
+                                           (2, "slice")])
+    def test_ba_t(self, n, method, rng):
+        (g1, g2), omega = self._densities(n, rng)
+        scalar = [BA_t(g1, g2, omega, t, n_slice=64, method=method)
+                  for t in self.T]
+        assert all(type(v) is complex for v in scalar)
+        batched = BA_t(g1, g2, omega, self.T, n_slice=64, method=method)
+        np.testing.assert_array_equal(batched, scalar)
 
-    def test_mollified_oracle_closed_form(self):
-        # n = 3 constant: (sigma * sigma)(x) = 2 pi / |x| on |x| < 2
-        grid = make_sphere_grid(48, 96)
-        one = Density(grid, np.ones(grid.node_count),
-                      evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-        x = np.array([1.0, 0.0, 0.0])
-        val = mollified_sphere_convolution(one, one, x).real
-        assert val == pytest.approx(2.0 * np.pi, rel=0.02)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_funk_at(self, n, rng):
+        (g, _), omega = self._densities(n, rng)
+        rotated = g.map(lambda v: (1 + 2j) * v,
+                        evaluator=lambda pts: (1 + 2j) * g.evaluate(pts))
+        modulus = g.map(np.abs, evaluator=lambda pts: np.abs(g.evaluate(pts)))
+        for f, kind in ((rotated, complex), (modulus, float)):
+            scalar = [funk_At(f, omega, t, n_slice=64) for t in self.T]
+            assert all(type(v) is kind for v in scalar)
+            np.testing.assert_array_equal(
+                funk_At(f, omega, self.T, n_slice=64), scalar)
+
+    def test_offset_out_of_range_rejected(self, one_sphere, one_circle):
+        for g in (one_sphere, one_circle):
+            omega = np.eye(g.grid.dim)[-1]
+            with pytest.raises(InvalidArgumentError):
+                BA_t(g, g, omega, np.array([0.2, -1.0]))
+            with pytest.raises(InvalidArgumentError):
+                funk_At(g, omega, np.array([1.5, 0.1]))
 
 
 class TestRotationalCurvature:
