@@ -13,9 +13,10 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, NonFiniteObjectiveError
 from ..reports import ExperimentReport, experiment_rng
-from ..sphere import Density, make_circle_grid, make_sphere_grid
+from ..extension import slice_circle_points
+from ..sphere import (Density, _trapezoid_weights, make_circle_grid,
+                      make_sphere_grid)
 from ..spherical import t_delta_via_slices
-from ..tomography import perp_basis
 
 __all__ = ["build_functional", "extremize"]
 
@@ -52,15 +53,9 @@ def _xray_sup_functional(grid, q, n_omega=(4, 8), n_t=16, n_slice=64):
     """
     omega_grid = make_sphere_grid(*n_omega)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
-    phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
     rows = []
     for om in omega_grid.nodes:
-        b1, b2 = perp_basis(om)
-        for t in t_nodes:
-            rho = np.sqrt(1.0 - t * t)
-            pts = (t * om[None, :]
-                   + rho * (np.cos(phi)[:, None] * b1[None, :]
-                            + np.sin(phi)[:, None] * b2[None, :]))
+        for pts in slice_circle_points(om, t_nodes, n_slice):
             rows.append(_nearest_node_matrix(
                 grid, pts, np.full(n_slice, 2.0 * np.pi / n_slice))[0])
     A = np.array(rows).reshape(omega_grid.node_count, n_t, grid.node_count)
@@ -110,8 +105,7 @@ def _mt_radial_functional(grid, R=16.0, spacing=0.5):
     """Weighted mass of |g dsigma hat|^2 against the radial weight <x>^-1,
     normalized by the sup of the weight's line transform and ||g||_2^2."""
     u = np.linspace(-R, R, int(2 * R / spacing) + 1)
-    trap = np.ones(u.size)
-    trap[0] = trap[-1] = 0.5
+    trap = _trapezoid_weights(u.size)
     xx, yy = np.meshgrid(u, u, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     inside = np.add.reduce(pts ** 2, axis=1) <= R * R

@@ -14,7 +14,7 @@ from ..extension import (SliceMeasureSpec, extend, extend_plane_field,
                          extend_slice)
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
-from ..sphere import _as_unit
+from ..sphere import _as_unit, _trapezoid_weights
 from ..tomography import Hyperplane, Line, radon, xray
 
 __all__ = [
@@ -159,15 +159,12 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
                                       "omega": omega.tolist()})
     report.record("rhs", rhs)
     lhs_vals = []
-    w_trap = None
     for t in t_list:
         if n == 2:
             lhs = radon(field, Hyperplane(omega, t), truncation, n_samples)
         else:
             vals, u = extend_plane_field(g, omega, t, truncation, n_samples)
-            if w_trap is None:
-                w_trap = np.ones(n_samples)
-                w_trap[0] = w_trap[-1] = 0.5
+            w_trap = _trapezoid_weights(n_samples)
             du = u[1] - u[0]
             lhs = float(np.add.reduce(
                 (w_trap[:, None] * w_trap[None, :] * np.abs(vals) ** 2).ravel())
@@ -221,8 +218,7 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256),
                 lhs = radon(field, Hyperplane(omega, t), float(R), n_samples)
             else:
                 vals, u = extend_plane_field(g, omega, t, float(R), n_samples)
-                w = np.ones(n_samples)
-                w[0] = w[-1] = 0.5
+                w = _trapezoid_weights(n_samples)
                 uu, vv = np.meshgrid(u, u, indexing="ij")
                 disc = uu ** 2 + vv ** 2 + t * t <= R * R
                 du = u[1] - u[0]

@@ -166,6 +166,8 @@ def verify_wstein(pairs=None, R_list=(16, 32, 64), C_max=50.0, n_omega=64,
     report = ExperimentReport(name="wstein",
                               params={"R_list": list(R_list), "C_max": C_max})
     all_C = {}
+    # Sw depends only on the weight, R and the directions; pairs share weights
+    sw_cache = {}
     for label, g, w in pairs:
         grid = g.grid
         N = grid.node_count
@@ -180,10 +182,13 @@ def verify_wstein(pairs=None, R_list=(16, 32, 64), C_max=50.0, n_omega=64,
             bt = bt_delta_circle_grid(h, h, 1.0 / R).real
             sub = np.arange(0, N, stride)
             perp = (sub + N // 4) % N
-            sw = np.array([
-                _sw_operator(w, grid.nodes[k], half_width=2.0 * R + 8.0,
-                             truncation=2.0 * R + 8.0)
-                for k in sub])
+            key = (w, R, grid.nodes[sub].tobytes())
+            if key not in sw_cache:
+                sw_cache[key] = np.array([
+                    _sw_operator(w, grid.nodes[k], half_width=2.0 * R + 8.0,
+                                 truncation=2.0 * R + 8.0)
+                    for k in sub])
+            sw = sw_cache[key]
             integrand = (np.sqrt(np.maximum(bt[sub], 0.0))
                          + np.sqrt(np.maximum(bt[perp], 0.0))) * sw
             rhs = float(np.add.reduce(integrand) * (2.0 * np.pi / n_omega))

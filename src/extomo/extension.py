@@ -22,9 +22,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import InvalidArgumentError
-from .reports import ExperimentReport
-from .sphere import (Density, SphereGrid, _as_unit, make_circle_grid,
-                     make_sphere_grid, perp_basis)
+from .sphere import _as_unit, _trapezoid_weights, perp_basis
 
 __all__ = [
     "SampledField",
@@ -33,8 +31,6 @@ __all__ = [
     "extend_field",
     "extend_plane_field",
     "extend_slice",
-    "slice_mass",
-    "stationary_phase_decay_check",
     "sigma_hat_closed_form",
 ]
 
@@ -81,8 +77,7 @@ class SampledField:
     def integrate(self, integrand=None):
         """Trapezoid-rule integral of the field (or of integrand(values))."""
         vals = self.values if integrand is None else integrand(self.values)
-        w = np.ones(self.points_per_axis)
-        w[0] = w[-1] = 0.5
+        w = _trapezoid_weights(self.points_per_axis)
         for axis_idx in range(self.dim):
             shape = [1] * vals.ndim
             shape[axis_idx] = self.points_per_axis
@@ -312,24 +307,6 @@ def extend_slice(g, spec, v, n_slice=256):
     return np.add.reduce(gv * phases, axis=-1) * (2.0 * np.pi / n_slice)
 
 
-def slice_mass(n, t, n_slice=256):
-    """Total mass of the slice measure dsigma_{omega,t}."""
-    if not abs(t) < 1.0:
-        raise InvalidArgumentError("|t| < 1 required")
-    if n == 2:
-        grid = make_circle_grid(8)
-    elif n == 3:
-        grid = make_sphere_grid(4, 8)
-    else:
-        raise InvalidArgumentError("only n = 2, 3 supported")
-    one = Density(grid, np.ones(grid.node_count),
-                  evaluator=lambda pts: np.ones(pts.shape[0]))
-    omega = np.zeros(n)
-    omega[-1] = 1.0
-    val = extend_slice(one, SliceMeasureSpec(omega, t), np.zeros(n), n_slice=n_slice)
-    return float(val.real)
-
-
 def sigma_hat_closed_form(n, r):
     """|sigma-hat(x)| for the full sphere measure, |x| = r (oracle)."""
     r = np.asarray(r, dtype=float)
@@ -339,36 +316,3 @@ def sigma_hat_closed_form(n, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(r == 0, 4.0 * np.pi, 4.0 * np.pi * np.abs(np.sin(r)) / np.where(r == 0, 1.0, r))
     return val
-
-
-def stationary_phase_decay_check(n, radii, grid=None, n_directions=8,
-                                 window=0.25, window_samples=64, seed=0):
-    """Measure the decay envelope |sigma-hat(r omega)| (1 + r)^((n-1)/2).
-
-    For each target radius the modulus is maximised over a relative
-    window in r (so Bessel-type zero crossings do not punch holes in the
-    envelope) and over a sample of directions.  The reported metric is
-    max/min of the envelope across radii.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(np.diff(radii) <= 0) or radii.max() > 1e3:
-        raise InvalidArgumentError("radii must be increasing with max <= 1e3")
-    if grid is None:
-        grid = make_circle_grid(4096) if n == 2 else make_sphere_grid(64, 128)
-    one = Density(grid, np.ones(grid.node_count))
-    rng = np.random.default_rng(seed)
-    from .sphere import random_rotation
-    dirs = np.array([random_rotation(rng, n)[:, 0] for _ in range(n_directions)])
-    envelope = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        rs = np.linspace(max(r * (1 - window), 0.0), r * (1 + window), window_samples)
-        pts = rs[None, :, None] * dirs[:, None, :]
-        vals = np.abs(extend(one, pts.reshape(-1, n)))
-        amp = vals * (1.0 + np.repeat(rs[None, :], n_directions, axis=0).ravel()) ** ((n - 1) / 2.0)
-        envelope[i] = amp.max()
-    report = ExperimentReport(name="stationary_phase_decay", seed=seed,
-                              params={"n": n, "radii": radii.tolist()})
-    report.raw_data["radii"] = radii.tolist()
-    report.raw_data["envelope"] = envelope.tolist()
-    report.check("envelope_ratio", envelope.max() / envelope.min(), hi=20.0)
-    return report

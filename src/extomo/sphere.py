@@ -10,7 +10,6 @@ integrands converge spectrally / at the stated polynomial exactness.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidArgumentError
 
@@ -22,16 +21,11 @@ __all__ = [
     "CapSpec",
     "make_circle_grid",
     "make_sphere_grid",
-    "reflect",
-    "project_perp",
     "perp_basis",
     "poisson_kernel_circle",
     "poisson_mollify_circle",
-    "poisson_kernel_rn",
     "knapp_cap_density",
     "bump_cap_density",
-    "gm_density",
-    "random_rotation",
 ]
 
 
@@ -56,6 +50,13 @@ def perp_basis(omega):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(omega, e1)
     return np.array([e1, e2])
+
+
+def _trapezoid_weights(M):
+    """Trapezoid-rule weights of M equispaced samples, without the spacing."""
+    w = np.ones(M)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -92,22 +93,6 @@ class SphereGrid:
         """Quadrature sum of per-node values against the surface measure."""
         values = np.asarray(values)
         return np.add.reduce(self.weights * values)
-
-    def to_csv(self, path):
-        header = f"dim={self.dim},exactness_degree={self.exactness_degree}"
-        data = np.column_stack([self.nodes, self.weights])
-        np.savetxt(path, data, delimiter=",", header=header)
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().lstrip("# ").strip()
-        meta = dict(kv.split("=") for kv in header.split(","))
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        dim = int(meta["dim"])
-        return cls(dim=dim, nodes=np.ascontiguousarray(data[:, :dim]),
-                   weights=np.ascontiguousarray(data[:, dim]),
-                   exactness_degree=int(meta["exactness_degree"]))
 
 
 @dataclass(frozen=True)
@@ -209,28 +194,6 @@ def make_sphere_grid(N_polar, N_azimuthal):
                       exactness_degree=min(2 * N_polar - 1, N_azimuthal - 1))
 
 
-def reflect(omega, xi):
-    """Reflection of xi in the hyperplane orthogonal to omega."""
-    omega = _as_unit(omega, "omega")
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim > 1:
-        nrms = np.linalg.norm(xi, axis=-1)
-        if np.any(np.abs(nrms - 1.0) > UNIT_TOL):
-            raise InvalidArgumentError("xi rows must be unit vectors")
-        return xi - 2.0 * (xi @ omega)[..., None] * omega
-    xi = _as_unit(xi, "xi")
-    return xi - 2.0 * (xi @ omega) * omega
-
-
-def project_perp(omega, x):
-    """Orthogonal projection of x onto the hyperplane orthogonal to omega."""
-    omega = _as_unit(omega, "omega")
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        return x - (x @ omega)[..., None] * omega
-    return x - (x @ omega) * omega
-
-
 def poisson_kernel_circle(r, theta):
     """Poisson kernel p_r(theta) = (1 - r^2) / (1 - 2 r cos(theta) + r^2)."""
     return (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(theta) + r * r)
@@ -257,16 +220,6 @@ def poisson_mollify_circle(g, scale):
         else:
             out = out.real.astype(complex)
     return Density(g.grid, out)
-
-
-def poisson_kernel_rn(n, t, x):
-    """Poisson kernel P_t(x) on R^n with its probability normalisation."""
-    if t <= 0:
-        raise InvalidArgumentError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1) if x.ndim > 0 and x.shape[-1] == n else x * x
-    const = gamma_fn((n + 1) / 2.0) / np.pi ** ((n + 1) / 2.0)
-    return const * t / (t * t + r2) ** ((n + 1) / 2.0)
 
 
 def knapp_cap_density(grid, cap):
@@ -300,24 +253,3 @@ def bump_cap_density(grid, center, radius, amplitude=1.0):
         return out
 
     return Density(grid, evaluator(grid.nodes), evaluator=evaluator)
-
-
-def gm_density(grid, m, delta):
-    """Indicator of the band {|(xi_1, ..., xi_m)| <= delta}."""
-    n = grid.dim
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(f"m must lie in [1, {n}]")
-    if not 0.0 < delta < 1.0:
-        raise InvalidArgumentError("delta must lie in (0, 1)")
-    r = np.linalg.norm(grid.nodes[:, :m], axis=1)
-    return Density(grid, (r <= delta).astype(complex))
-
-
-def random_rotation(rng, n):
-    """Haar-random rotation matrix in SO(n)."""
-    A = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(A)
-    Q *= np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q

@@ -95,8 +95,7 @@ def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
         jac = np.cos(theta) * delta * np.exp(u) / (np.sin(theta) + delta)
         vals = funk_At(f, omega, t, n_slice=n_slice)
         total += np.add.reduce(wu * vals * jac)
-    return float(total) if np.isscalar(total) or np.isrealobj(np.asarray(total)) \
-        else complex(total)
+    return complex(total) if np.iscomplexobj(total) else float(total)
 
 
 def S_operator(f, omega, n_t=128, n_slice=256):

@@ -1,4 +1,4 @@
-"""X-ray, Radon and Kakeya-type transforms of fields on R^n.
+"""X-ray and Radon transforms of fields on R^n, Lorentz norms and tube sums.
 
 Fields enter as vectorized callables mapping an (M, n) array of points to
 an (M,) array of values.  All improper integrals over R are truncated at
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .extension import SampledField
-from .sphere import _as_unit, perp_basis
+from .sphere import _as_unit, _trapezoid_weights, perp_basis
 
 __all__ = [
     "Line",
@@ -22,14 +21,9 @@ __all__ = [
     "perp_basis",
     "xray",
     "radon",
-    "x0",
     "xray_profile",
     "frac_laplacian",
     "xray_isometry_ratio",
-    "radon_invert_2d",
-    "kakeya_max",
-    "sup_xray",
-    "kakeya_max_segments",
     "lorentz_norm",
     "tube_sum_field",
     "kakeya_dual_functional",
@@ -100,8 +94,7 @@ class LineProfile:
     def lp_norm(self, p):
         if np.isinf(p):
             return float(np.abs(self.values).max())
-        w = np.ones(self.samples_per_axis)
-        w[0] = w[-1] = 0.5
+        w = _trapezoid_weights(self.samples_per_axis)
         vals = np.abs(self.values) ** p
         for axis_idx in range(vals.ndim):
             shape = [1] * vals.ndim
@@ -141,11 +134,6 @@ class TubeFamily:
     def count(self):
         return self.directions.shape[0]
 
-    def to_csv(self, path):
-        data = np.column_stack([self.directions, self.centers])
-        np.savetxt(path, data, delimiter=",",
-                   header=f"delta={self.delta},length={self.length}")
-
 
 def _line_points(line, truncation, n_samples):
     s = np.linspace(-truncation, truncation, n_samples)
@@ -162,12 +150,6 @@ def xray(f, line, truncation, n_samples=1024):
         else complex(np.trapezoid(vals, s))
 
 
-def x0(f, omega, truncation, n_samples=1024):
-    """Restricted X-ray transform: line through the origin in direction omega."""
-    omega = _as_unit(omega, "omega")
-    return xray(f, Line(omega, np.zeros_like(omega)), truncation, n_samples)
-
-
 def radon(f, plane, truncation, n_samples_per_axis=1024):
     """Radon transform: integral of f over the hyperplane {x.omega = t}."""
     if n_samples_per_axis < 16:
@@ -177,8 +159,7 @@ def radon(f, plane, truncation, n_samples_per_axis=1024):
     if omega.size == 2:
         return xray(f, Line(basis[0], t * omega), truncation, n_samples_per_axis)
     u = np.linspace(-truncation, truncation, n_samples_per_axis)
-    w = np.ones(n_samples_per_axis)
-    w[0] = w[-1] = 0.5
+    w = _trapezoid_weights(n_samples_per_axis)
     du = u[1] - u[0]
     total = 0.0
     base = t * omega
@@ -282,130 +263,6 @@ def xray_isometry_ratio(f, n, f_l2, sphere_grid, half_width=24.0,
         half = frac_laplacian(prof, 0.25, taper=taper)
         total += weight * half.lp_norm(2) ** 2
     return float(np.sqrt(total) / f_l2)
-
-
-def radon_invert_2d(sinogram, angles, offsets, half_width, points_per_axis):
-    """Filtered backprojection (ramp filter |eta|) for the 2-D Radon transform.
-
-    ``sinogram`` has shape (len(angles), len(offsets)); angles are the
-    direction angles of omega, offsets the signed distances t.
-    """
-    sino = np.asarray(sinogram, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    if sino.shape != (angles.size, offsets.size):
-        raise InvalidArgumentError("sinogram shape must be (n_angles, n_offsets)")
-    warn_undersampled = angles.size < 32
-    dt = offsets[1] - offsets[0]
-    # ramp filter in the offset variable, zero-padded to soften wraparound
-    n_pad = 2 * offsets.size
-    eta = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=dt)
-    filt = np.abs(eta)
-    filtered = np.fft.ifft(np.fft.fft(sino, n=n_pad, axis=1) * filt[None, :], axis=1).real
-    filtered = filtered[:, :offsets.size]
-    ax = np.linspace(-half_width, half_width, points_per_axis)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    recon = np.zeros_like(X)
-    for k, th in enumerate(angles):
-        t = X * np.cos(th) + Y * np.sin(th)
-        idx = (t - offsets[0]) / dt
-        i0 = np.clip(np.floor(idx).astype(int), 0, offsets.size - 2)
-        frac = np.clip(idx - i0, 0.0, 1.0)
-        recon += (1 - frac) * filtered[k, i0] + frac * filtered[k, i0 + 1]
-    # angle integral over [0, pi) and the 1/(4 pi) inversion constant for n=2
-    dtheta = np.pi / angles.size
-    recon *= dtheta / (2.0 * np.pi)
-    fieldobj = SampledField(dim=2, half_width=float(half_width),
-                            points_per_axis=points_per_axis,
-                            values=recon.astype(complex))
-    return fieldobj, warn_undersampled
-
-
-def _tube_average(f, omega, center, radius, length, n_long=64, n_cross=8):
-    """Average of |f| over the radius-neighbourhood of a segment."""
-    omega = _as_unit(omega, "omega")
-    basis = perp_basis(omega)
-    s = (np.arange(n_long) + 0.5) / n_long * length - length / 2.0
-    if omega.size == 2:
-        u = (np.arange(n_cross) + 0.5) / n_cross * 2 * radius - radius
-        pts = (center[None, None, :] + s[:, None, None] * omega[None, None, :]
-               + u[None, :, None] * basis[0][None, None, :])
-        vals = np.abs(np.asarray(f(pts.reshape(-1, 2))))
-        return float(vals.mean())
-    # n = 3: midpoint grid on the disc cross-section in polar coordinates
-    rr = np.sqrt((np.arange(n_cross) + 0.5) / n_cross) * radius
-    ph = 2 * np.pi * (np.arange(n_cross) + 0.5) / n_cross
-    R, P = np.meshgrid(rr, ph, indexing="ij")
-    disc = (R * np.cos(P))[..., None] * basis[0] + (R * np.sin(P))[..., None] * basis[1]
-    pts = (center[None, None, None, :] + s[:, None, None, None] * omega
-           + disc[None, :, :, :])
-    vals = np.abs(np.asarray(f(pts.reshape(-1, 3))))
-    return float(vals.mean())
-
-
-def kakeya_max(f, delta, omega, support_half_width=1.5, n_long=64, n_cross=8):
-    """Kakeya maximal function: max tube-average of |f| over translated delta-tubes.
-
-    The supremum is a lattice search (pitch delta/2) over tube centers
-    inside the declared support box, so the result is a lower bound for
-    the true supremum.
-    """
-    if not 0.0 < delta < 1.0:
-        raise InvalidArgumentError("delta must lie in (0, 1)")
-    omega = _as_unit(omega, "omega")
-    basis = perp_basis(omega)
-    pitch = delta / 2.0
-    m = int(np.floor(support_half_width / pitch))
-    offsets = np.arange(-m, m + 1) * pitch
-    best = 0.0
-    if omega.size == 2:
-        centers = offsets[:, None] * basis[0][None, :]
-    else:
-        A, B = np.meshgrid(offsets, offsets, indexing="ij")
-        centers = A.ravel()[:, None] * basis[0] + B.ravel()[:, None] * basis[1]
-    for center in centers:
-        best = max(best, _tube_average(f, omega, center, delta, 1.0, n_long, n_cross))
-    return best
-
-
-def sup_xray(f, omega, pitch, v_extent, truncation, n_samples=1024):
-    """Lattice supremum over offsets v of X|f|(omega, v)."""
-    omega = _as_unit(omega, "omega")
-    basis = perp_basis(omega)
-    m = int(np.floor(v_extent / pitch))
-    offsets = np.arange(-m, m + 1) * pitch
-    best = 0.0
-    absf = lambda pts: np.abs(np.asarray(f(pts)))
-    if omega.size == 2:
-        vs = offsets[:, None] * basis[0][None, :]
-    else:
-        A, B = np.meshgrid(offsets, offsets, indexing="ij")
-        vs = A.ravel()[:, None] * basis[0] + B.ravel()[:, None] * basis[1]
-    for v in vs:
-        best = max(best, xray(absf, Line(omega, v), truncation, n_samples))
-    return best
-
-
-def kakeya_max_segments(f, R, omega, center_extent=None, pitch=0.5,
-                        n_long=128, n_cross=8):
-    """sup over 1-neighbourhoods of length-R segments parallel to omega of the integral of |f|."""
-    omega = _as_unit(omega, "omega")
-    basis = perp_basis(omega)
-    if center_extent is None:
-        center_extent = R / 2.0
-    m = int(np.floor(center_extent / pitch))
-    offsets = np.arange(-m, m + 1) * pitch
-    volume = 2.0 * R if omega.size == 2 else np.pi * R
-    best = 0.0
-    if omega.size == 2:
-        centers = offsets[:, None] * basis[0][None, :]
-    else:
-        A, B = np.meshgrid(offsets, offsets, indexing="ij")
-        centers = A.ravel()[:, None] * basis[0] + B.ravel()[:, None] * basis[1]
-    for center in centers:
-        avg = _tube_average(f, omega, center, 1.0, R, n_long, n_cross)
-        best = max(best, avg * volume)
-    return best
 
 
 def lorentz_norm(values, weights, q, r):

@@ -10,8 +10,7 @@ from extomo.experiments.reductions import _slice_xray_profile
 from extomo.extension import (SampledField, SliceMeasureSpec, _direct_sum,
                               _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
-                              sigma_hat_closed_form, slice_mass,
-                              stationary_phase_decay_check)
+                              sigma_hat_closed_form)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
 
@@ -212,15 +211,22 @@ class TestSampledField:
 
 
 class TestSliceMeasures:
-    def test_slice_mass_sphere_is_2pi(self):
+    def test_slice_mass_sphere_is_2pi(self, one_sphere):
         # the coarea weight makes the n = 3 slice mass independent of t
-        for t in (0.0, 0.3, 0.8, 0.99):
-            assert slice_mass(3, t) == pytest.approx(2.0 * np.pi, rel=1e-12)
+        t = np.array([0.0, 0.3, 0.8, 0.99])
+        spec = SliceMeasureSpec(np.array([0.0, 0.0, 1.0]), t)
+        mass = extend_slice(one_sphere, spec, np.zeros(3))
+        assert mass.shape == t.shape
+        assert mass.real == pytest.approx(np.full(t.size, 2.0 * np.pi),
+                                          rel=1e-12)
 
-    def test_slice_mass_circle(self):
-        for t in (0.0, 0.5, 0.9):
-            assert slice_mass(2, t) == pytest.approx(
-                2.0 / np.sqrt(1.0 - t * t), rel=1e-12)
+    def test_slice_mass_circle(self, one_circle):
+        t = np.array([0.0, 0.5, 0.9])
+        spec = SliceMeasureSpec(np.array([0.0, 1.0]), t)
+        mass = extend_slice(one_circle, spec, np.zeros(2))
+        assert mass.shape == t.shape
+        assert mass.real == pytest.approx(2.0 / np.sqrt(1.0 - t * t),
+                                          rel=1e-12)
 
     def test_fubini_over_slices(self, one_sphere):
         # integrating the slice masses against dt recovers the sphere area
@@ -253,14 +259,6 @@ class TestSliceMeasures:
         spec = SliceMeasureSpec(np.array([0.0, 0.0, 1.0]), 0.4)
         val = extend_slice(g, spec, np.zeros(3))
         assert val.real == pytest.approx(0.4 * 2.0 * np.pi, rel=1e-12)
-
-
-def test_stationary_phase_envelope():
-    # |sigma hat| (1 + r)^((n-1)/2) stays in a fixed band over the radii
-    # the default direction grid can resolve (phases out to r ~ 100)
-    radii = np.array([4.0, 16.0, 64.0, 100.0])
-    rep = stationary_phase_decay_check(3, radii)
-    assert rep.pass_, rep.summary()
 
 
 def test_bump_cap_extension_continuity():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
-from extomo.sphere import (CapSpec, Density, bump_cap_density, gm_density,
+from extomo.sphere import (CapSpec, Density, bump_cap_density,
                            knapp_cap_density, make_circle_grid,
-                           make_sphere_grid, poisson_kernel_rn,
-                           poisson_mollify_circle, project_perp,
-                           random_rotation, reflect)
+                           make_sphere_grid, poisson_mollify_circle)
 
 
 class TestGrids:
@@ -49,15 +47,6 @@ class TestGrids:
         val = grid.integrate(np.prod(grid.nodes ** 2, axis=1))
         assert val == pytest.approx(4.0 * np.pi / 105.0, rel=1e-12)
 
-    def test_csv_round_trip(self, tmp_path, sphere_grid):
-        path = tmp_path / "grid.csv"
-        sphere_grid.to_csv(path)
-        back = sphere_grid.from_csv(path)
-        assert back.dim == sphere_grid.dim
-        assert back.exactness_degree == sphere_grid.exactness_degree
-        assert np.allclose(back.nodes, sphere_grid.nodes)
-        assert np.allclose(back.weights, sphere_grid.weights)
-
 
 class TestDensity:
     def test_shape_mismatch_rejected(self, circle_grid):
@@ -76,32 +65,6 @@ class TestDensity:
         assert one_circle.norm(1) == pytest.approx(2.0 * np.pi)
         assert one_circle.norm(2) == pytest.approx(np.sqrt(2.0 * np.pi))
         assert one_circle.norm(np.inf) == pytest.approx(1.0)
-
-
-class TestGeometry:
-    def test_reflect_involution(self, rng):
-        omega = rng.standard_normal(3)
-        omega /= np.linalg.norm(omega)
-        xi = rng.standard_normal(3)
-        xi /= np.linalg.norm(xi)
-        twice = reflect(omega, reflect(omega, xi))
-        assert np.allclose(twice, xi, atol=1e-14)
-
-    def test_reflect_fixes_perp(self):
-        omega = np.array([0.0, 0.0, 1.0])
-        xi = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(reflect(omega, xi), xi)
-
-    def test_project_perp_kills_omega(self, rng):
-        omega = rng.standard_normal(3)
-        omega /= np.linalg.norm(omega)
-        x = rng.standard_normal(3)
-        assert abs(project_perp(omega, x) @ omega) < 1e-14
-
-    def test_random_rotation_orthogonal(self, rng):
-        Q = random_rotation(rng, 3)
-        assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(Q) == pytest.approx(1.0)
 
 
 class TestMollifiers:
@@ -126,12 +89,6 @@ class TestMollifiers:
             poisson_mollify_circle(one_circle, 0.0)
         with pytest.raises(InvalidArgumentError):
             poisson_mollify_circle(one_circle, 1.0)
-
-    def test_poisson_kernel_rn_mass(self):
-        # P_t on R^1 is a probability density for every t
-        x = np.linspace(-2000, 2000, 400001)[:, None]
-        vals = poisson_kernel_rn(1, 2.0, x)
-        assert np.trapezoid(vals, dx=0.01) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestCapDensities:
@@ -171,17 +128,6 @@ class TestCapDensities:
                              amplitude=2.0)
         val = g.evaluate(np.array([0.0, 0.0, 1.0]))
         assert val[0].real == pytest.approx(2.0)
-
-    def test_gm_band_support(self, sphere_grid):
-        g = gm_density(sphere_grid, 2, 0.2)
-        r = np.linalg.norm(sphere_grid.nodes[:, :2], axis=1)
-        assert np.all((np.abs(g.values) > 0) == (r <= 0.2))
-
-    def test_gm_bad_m_rejected(self, sphere_grid):
-        with pytest.raises(InvalidArgumentError):
-            gm_density(sphere_grid, 4, 0.2)
-        with pytest.raises(InvalidArgumentError):
-            gm_density(sphere_grid, 1, 1.5)
 
 
 @settings(max_examples=25, deadline=None)

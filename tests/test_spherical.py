@@ -82,6 +82,21 @@ class TestTDelta:
         sliced = t_delta_via_slices(g, omega, 0.2)
         assert sliced == pytest.approx(direct, rel=2e-2)
 
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_slice_path_complex_density(self, rng):
+        # T_delta is linear, so a complex density gives the complex sum of
+        # the slice paths of its real and imaginary parts
+        grid = make_circle_grid(128)
+        g = Density(grid, rng.standard_normal(128)
+                    + 1j * rng.standard_normal(128))
+        omega = np.array([0.6, 0.8])
+        val = t_delta_via_slices(g, omega, 0.05)
+        re = t_delta_via_slices(g.map(np.real), omega, 0.05)
+        im = t_delta_via_slices(g.map(np.imag), omega, 0.05)
+        assert type(val) is complex
+        assert type(re) is float and type(im) is float
+        assert val == pytest.approx(complex(re, im), rel=1e-13)
+
     def test_self_adjoint_kernel(self, circle_grid, rng):
         # <T_delta f, h> = <f, T_delta h> for the multiplication kernel
         omega = np.array([0.6, 0.8])

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
 from extomo.tomography import (Hyperplane, Line, TubeFamily, frac_laplacian,
-                               kakeya_dual_functional, kakeya_max,
-                               kakeya_max_segments, lorentz_norm, perp_basis,
-                               radon, radon_invert_2d, sup_xray, tube_sum_field,
-                               x0, xray, xray_profile)
+                               kakeya_dual_functional, lorentz_norm, perp_basis,
+                               radon, tube_sum_field, xray, xray_profile)
 
 
 def gaussian_2d(pts):
@@ -67,11 +65,6 @@ class TestXray:
         f = ball_indicator(1.0)
         val = xray(f, Line(np.array([1.0, 0.0]), np.array([0.0, 2.0])), 5.0)
         assert val == 0.0
-
-    def test_x0_is_origin_line(self):
-        omega = np.array([0.28, -0.96])
-        assert x0(gaussian_2d, omega, 12.0) == pytest.approx(
-            xray(gaussian_2d, Line(omega, np.zeros(2)), 12.0))
 
 
 class TestRadon:
@@ -156,66 +149,6 @@ class TestXrayProfile:
         prof = xray_profile(gaussian_2d, np.array([1.0, 0.0]), 10.0, 401, 10.0)
         expected = np.sqrt(np.pi * np.sqrt(np.pi / 2.0))
         assert prof.lp_norm(2) == pytest.approx(expected, rel=1e-6)
-
-
-class TestMaximalOperators:
-    def test_kakeya_max_of_one(self):
-        f = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
-        assert kakeya_max(f, 0.1, np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-    def test_kakeya_max_finds_bump(self):
-        # |f| = indicator of a small disc at the origin: best tube covers it
-        f = ball_indicator(0.05)
-        val = kakeya_max(f, 0.1, np.array([0.0, 1.0]), n_long=256, n_cross=16)
-        # the tube has length 1 and radius 0.1; the disc fills ~ a 0.1
-        # length fraction of it
-        assert 0.02 < val < 0.2
-
-    def test_sup_xray_ball(self):
-        f = ball_indicator(1.0)
-        val = sup_xray(f, np.array([0.0, 1.0]), 0.05, 1.5, 2.0,
-                       n_samples=4001)
-        assert val == pytest.approx(2.0, rel=1e-3)
-
-    def test_kakeya_max_segments_constant(self):
-        f = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
-        R = 8.0
-        val = kakeya_max_segments(f, R, np.array([0.0, 1.0]))
-        # tube volume times average 1: 2 R in the plane
-        assert val == pytest.approx(2.0 * R, rel=1e-12)
-
-
-class TestRadonInversion:
-    def test_gaussian_recovery(self):
-        angles = np.linspace(0.0, np.pi, 180, endpoint=False)
-        offsets = np.linspace(-8.0, 8.0, 513)
-        # sinogram of e^{-|x|^2} is sqrt(pi) e^{-t^2} for every angle
-        sino = np.sqrt(np.pi) * np.exp(-offsets ** 2)[None, :].repeat(180, 0)
-        recon, warn = radon_invert_2d(sino, angles, offsets, 2.0, 41)
-        assert not warn
-        ax = recon.axis()
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        truth = np.exp(-(X ** 2 + Y ** 2))
-        err = np.abs(recon.values.real - truth).max()
-        assert err < 0.05
-
-    def test_zero_maps_to_zero(self):
-        angles = np.linspace(0.0, np.pi, 64, endpoint=False)
-        offsets = np.linspace(-4.0, 4.0, 129)
-        recon, _ = radon_invert_2d(np.zeros((64, 129)), angles, offsets,
-                                   1.0, 17)
-        assert np.abs(recon.values).max() == 0.0
-
-    def test_undersampled_flag(self):
-        angles = np.linspace(0.0, np.pi, 8, endpoint=False)
-        offsets = np.linspace(-4.0, 4.0, 65)
-        _, warn = radon_invert_2d(np.zeros((8, 65)), angles, offsets, 1.0, 9)
-        assert warn
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            radon_invert_2d(np.zeros((4, 5)), np.zeros(4), np.zeros(6),
-                            1.0, 9)
 
 
 class TestLorentzNorm:
