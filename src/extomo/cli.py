@@ -364,13 +364,9 @@ def _run_transform(p, seed):
                             samples_per_axis=p.get("samples", 65),
                             truncation=p.get("truncation", 40.0))
         ax = prof.axis()
-        if n == 2:
-            report.raw_data["abscissa"] = [float(v) for v in ax]
-            report.raw_data["ordinate"] = [float(v) for v in prof.values]
-        else:
-            report.raw_data["abscissa"] = [float(v) for v in ax]
-            report.raw_data["ordinate"] = [
-                float(v) for v in prof.values[:, prof.values.shape[1] // 2]]
+        mid = prof.values if n == 2 else prof.values[:, len(ax) // 2]
+        report.raw_data["abscissa"] = [float(v) for v in ax]
+        report.raw_data["ordinate"] = [float(v) for v in mid]
         report.record("max_value", float(np.max(prof.values)))
     elif kind == "radon":
         t_grid = np.arange(-p.get("t_extent", 2.0), p.get("t_extent", 2.0)

@@ -135,21 +135,21 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256), spacing=0.25):
                           np.log(np.asarray(values)))
 
 
-def _slab_cylinder_section_area(cos_alpha, radius, half_length, n_quad=96):
+def _slab_cylinder_section_area(cos_alpha, radius, half_length, rule):
     """Central cross-section area of {|x_perp| <= radius, |x_axis| <= half_length}.
 
     cos_alpha is the cosine of the angle between the plane normal and the
-    cylinder axis.  Quadrature over the in-plane coordinate that tilts
-    into the axis; exact limits from whichever constraint binds.
+    cylinder axis.  Quadrature by the Gauss-Legendre ``rule`` (nodes,
+    weights on [-1, 1]) over the in-plane coordinate that tilts into the
+    axis; exact limits from whichever constraint binds.
     """
     c = abs(float(cos_alpha))
     s = np.sqrt(max(0.0, 1.0 - c * c))
     if s < 1e-15:
         return np.pi * radius ** 2
     lim = half_length / s if c < 1e-15 else min(radius / c, half_length / s)
-    u, w = np.polynomial.legendre.leggauss(n_quad)
-    u = lim * u
-    w = lim * w
+    u = lim * rule[0]
+    w = lim * rule[1]
     heights = 2.0 * np.sqrt(np.maximum(0.0, radius ** 2 - (u * c) ** 2))
     return float(np.add.reduce(w * heights))
 
@@ -187,6 +187,7 @@ def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
     medians = []
     center_errs = []
     mass_sq = []
+    rule = np.polynomial.legendre.leggauss(96)
     for delta in delta_list:
         if field_grid is None:
             # phases need ~ half the dual-set diameter in polar nodes, and
@@ -217,7 +218,7 @@ def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
                                / (4 * np.pi * delta) ** 2)
 
         sups = np.array([
-            _slab_cylinder_section_area(om @ axis, radius, half_length)
+            _slab_cylinder_section_area(om @ axis, radius, half_length, rule)
             for om in omega_grid.nodes])
         norms.append(float(omega_grid.integrate(sups ** q) ** (1.0 / q)))
 
@@ -293,6 +294,9 @@ def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
     if family not in ("constant", "cap", "random"):
         raise InvalidArgumentError(f"unknown family {family!r}")
     rng = np.random.default_rng(seed)
+    # "random" sweeps one pair of functions, sampled on each delta's grid
+    coefs = [rng.standard_normal(5) + 1j * rng.standard_normal(5)
+             for _ in range(2)]
     ratios_half = []
     ratios_one = []
     for delta in delta_list:
@@ -301,20 +305,13 @@ def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
         if family == "constant":
             g1 = g2 = Density(grid, np.ones(N))
         elif family == "cap":
-            inside1 = np.abs((grid.angles - 0.7 + np.pi) % (2 * np.pi)
-                             - np.pi) <= delta
-            inside2 = np.abs((grid.angles - 2.3 + np.pi) % (2 * np.pi)
-                             - np.pi) <= delta
-            g1 = Density(grid, inside1.astype(complex))
-            g2 = Density(grid, inside2.astype(complex))
+            g1, g2 = (Density(grid, (np.abs((grid.angles - c + np.pi) % (2 * np.pi)
+                                            - np.pi) <= delta).astype(complex))
+                      for c in (0.7, 2.3))
         else:
-            def smooth(rng):
-                coef = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-                vals = np.zeros(N, dtype=complex)
-                for k, c in enumerate(coef):
-                    vals += c * np.exp(1j * k * grid.angles)
-                return Density(grid, vals)
-            g1, g2 = smooth(rng), smooth(rng)
+            g1, g2 = (Density(grid, sum(c * np.exp(1j * k * grid.angles)
+                                        for k, c in enumerate(coef)))
+                      for coef in coefs)
         bt = Density(grid, bt_delta_circle_grid(g1, g2, delta))
         ratios_half.append(bt.norm(0.5) / (g1.norm(1) * g2.norm(1)))
         ratios_one.append(bt.norm(1.0) / (g1.norm(2) * g2.norm(2)))

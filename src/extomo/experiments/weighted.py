@@ -88,7 +88,7 @@ def isometry_constancy(n_funcs=10, seed=0, n_omega=32):
     grid = make_circle_grid(n_omega)
     ratios = []
     for f, l2 in _gaussian_test_functions(n_funcs, rng):
-        ratios.append(xray_isometry_ratio(f, 2, l2, grid))
+        ratios.append(xray_isometry_ratio(f, l2, grid))
     ratios = np.asarray(ratios)
     report = ExperimentReport(name="isometry_constancy", seed=seed,
                               params={"n_funcs": n_funcs, "n_omega": n_omega})

@@ -1,11 +1,13 @@
 """X-ray and Radon transforms of fields on R^n, Lorentz norms and tube sums.
 
-Fields enter as vectorized callables mapping an (M, n) array of points to
-an (M,) array of values.  All improper integrals over R are truncated at
-an explicit parameter; callers are expected to choose truncations so the
-tail is negligible at their tolerance (compact support or known decay).
+Fields enter as vectorized callables mapping an (M, n) array of points,
+not always C-contiguous, to an (M,) array of values; ``xray_profile``
+calls a field once per block of lines.  Improper integrals over R are
+truncated at an explicit parameter, chosen by the caller so the tail is
+negligible at its tolerance (compact support or known decay).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,8 @@ __all__ = [
     "tube_sum_field",
     "kakeya_dual_functional",
 ]
+
+_XRAY_BLOCK = 2 ** 15  # points per field call of xray_profile, n * 256 KB
 
 
 @dataclass(frozen=True)
@@ -135,17 +139,12 @@ class TubeFamily:
         return self.directions.shape[0]
 
 
-def _line_points(line, truncation, n_samples):
-    s = np.linspace(-truncation, truncation, n_samples)
-    return line.v[None, :] + s[:, None] * line.omega[None, :], s
-
-
 def xray(f, line, truncation, n_samples=1024):
     """X-ray transform: integral of f along a doubly-infinite line (truncated)."""
     if n_samples < 16:
         raise InvalidArgumentError("n_samples must be >= 16")
-    pts, s = _line_points(line, truncation, n_samples)
-    vals = np.asarray(f(pts))
+    s = np.linspace(-truncation, truncation, n_samples)
+    vals = np.asarray(f(line.v[None, :] + s[:, None] * line.omega[None, :]))
     return float(np.trapezoid(vals.real, s)) if np.isrealobj(vals) \
         else complex(np.trapezoid(vals, s))
 
@@ -172,25 +171,31 @@ def radon(f, plane, truncation, n_samples_per_axis=1024):
 
 def xray_profile(f, omega, half_width, samples_per_axis, truncation,
                  n_samples=1024):
-    """Sample v -> Xf(omega, v) on a uniform grid of the offset plane."""
+    """Sample v -> Xf(omega, v) on a uniform grid of the offset plane.
+
+    ``f`` gets one (m, n) column-major view of a reused buffer per block of
+    whole lines, of at most _XRAY_BLOCK points or one line.  A one-line
+    block (each block once n_samples >= _XRAY_BLOCK) is a uniform line, on
+    which an ``extend`` field takes its NUFFT path (error below 1e-12).
+    """
     omega = _as_unit(omega, "omega")
     basis = perp_basis(omega)
     u = np.linspace(-half_width, half_width, samples_per_axis)
     s = np.linspace(-truncation, truncation, n_samples)
-    if omega.size == 2:
-        pts = (u[:, None, None] * basis[0][None, None, :]
-               + s[None, :, None] * omega[None, None, :])
-        vals = np.asarray(f(pts.reshape(-1, 2))).real.reshape(samples_per_axis, n_samples)
-        prof = np.trapezoid(vals, s, axis=1)
-    else:
-        prof = np.empty((samples_per_axis, samples_per_axis))
-        for i, u1 in enumerate(u):
-            pts = (u1 * basis[0][None, None, :]
-                   + u[:, None, None] * basis[1][None, None, :]
-                   + s[None, :, None] * omega[None, None, :])
-            vals = np.asarray(f(pts.reshape(-1, 3))).real.reshape(samples_per_axis, n_samples)
-            prof[i] = np.trapezoid(vals, s, axis=1)
-    return LineProfile(omega=omega, half_width=half_width, values=prof, basis=basis)
+    # line offsets u1 e1 (+ u2 e2), row-major over the offset grid
+    offsets = functools.reduce(np.add, [a.reshape(-1, 1) * e for a, e in zip(
+        np.meshgrid(*[u] * len(basis), indexing="ij"), basis)])
+    along = omega[:, None, None] * s
+    rows = max(_XRAY_BLOCK // n_samples, 1)
+    buf = np.empty((omega.size, rows, n_samples))
+    prof = np.empty(len(offsets))
+    for r0 in range(0, len(offsets), rows):
+        block = offsets[r0:r0 + rows].T
+        pts = np.add(block[:, :, None], along, out=buf[:, :block.shape[1]])
+        vals = np.asarray(f(pts.reshape(omega.size, -1).T)).real
+        prof[r0:r0 + rows] = np.trapezoid(vals.reshape(-1, n_samples), s, axis=1)
+    return LineProfile(omega=omega, half_width=half_width, basis=basis,
+                       values=prof.reshape((samples_per_axis,) * len(basis)))
 
 
 def _taper_window(M, fraction=0.1):
@@ -248,7 +253,7 @@ def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
                        values=out, basis=profile.basis)
 
 
-def xray_isometry_ratio(f, n, f_l2, sphere_grid, half_width=24.0,
+def xray_isometry_ratio(f, f_l2, sphere_grid, half_width=24.0,
                         samples_per_axis=257, truncation=24.0, n_samples=1024,
                         taper=True):
     """Ratio ||(-Delta_v)^(1/4) X f||_{L^2(lines)} / ||f||_{L^2(R^n)}.

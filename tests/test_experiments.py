@@ -68,6 +68,15 @@ class TestGrowth:
         with pytest.raises(InvalidArgumentError):
             bt_bounds_sweep(family="nope")
 
+    def test_bt_bounds_random_family_is_one_log_law(self):
+        # one pair of functions over the whole sweep; fresh draws per delta
+        # failed r^2 >= 0.9 at half of these seeds
+        for seed in range(12):
+            _, fit_one = bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2),
+                                         family="random", seed=seed,
+                                         max_nodes=1024)
+            assert fit_one.r_squared >= 0.9, seed
+
     def test_wrong_dimension_rejected(self):
         grid = make_sphere_grid(8, 16)
         one = Density(grid, np.ones(grid.node_count))

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
-from extomo.tomography import (Hyperplane, Line, TubeFamily, frac_laplacian,
-                               kakeya_dual_functional, lorentz_norm, perp_basis,
-                               radon, tube_sum_field, xray, xray_profile)
+from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, TubeFamily,
+                               frac_laplacian, kakeya_dual_functional,
+                               lorentz_norm, perp_basis, radon, tube_sum_field,
+                               xray, xray_profile)
 
 
 def gaussian_2d(pts):
@@ -135,6 +136,44 @@ class TestFracLaplacian:
         assert np.dot(La, b) == pytest.approx(np.dot(a, Lb), rel=1e-10)
 
 
+def _one_shot_profile(f, omega, half_width, M, truncation, n_samples):
+    """xray_profile as one C-ordered (lines * n_samples, n) evaluation of f."""
+    n = omega.size
+    omega = omega / np.linalg.norm(omega)
+    basis = perp_basis(omega)
+    u = np.linspace(-half_width, half_width, M)
+    s = np.linspace(-truncation, truncation, n_samples)
+    grid = np.meshgrid(*[u] * (n - 1), indexing="ij")
+    offsets = grid[0].reshape(-1, 1) * basis[0]
+    if n == 3:
+        offsets = offsets + grid[1].reshape(-1, 1) * basis[1]
+    pts = offsets[:, None, :] + s[None, :, None] * omega[None, None, :]
+    vals = np.asarray(f(pts.reshape(-1, n))).real.reshape(-1, n_samples)
+    return np.trapezoid(vals, s, axis=1).reshape((M,) * (n - 1))
+
+
+@st.composite
+def _profile_shapes(draw):
+    """(n, samples_per_axis, n_samples): one block, a partial last block,
+    or one line per block."""
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["one", "partial", "line"]))
+    if kind == "line":
+        return n, draw(st.integers(2, 3)), draw(
+            st.integers(_XRAY_BLOCK + 1, _XRAY_BLOCK + 2000))
+    n_samples = draw(st.integers(16, 2000))
+    rows = _XRAY_BLOCK // n_samples
+    if kind == "one":
+        M = draw(st.integers(2, int(rows ** (1.0 / (n - 1)))))
+        assert M ** (n - 1) <= rows
+    else:
+        M = draw(st.integers(int(rows ** (1.0 / (n - 1))) + 1,
+                             int((3 * rows) ** (1.0 / (n - 1))) + 2))
+        assume(M ** (n - 1) % rows != 0)
+        assert M ** (n - 1) > rows
+    return n, M, n_samples
+
+
 class TestXrayProfile:
     def test_profile_matches_pointwise_xray(self):
         omega = np.array([0.0, 1.0])
@@ -143,6 +182,52 @@ class TestXrayProfile:
         for i, u in enumerate(prof.axis()):
             direct = xray(gaussian_2d, Line(omega, u * basis[0]), 12.0)
             assert prof.values[i] == pytest.approx(direct, rel=1e-10)
+
+    def test_profile_matches_pointwise_xray_3d(self):
+        omega = np.array([0.36, 0.48, 0.8])
+        prof = xray_profile(gaussian_2d, omega, 2.0, 9, 12.0)
+        basis = perp_basis(omega)
+        u = prof.axis()
+        for i, j in np.ndindex(prof.values.shape):
+            line = Line(omega, u[i] * basis[0] + u[j] * basis[1])
+            direct = xray(gaussian_2d, line, 12.0)
+            assert prof.values[i, j] == pytest.approx(direct, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=_profile_shapes(), field=st.sampled_from(
+        ["gauss", "norm", "coord0", "coord1", "coord2"]), seed=st.integers(0, 99))
+    def test_blocks_match_one_shot_evaluation(self, shape, field, seed):
+        n, M, n_samples = shape
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal(n)
+        omega /= np.linalg.norm(omega)
+        b = rng.standard_normal(n)
+        f = {"gauss": lambda pts: np.exp(-np.sum((pts - b) ** 2, axis=1)),
+             "norm": lambda pts: np.linalg.norm(pts, axis=1),
+             "coord0": lambda pts: pts[:, 0],
+             "coord1": lambda pts: pts[:, 1],
+             "coord2": lambda pts: pts[:, n - 1]}[field]
+        np.testing.assert_array_equal(
+            xray_profile(f, omega, 1.5, M, 4.0, n_samples).values,
+            _one_shot_profile(f, omega, 1.5, M, 4.0, n_samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=_profile_shapes())
+    def test_field_sees_bounded_blocks(self, shape):
+        n, M, n_samples = shape
+        calls = []
+
+        def recording(pts):
+            assert pts.ndim == 2 and pts.shape[1] == n
+            assert pts.shape[0] <= max(_XRAY_BLOCK, n_samples)
+            assert pts.shape[0] % n_samples == 0
+            calls.append(pts.shape[0])
+            return gaussian_2d(pts)
+
+        omega = np.eye(n)[-1]
+        xray_profile(recording, omega, 1.5, M, 4.0, n_samples)
+        assert sum(calls) == M ** (n - 1) * n_samples
+        assert len(calls) == -(-M ** (n - 1) // max(_XRAY_BLOCK // n_samples, 1))
 
     def test_l2_norm_gaussian(self):
         # ||X f||_{L^2(v)} for f = e^{-|x|^2}: profile sqrt(pi) e^{-v^2}
