@@ -15,14 +15,13 @@ import numpy as np
 from extomo.extension import extend, sigma_hat_closed_form
 from extomo.experiments import (sharp_constant_S2, verify_radon_identity,
                                 verify_xray_identity)
-from extomo.sphere import Density, bump_cap_density, make_sphere_grid
+from extomo.sphere import bump_cap_density, make_sphere_grid, preset_density
 
 print(__doc__)
 
 # --- the closed form for the full sphere measure --------------------------
 grid = make_sphere_grid(48, 96)
-one = Density(grid, np.ones(grid.node_count),
-              evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
+one = preset_density(grid, "constant", None)
 
 print("quadrature vs closed form 4 pi |sin r| / r for the sphere measure:")
 for r in (0.5, 2.0, 8.0, 32.0):

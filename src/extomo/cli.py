@@ -30,9 +30,8 @@ from . import __version__
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
                      PreconditionError)
 from .extension import extend, sigma_hat_closed_form
-from .reports import ExperimentReport
-from .sphere import (CapSpec, Density, bump_cap_density, knapp_cap_density,
-                     make_circle_grid, make_sphere_grid)
+from .reports import ExperimentReport, experiment_rng
+from .sphere import make_circle_grid, make_sphere_grid, preset_density
 from .spherical import funk_At
 from .tomography import Hyperplane, radon, xray_profile
 from . import experiments as X
@@ -110,44 +109,10 @@ def _parse_config_file(path):
 # ---------------------------------------------------------------------------
 # density presets
 
-PRESETS = ("constant", "cap", "band", "smooth", "modulated", "knapp")
 
-
-def _preset_density(grid, preset, seed=0, delta=0.1):
-    n = grid.dim
-    pole = np.zeros(n)
-    pole[-1] = 1.0
-    if preset == "constant":
-        return Density(grid, np.ones(grid.node_count),
-                       evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    if preset == "cap":
-        return bump_cap_density(grid, pole, 0.7)
-    if preset == "band":
-        def band_eval(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return (np.abs(pts[:, 0]) <= 0.3).astype(float)
-        return Density(grid, band_eval(grid.nodes), evaluator=band_eval)
-    if preset == "smooth":
-        from .reports import experiment_rng
-        rng = experiment_rng(seed, "cli:smooth-preset")
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
-
-        def smooth_eval(pts, a=a, b=b):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            return 1.0 + 0.5 * np.tanh(pts @ a) + 0.3 * (pts @ b) ** 2
-        return Density(grid, smooth_eval(grid.nodes), evaluator=smooth_eval)
-    if preset == "modulated":
-        k = np.arange(1, n + 1, dtype=float)
-
-        def mod_eval(pts, k=k):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            base = bump_cap_density(grid, pole, 0.7)
-            return base.evaluate(pts) * np.exp(1j * pts @ k)
-        return Density(grid, mod_eval(grid.nodes), evaluator=mod_eval)
-    if preset == "knapp":
-        return knapp_cap_density(grid, CapSpec(pole, delta))
-    raise UsageError(f"unknown-preset {preset!r} (choose from {PRESETS})")
+def _preset_density(grid, preset, seed):
+    rng = experiment_rng(seed, "cli:smooth-preset")
+    return preset_density(grid, preset, rng)
 
 
 def _generic_direction(n):

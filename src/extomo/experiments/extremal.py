@@ -44,14 +44,16 @@ def _nearest_node_matrix(grid, pts, weights):
     return M
 
 
-def _xray_sup_functional(grid, q, n_omega=(4, 8), n_t=16, n_slice=64):
+def _xray_sup_functional(grid, q):
     """L^q_omega norm of the origin line integral of |g dsigma hat|^2.
 
     At the line offset zero the slice extension degenerates to the plain
     slice integral of g, so the whole functional is a quadratic form: one
-    row of the compiled matrix per (direction, slice).
+    row of the compiled matrix per (direction, slice), over a 4 x 8
+    direction grid and 16 slices of 64 points.
     """
-    omega_grid = make_sphere_grid(*n_omega)
+    n_t, n_slice = 16, 64
+    omega_grid = make_sphere_grid(4, 8)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
     rows = []
     for om in omega_grid.nodes:
@@ -74,16 +76,17 @@ def _xray_sup_functional(grid, q, n_omega=(4, 8), n_t=16, n_slice=64):
     return objective
 
 
-def _t_delta_functional(grid, p, q, delta, n_omega=8, n_u=96):
-    """L^q_omega norm of T_delta(|g|^2) over ||g||_p^2 on the circle."""
-    step = max(1, grid.node_count // n_omega)
+def _t_delta_functional(grid, p, q, delta):
+    """L^q_omega norm of T_delta(|g|^2) over ||g||_p^2 on the circle, over
+    8 equispaced directions."""
+    step = max(1, grid.node_count // 8)
     omegas = grid.nodes[::step]
     cols = []
     for k in range(grid.node_count):
         e_k = np.zeros(grid.node_count)
         e_k[k] = 1.0
         f = Density(grid, e_k)
-        cols.append([t_delta_via_slices(f, om, delta, n_u=n_u)
+        cols.append([t_delta_via_slices(f, om, delta, n_u=96)
                      for om in omegas])
     B = np.array(cols).T
     w_omega = 2.0 * np.pi / omegas.shape[0]
@@ -101,10 +104,12 @@ def _t_delta_functional(grid, p, q, delta, n_omega=8, n_u=96):
     return objective
 
 
-def _mt_radial_functional(grid, R=16.0, spacing=0.5):
-    """Weighted mass of |g dsigma hat|^2 against the radial weight <x>^-1,
-    normalized by the sup of the weight's line transform and ||g||_2^2."""
-    u = np.linspace(-R, R, int(2 * R / spacing) + 1)
+def _mt_radial_functional(grid):
+    """Weighted mass of |g dsigma hat|^2 against the radial weight <x>^-1
+    on the disc of radius 16, sampled at spacing 0.5, normalized by the
+    sup of the weight's line transform and ||g||_2^2."""
+    R = 16.0
+    u = np.linspace(-R, R, int(2 * R / 0.5) + 1)
     trap = _trapezoid_weights(u.size)
     xx, yy = np.meshgrid(u, u, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -163,11 +168,12 @@ def _normalize(x, weights, p):
 
 
 def extremize(functional_id, init=None, steps=40, step_size=0.5, seed=0,
-              grid=None, fd_step=1e-5):
+              grid=None):
     """Monotone projected gradient ascent of a Rayleigh-type functional.
 
     Starts from ``init`` (or a random positive density), renormalizes to
-    unit L^p norm after every move, and accepts a step only if the
+    unit L^p norm after every move, climbs along forward-difference
+    gradients of step 1e-5, and accepts a step only if the
     objective increases, halving the step length until it does.  Returns
     the best density and a report with the (nondecreasing) objective
     trace.  A non-finite objective value aborts the search.
@@ -190,6 +196,7 @@ def extremize(functional_id, init=None, steps=40, step_size=0.5, seed=0,
                 f"value range [{x.min():.3g}, {x.max():.3g}]")
         return val
 
+    fd_step = 1e-5
     trace = [checked(x)]
     accepted = 0
     for _ in range(steps):

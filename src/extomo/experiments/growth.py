@@ -14,7 +14,7 @@ from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend
 from ..reports import ExperimentReport, GrowthFit, fit_log_growth
 from ..sphere import (CapSpec, Density, knapp_cap_density, make_circle_grid,
-                      make_sphere_grid, _as_unit)
+                      make_sphere_grid, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
 
 __all__ = [
@@ -37,8 +37,7 @@ def t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
     and checks slope 4 and an essentially perfect linear fit.
     """
     grid = make_circle_grid(256)
-    one = Density(grid, np.ones(grid.node_count),
-                  evaluator=lambda pts: np.ones(pts.shape[0]))
+    one = preset_density(grid, "constant", None)
     omega = np.array([1.0, 0.0])
     values = [t_delta_via_slices(one, omega, d, n_u=n_u, n_slice=n_slice)
               for d in delta_list]
@@ -53,10 +52,11 @@ def t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
     return fit, report
 
 
-def _lattice_sup_line_integral(field, omega, R, t_lattice, spacing):
-    """max over the offset lattice of the field's line integral inside B_R."""
+def _lattice_sup_line_integral(field, omega, R, t_lattice):
+    """max over the offset lattice of the field's line integral inside B_R,
+    each line sampled at spacing 0.25."""
     perp = np.array([-omega[1], omega[0]])
-    n_s = int(2 * R / spacing) + 1
+    n_s = int(2 * R / 0.25) + 1
     s = np.linspace(-R, R, n_s)
     best = 0.0
     for t in t_lattice:
@@ -67,16 +67,16 @@ def _lattice_sup_line_integral(field, omega, R, t_lattice, spacing):
     return best
 
 
-def radon_growth_sweep(g, q, R_list, n_omega=8, t_pitch=0.5, t_extent=2.0,
-                       spacing=0.25, closed_form=None):
+def radon_growth_sweep(g, q, R_list, closed_form=None):
     """Fit of the ball-truncated hyperplane norm against log R (n = 2).
 
-    For each R, computes the L^q_omega (quadrature over a direction
-    sample) of the lattice supremum over offsets t of the line integral
-    of 1_{B_R} |g dsigma hat|^2.  ``closed_form``, when supplied, is a
-    callable pts -> extension values used instead of grid quadrature
-    (for densities with a known extension this sidesteps the grid's
-    phase-resolution limit).  Returns the fit of norm against log R.
+    For each R, computes the L^q_omega (quadrature over 8 directions) of
+    the supremum over the offsets t = -2, -1.5, ..., 2 of the line
+    integral of 1_{B_R} |g dsigma hat|^2.  ``closed_form``, when
+    supplied, is a callable pts -> extension values used instead of grid
+    quadrature (for densities with a known extension this sidesteps the
+    grid's phase-resolution limit).  Returns the fit of norm against
+    log R.
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("radon_growth_sweep is n = 2 only")
@@ -85,8 +85,8 @@ def radon_growth_sweep(g, q, R_list, n_omega=8, t_pitch=0.5, t_extent=2.0,
         raise PreconditionError(
             f"grid with {g.grid.node_count} nodes cannot resolve phases out to "
             f"R = {R_max}; need >= 2.5 R nodes or a closed_form evaluator")
-    omegas = make_circle_grid(max(n_omega, 4))
-    t_lattice = np.arange(-t_extent, t_extent + t_pitch / 2, t_pitch)
+    omegas = make_circle_grid(8)
+    t_lattice = np.arange(-2.0, 2.25, 0.5)
 
     if closed_form is None:
         def field(pts):
@@ -98,7 +98,7 @@ def radon_growth_sweep(g, q, R_list, n_omega=8, t_pitch=0.5, t_extent=2.0,
     norms = []
     for R in R_list:
         sups = np.array([
-            _lattice_sup_line_integral(field, om, float(R), t_lattice, spacing)
+            _lattice_sup_line_integral(field, om, float(R), t_lattice)
             for om in omegas.nodes])
         if np.isinf(q):
             norms.append(float(sups.max()))
@@ -107,7 +107,7 @@ def radon_growth_sweep(g, q, R_list, n_omega=8, t_pitch=0.5, t_extent=2.0,
     return fit_log_growth(np.log(np.asarray(R_list, dtype=float)), norms)
 
 
-def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256), spacing=0.25):
+def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
     """Power growth of the sup-norm ratio outside the admissible exponents.
 
     Probes (p, q) = (2, inf): a cap of width R^(-1/2) concentrates its
@@ -128,8 +128,7 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256), spacing=0.25):
             return np.abs(extend(g, pts)) ** 2
 
         t_lattice = (0.0, 0.5 / delta, 1.0 / delta)
-        sup = _lattice_sup_line_integral(field, omega, float(R), t_lattice,
-                                         spacing)
+        sup = _lattice_sup_line_integral(field, omega, float(R), t_lattice)
         values.append(sup / g.norm(2) ** 2)
     return fit_log_growth(np.log(np.asarray(R_list, dtype=float)),
                           np.log(np.asarray(values)))
@@ -162,13 +161,12 @@ def _knapp_set_geometry(m, delta):
 
 
 def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
-                             n_points=50, seed=0, field_grid=None,
-                             omega_grid=None):
+                             seed=0):
     """Concentration of band-density extensions on dual cylinder-slab sets.
 
     Checks (a) that |extension|^2 of the band indicator g_m stays bounded
-    below by a fixed multiple of delta^(2(n-1)) on a sample of the inner
-    half of the dual set, with the exact value (4 pi delta)^2 at the
+    below by a fixed multiple of delta^(2(n-1)) on 50 random points of the
+    inner half of the dual set, with the exact value (4 pi delta)^2 at the
     origin, and (b) that the L^q_omega L^inf_t norm of the hyperplane
     transform of the dual-set indicator follows the predicted log-log
     slope max(-n-m+2, -(n-1+m)+m/q) within 0.3.  n = 3.
@@ -176,9 +174,9 @@ def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
     if m not in (1, 2):
         raise InvalidArgumentError("m must be 1 or 2")
     n = 3
+    n_points = 50
     rng = np.random.default_rng(seed)
-    if omega_grid is None:
-        omega_grid = make_sphere_grid(32, 64)
+    omega_grid = make_sphere_grid(32, 64)
     report = ExperimentReport(name="knapp_radon_lower_bounds", seed=seed,
                               params={"m": m, "q": q,
                                       "delta_list": list(delta_list)})
@@ -189,13 +187,10 @@ def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
     mass_sq = []
     rule = np.polynomial.legendre.leggauss(96)
     for delta in delta_list:
-        if field_grid is None:
-            # phases need ~ half the dual-set diameter in polar nodes, and
-            # the sharp band edge needs cells well below the band width
-            n_polar = int(np.ceil(max(0.75 / delta ** 2, 25.0 / delta)))
-            grid = make_sphere_grid(max(16, n_polar), max(32, 2 * n_polar))
-        else:
-            grid = field_grid
+        # phases need ~ half the dual-set diameter in polar nodes, and
+        # the sharp band edge needs cells well below the band width
+        n_polar = int(np.ceil(max(0.75 / delta ** 2, 25.0 / delta)))
+        grid = make_sphere_grid(max(16, n_polar), max(32, 2 * n_polar))
         nodes = grid.nodes
         band = np.linalg.norm(nodes[:, :m], axis=1) <= delta
         g = Density(grid, band.astype(complex))

@@ -14,7 +14,8 @@ from ..extension import (SliceMeasureSpec, extend, extend_plane_field,
                          extend_slice)
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
-from ..sphere import _as_unit, _trapezoid_weights
+from ..sphere import (_as_unit, _trapezoid_weights, bump_cap_density,
+                      make_sphere_grid, preset_density)
 from ..tomography import Hyperplane, Line, radon, xray
 
 __all__ = [
@@ -55,47 +56,44 @@ def slice_square_integral(g, omega, v, n_t=64, n_slice=256):
     return 2.0 * np.pi * float(np.add.reduce(t_weights * vals))
 
 
-def verify_xray_identity(g, omega, v=None, truncation=120.0, n_samples=2401,
+def verify_xray_identity(g, omega, truncation=120.0, n_samples=2401,
                          n_t=64, n_slice=256):
     """X-ray of the squared extension field versus its slice-transform form.
 
-    Line side: trapezoid quadrature of |g dsigma hat|^2 along the line.
-    Slice side: 2 pi * integral of squared slice-measure extensions.
-    Also checks the restricted-line variant: for the modulus density |g|,
-    the line through the origin equals 2 pi S(|g|)(omega)^2.
+    Line side: trapezoid quadrature of |g dsigma hat|^2 along the line
+    through the origin.  Slice side: 2 pi * integral of squared
+    slice-measure extensions.  Also checks the restricted-line variant:
+    for the modulus density |g|, the same line equals 2 pi S(|g|)(omega)^2.
 
     The line samples are uniform, so ``extend`` evaluates each line by one
     type-1 NUFFT: the cost is about nodes x kernel width plus an FFT of
     2 n_samples, not n_samples x nodes phases.
 
     The density's quadrature grid must resolve phases e^{i x.xi} out to
-    the line's largest radius hypot(|v|, truncation), otherwise the line
-    side picks up aliasing noise instead of decay; a grid whose
-    exactness degree is below that radius raises PreconditionError.
+    the truncation, the line's largest radius, otherwise the line side
+    picks up aliasing noise instead of decay; a grid whose exactness
+    degree is below that radius raises PreconditionError.
     """
     omega = _as_unit(omega, "omega")
     n = omega.size
-    if v is None:
-        v = np.zeros(n)
-    v = np.asarray(v, dtype=float)
-    radius = float(np.hypot(np.linalg.norm(v), truncation))
-    if g.grid.exactness_degree < radius:
+    origin = np.zeros(n)
+    if g.grid.exactness_degree < truncation:
         raise PreconditionError(
             f"grid of exactness degree {g.grid.exactness_degree} cannot resolve "
-            f"phases out to the line radius {radius:g}; refine the grid or "
+            f"phases out to the line radius {truncation:g}; refine the grid or "
             "lower the truncation")
 
     def field(pts):
         return np.abs(extend(g, pts)) ** 2
 
-    lhs = xray(field, Line(omega, v), truncation, n_samples)
-    rhs = slice_square_integral(g, omega, v, n_t=n_t, n_slice=n_slice)
+    lhs = xray(field, Line(omega, origin), truncation, n_samples)
+    rhs = slice_square_integral(g, omega, origin, n_t=n_t, n_slice=n_slice)
 
     report = ExperimentReport(name="xray_identity",
                               params={"truncation": truncation,
                                       "n_samples": n_samples, "n_t": n_t,
                                       "n_slice": n_slice,
-                                      "omega": omega.tolist(), "v": v.tolist()})
+                                      "omega": omega.tolist()})
     report.record("lhs", lhs)
     report.record("rhs", rhs)
     if rhs == 0.0:
@@ -108,7 +106,7 @@ def verify_xray_identity(g, omega, v=None, truncation=120.0, n_samples=2401,
     def field_abs(pts):
         return np.abs(extend(habs, pts)) ** 2
 
-    lhs_sup = xray(field_abs, Line(omega, np.zeros(n)), truncation, n_samples)
+    lhs_sup = xray(field_abs, Line(omega, origin), truncation, n_samples)
     rhs_sup = 2.0 * np.pi * S_operator(habs, omega, n_t=n_t, n_slice=n_slice) ** 2
     report.record("lhs_sup", lhs_sup)
     report.record("rhs_sup", rhs_sup)
@@ -182,20 +180,20 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     return report
 
 
-def verify_mollified_radon(g, omega, R_list=(16, 64, 256),
-                           t_samples=(0.0, 0.5, 1.0, 2.0), spacing=0.25,
-                           n_u=200, n_slice=256):
+def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
     """Ball-truncated Radon transform against the mollified equator integral.
 
     The identity degrades to an inequality once |g dsigma hat|^2 is cut to
     the ball of radius R; the metric is the largest ratio of the two
-    sides over a t-sample, which should stay within a fixed band as R
-    sweeps (max ratio at most twice the median ratio).  The right-hand
-    side carries the same (2 pi)^(n-1) convention constant as the exact
-    identity, so the ratios are O(1).
+    sides over the offsets t = 0, 0.5, 1, 2, which should stay within a
+    fixed band as R sweeps (max ratio at most twice the median ratio).
+    The right-hand side carries the same (2 pi)^(n-1) convention constant
+    as the exact identity, so the ratios are O(1).  Hyperplanes are
+    sampled at spacing 0.25.
     """
     omega = _as_unit(omega, "omega")
     n = omega.size
+    t_samples = (0.0, 0.5, 1.0, 2.0)
     report = ExperimentReport(name="mollified_radon",
                               params={"R_list": list(R_list),
                                       "t_samples": list(t_samples),
@@ -205,13 +203,13 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256),
         if R < 4:
             raise PreconditionError("R must be >= 4")
         rhs = (2.0 * np.pi) ** (n - 1) * t_delta_via_slices(
-            _abs_squared(g), omega, 1.0 / R, n_u=n_u, n_slice=n_slice)
+            _abs_squared(g), omega, 1.0 / R, n_u=200, n_slice=n_slice)
 
         def field(pts):
             inside = np.linalg.norm(pts, axis=1) <= R
             return np.abs(extend(g, pts)) ** 2 * inside
 
-        n_samples = int(2 * R / spacing) + 1
+        n_samples = int(2 * R / 0.25) + 1
         best = 0.0
         for t in t_samples:
             if n == 2:
@@ -235,20 +233,18 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256),
     return report
 
 
-def sharp_constant_S2(truncation=2000.0, spacing=0.05, n_t=128, n_slice=256,
-                      grid=None, cap_radius=0.5):
+def sharp_constant_S2(truncation=2000.0, n_t=128, n_slice=256):
     """The best constant in the sup-over-lines bound for the 2-sphere.
 
     Computes X(|sigma hat|^2)(omega, 0) / ||1||_2^2 by (a) direct line
     quadrature of the closed-form extension of the full surface measure
     and (b) the slice-transform formula, and compares them.  A cap
-    density is evaluated as well: its ratio must fall strictly below the
-    constant-density ratio (constants are extremal).  The literature
-    value 2 pi^2 is recorded in the notes for comparison; both
-    computational paths here give 4 pi^2.
+    density of radius 0.5 is evaluated as well: its ratio must fall
+    strictly below the constant-density ratio (constants are extremal).
+    The literature value 2 pi^2 is recorded in the notes for comparison;
+    both computational paths here give 4 pi^2.
     """
-    from ..sphere import Density, make_sphere_grid
-
+    spacing = 0.05
     s = np.arange(-truncation, truncation + spacing / 2, spacing)
     s = np.where(s == 0.0, 1e-30, s)
     integrand = (4.0 * np.pi * np.sin(s) / s) ** 2
@@ -256,16 +252,13 @@ def sharp_constant_S2(truncation=2000.0, spacing=0.05, n_t=128, n_slice=256,
     norm_sq = 4.0 * np.pi  # ||1||_2^2 on the 2-sphere
     ratio_direct = direct / norm_sq
 
-    if grid is None:
-        grid = make_sphere_grid(48, 96)
-    one = Density(grid, np.ones(grid.node_count),
-                  evaluator=lambda pts: np.ones(pts.shape[0]))
+    grid = make_sphere_grid(48, 96)
+    one = preset_density(grid, "constant", None)
     omega = np.array([0.0, 0.0, 1.0])
     ratio_slice = slice_square_integral(one, omega, np.zeros(3),
                                         n_t=n_t, n_slice=n_slice) / norm_sq
 
-    from ..sphere import bump_cap_density
-    cap = bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), cap_radius)
+    cap = bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), 0.5)
     cap_norm_sq = cap.norm(2) ** 2
     # generic directions only: along the cap's own symmetry axis every
     # zonal density saturates the bound (equality per slice), so the
@@ -280,8 +273,7 @@ def sharp_constant_S2(truncation=2000.0, spacing=0.05, n_t=128, n_slice=256,
     target = 4.0 * np.pi ** 2
     report = ExperimentReport(name="sharp_constant_S2",
                               params={"truncation": truncation,
-                                      "spacing": spacing, "n_t": n_t,
-                                      "cap_radius": cap_radius})
+                                      "n_t": n_t})
     report.record("ratio_direct", ratio_direct)
     report.record("ratio_slice", ratio_slice)
     report.record("ratio_cap", ratio_cap)

@@ -13,11 +13,10 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from ..extension import _nufft1, extend
 from ..reports import ExperimentReport, experiment_rng
-from ..sphere import Density, bump_cap_density, make_circle_grid, \
-    make_sphere_grid, _as_unit
+from ..sphere import _as_unit, make_sphere_grid, preset_density
 from ..spherical import BA_t
 from ..tomography import LineProfile, frac_laplacian, lorentz_norm, perp_basis
-from ..experiments.identities import slice_square_integral
+from ..experiments.identities import _abs_density, slice_square_integral
 
 __all__ = [
     "lemma_X_reduction_check",
@@ -64,8 +63,7 @@ def _polar_lorentz_norm(field_values, r_grid, omega_grid, q, r):
     return lorentz_norm(np.abs(field_values).ravel(), weights, q, r)
 
 
-def lemma_X_reduction_check(g, q=1.0, omega_grid=None, n_t=48, n_slice=256,
-                            r_max=2000.0, r_spacing=0.05):
+def lemma_X_reduction_check(g, q=1.0):
     """Sup-line norm of the squared extension against the Lorentz side (n = 3).
 
     LHS: the L^q_omega norm of the line integral through the origin of
@@ -77,17 +75,16 @@ def lemma_X_reduction_check(g, q=1.0, omega_grid=None, n_t=48, n_slice=256,
     through the origin is counted once for each of its two directions --
     and the experiment asserts LHS = 2 RHS within 5 percent, with the RHS
     computed truncation-free through the pair kernel 1/|xi - eta|.  For
-    q > 1 only the one-sided bound is checked.
+    q > 1 only the one-sided bound is checked, against the radial profile
+    sampled at spacing 0.05 out to radius 2000.  The line integrals use
+    48 slices of 256 points over a 12 x 24 direction grid.
     """
     if g.grid.dim != 3:
         raise InvalidArgumentError("n = 3 only")
-    if omega_grid is None:
-        omega_grid = make_sphere_grid(12, 24)
-    habs = g.map(np.abs, evaluator=(
-        None if g.evaluator is None
-        else (lambda pts: np.abs(np.asarray(g.evaluator(pts))))))
+    omega_grid = make_sphere_grid(12, 24)
+    habs = _abs_density(g)
     x0_vals = np.array([slice_square_integral(habs, om, np.zeros(3),
-                                              n_t=n_t, n_slice=n_slice)
+                                              n_t=48, n_slice=256)
                         for om in omega_grid.nodes])
     lhs = float(omega_grid.integrate(x0_vals ** q) ** (1.0 / q))
 
@@ -107,7 +104,7 @@ def lemma_X_reduction_check(g, q=1.0, omega_grid=None, n_t=48, n_slice=256,
         raise InvalidArgumentError(
             "q > 1 check is implemented for constant densities")
     amp = abs(g.values[0])
-    r_grid = np.arange(r_spacing, r_max, r_spacing)
+    r_grid = np.arange(0.05, 2000.0, 0.05)
     radial = amp * 4.0 * np.pi * np.abs(np.sin(r_grid)) / r_grid \
         * r_grid ** (0.5 - 3.0 / (2.0 * q))
     rhs = _radial_lorentz_norm(radial, r_grid, 2.0 * q, 2.0) ** 2
@@ -148,8 +145,8 @@ def _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice):
                        values=2.0 * np.pi * prof, basis=basis)
 
 
-def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
-                        n_v=33, n_t=24, n_slice=128, n_u=32, n_s=24):
+def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
+                        n_slice=128, n_s=24):
     """Both sides of the derivative-line-norm / bilinear-slice equivalence.
 
     LHS: the q-th power of the L^q_omega L^2_v norm of (-Delta_v)^eps
@@ -157,9 +154,11 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
     derivative order collapses to eps).  RHS: the sphere integral of the
     (q/2)-th power of the great-circle integral of BA_t(g,g)(u)^2
     t^(2 eps - 1), with the singular t-integral regularized by the
-    substitution s = t^(2 eps).  The claim is equivalence up to a
-    constant, so the deliverable is the ratio; constancy across a
-    function family is checked by :func:`reduce_lemma_family`.
+    substitution s = t^(2 eps).  Line profiles cover the offsets
+    [-12, 12]^2; for q != 2 each great circle takes 32 points.  The
+    claim is equivalence up to a constant, so the deliverable is the
+    ratio; constancy across a function family is checked by
+    :func:`reduce_lemma_family`.
     """
     if g.grid.dim != 3:
         raise InvalidArgumentError("n = 3 only")
@@ -172,7 +171,7 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
 
     lhs = 0.0
     for om, w in zip(omega_grid.nodes, omega_grid.weights):
-        prof = _slice_xray_profile(g, om, half_width, n_v, n_t, n_slice)
+        prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
         lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
 
     def t_integral(u_vec):
@@ -187,6 +186,7 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
         inner = np.array([t_integral(om) for om in omega_grid.nodes])
         rhs = 2.0 * np.pi * float(omega_grid.integrate(inner))
     else:
+        n_u = 32
         phi = 2.0 * np.pi * np.arange(n_u) / n_u
         rhs = 0.0
         for om, w in zip(omega_grid.nodes, omega_grid.weights):
@@ -205,47 +205,16 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, half_width=12.0,
     return report
 
 
-def _default_reduce_family(seed=0):
+def reduce_lemma_family(eps=0.25, q=2.0, seed=0):
+    """Ratio constancy of the reduce-lemma equivalence across five densities."""
     grid = make_sphere_grid(24, 48)
     rng = experiment_rng(seed, "reduce_lemma_family")
-    pole = np.array([0.0, 0.0, 1.0])
-
-    one = Density(grid, np.ones(grid.node_count),
-                  evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    cap = bump_cap_density(grid, pole, 0.7)
-
-    def band_eval(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (np.abs(pts[:, 0]) <= 0.3).astype(float)
-    band = Density(grid, band_eval(grid.nodes), evaluator=band_eval)
-
-    a = rng.standard_normal(3)
-    b = rng.standard_normal(3)
-
-    def smooth_eval(pts, a=a, b=b):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return 1.0 + 0.5 * np.tanh(pts @ a) + 0.3 * (pts @ b) ** 2
-    smooth = Density(grid, smooth_eval(grid.nodes), evaluator=smooth_eval)
-
-    k = np.array([3.0, -2.0, 1.0])
-
-    def mod_eval(pts, k=k):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        base = bump_cap_density(grid, pole, 0.7)
-        return base.evaluate(pts) * np.exp(1j * pts @ k)
-    modulated = Density(grid, mod_eval(grid.nodes), evaluator=mod_eval)
-
-    return [("constant", one), ("cap", cap), ("band", band),
-            ("smooth", smooth), ("modulated", modulated)]
-
-
-def reduce_lemma_family(eps=0.25, q=2.0, seed=0, **kwargs):
-    """Ratio constancy of the reduce-lemma equivalence across five densities."""
     report = ExperimentReport(name="reduce_lemma_family", seed=seed,
                               params={"eps": eps, "q": q})
     ratios = {}
-    for label, g in _default_reduce_family(seed):
-        sub = verify_reduce_lemma(g, eps=eps, q=q, **kwargs)
+    for label in ("constant", "cap", "band", "smooth", "modulated"):
+        g = preset_density(grid, label, rng, k=(3, -2, 1))
+        sub = verify_reduce_lemma(g, eps=eps, q=q)
         ratios[label] = sub.metrics["ratio"]
         report.record(f"ratio[{label}]", sub.metrics["ratio"])
     vals = np.array(list(ratios.values()))
@@ -273,27 +242,23 @@ def _triangle_coords(p, q, n=3):
     return P, inside
 
 
-def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), r_spacing=0.25,
-                       omega_grid=None, closed_form=None, field=None):
+def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), closed_form=None):
     """Stabilization of the power-weighted Lorentz quasinorm on doubling boxes.
 
     Computes the L^{q,r} quasinorm of g dsigma hat times <x>^(-gamma)
-    restricted to |x| <= L on a polar grid, divided by the sphere Lorentz
+    restricted to |x| <= L on a polar grid (radial spacing 0.25, 16 x 32
+    directions), divided by the sphere Lorentz
     norm ||g||_{L^{p,r}}, with gamma = (n+1)/(2q) - (n-1)/(2 p').  The
     pass metric is Cauchy-flatness: the last two ratios within 10
     percent.  Points outside the admissible triangle are allowed but
     flagged as probes.
 
-    ``closed_form`` replaces the extension with a radial profile r -> value;
-    ``field`` replaces it with a pointwise evaluator on R^3 (e.g. the
-    one-dimensional quadrature form for a zonal density), which is much
-    cheaper than sphere-grid quadrature when L is large.
+    ``closed_form`` replaces the extension with a radial profile r -> value.
     """
     n = 3
     gamma = (n + 1.0) / (2.0 * q) - (n - 1.0) / (2.0 * (p / (p - 1.0)))
     _, inside = _triangle_coords(p, q, n)
-    if omega_grid is None:
-        omega_grid = make_sphere_grid(16, 32)
+    omega_grid = make_sphere_grid(16, 32)
     g_lorentz = lorentz_norm(np.abs(g.values), g.grid.weights, p, r)
 
     report = ExperimentReport(name="power_weight_ratio",
@@ -303,16 +268,13 @@ def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), r_spacing=0.25,
         report.notes.append("exponents outside the admissible region: probe run")
     ratios = []
     for L in L_list:
-        r_grid = np.arange(r_spacing, L, r_spacing)
+        r_grid = np.arange(0.25, L, 0.25)
         if closed_form is not None:
             vals = np.abs(closed_form(r_grid)) * (1 + r_grid ** 2) ** (-gamma / 2)
             norm = _radial_lorentz_norm(vals, r_grid, q, r)
         else:
             pts = (r_grid[:, None, None] * omega_grid.nodes[None, :, :])
-            if field is not None:
-                vals = np.abs(np.asarray(field(pts.reshape(-1, 3))))
-            else:
-                vals = np.abs(extend(g, pts.reshape(-1, 3)))
+            vals = np.abs(extend(g, pts.reshape(-1, 3)))
             vals = vals.reshape(r_grid.size, omega_grid.node_count)
             vals *= (1 + r_grid[:, None] ** 2) ** (-gamma / 2)
             norm = _polar_lorentz_norm(vals, r_grid, omega_grid, q, r)

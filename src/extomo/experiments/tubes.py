@@ -30,14 +30,15 @@ def tube_direction_angles(R):
     return delta * np.arange(count)
 
 
-def cap_wavepacket_extension(theta, half_width, modulation, n_arc=96):
+def cap_wavepacket_extension(theta, half_width, modulation):
     """Extension of the modulated cap indicator, as a callable on R^2.
 
     The cap is the arc |phi - theta| <= half_width; the returned function
     evaluates z -> integral over the arc of exp(i (z + a).xi(phi)) dphi
-    with a the modulation frequency, by Gauss-Legendre quadrature in phi.
+    with a the modulation frequency, by 96-point Gauss-Legendre
+    quadrature in phi.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_arc)
+    nodes, weights = np.polynomial.legendre.leggauss(96)
     phi = theta + half_width * nodes
     w = half_width * weights
     xi = np.column_stack([np.cos(phi), np.sin(phi)])
@@ -51,8 +52,7 @@ def cap_wavepacket_extension(theta, half_width, modulation, n_arc=96):
 
 
 def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
-                               angles=None, n_points=32, n_core=9,
-                               n_arc=96):
+                               angles=None, n_points=32):
     """Wavepacket concentration, Khintchine averaging, and the Kakeya dual.
 
     Builds a family of unit-length tubes of width R^(-1/2) with
@@ -60,7 +60,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
     wavepacket phi_T per tube (cap half-width cap_scale * R^(-1/2),
     modulation -R y_T).  Metrics:
 
-    - ``c_min``: the minimum over tube-core samples x of
+    - ``c_min``: the minimum over 9 x 3 tube-core samples x of
       |phi_T dsigma hat(R x)| R^(1/2); concentration predicts ~ 2 cap_scale.
     - ``khintchine_dev_in_se``: Monte Carlo average over random sign
       vectors nu of sum_x |g_nu dsigma hat(R x)|^2, g_nu = sum nu_T phi_T,
@@ -84,7 +84,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
                         length=1.0)
 
     half_width = cap_scale * delta
-    packets = [cap_wavepacket_extension(th, half_width, -R * y, n_arc=n_arc)
+    packets = [cap_wavepacket_extension(th, half_width, -R * y)
                for th, y in zip(angles, centers)]
 
     report = ExperimentReport(name="randomized_tube_experiment", seed=seed,
@@ -93,7 +93,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
                                       "n_tubes": family.count})
 
     # (a) concentration on the tube cores, in units of R^(-1/2)
-    s_core = np.linspace(-0.45, 0.45, n_core)
+    s_core = np.linspace(-0.45, 0.45, 9)
     offsets = np.array([-0.5 * delta, 0.0, 0.5 * delta])
     c_min = np.inf
     center_err = 0.0

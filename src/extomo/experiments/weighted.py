@@ -13,7 +13,8 @@ from scipy.special import j0, j1
 from ..errors import InvalidArgumentError
 from ..extension import extend_field
 from ..reports import ExperimentReport, experiment_rng, fit_log_growth
-from ..sphere import Density, make_circle_grid, poisson_mollify_circle
+from ..sphere import (Density, bump_cap_density, make_circle_grid,
+                      poisson_mollify_circle, preset_density)
 from ..spherical import bt_delta_circle_grid
 from ..tomography import frac_laplacian, xray_isometry_ratio, xray_profile
 
@@ -45,9 +46,10 @@ def gamma_R_weight(R):
     return weight
 
 
-def _ball_quadrature_2d(g, weight, R, spacing=0.25):
-    """Trapezoid integral of |g dsigma hat|^2 * weight over the disc of radius R."""
-    field = extend_field(g, R, int(2 * R / spacing) + 1)
+def _ball_quadrature_2d(g, weight, R):
+    """Trapezoid integral of |g dsigma hat|^2 * weight over the disc of
+    radius R, at spacing 0.25 on the box [-R, R]^2."""
+    field = extend_field(g, R, int(2 * R / 0.25) + 1)
     xx, yy = field.meshgrid()
     w = weight(np.column_stack([xx.ravel(), yy.ravel()])).reshape(xx.shape)
     w = np.where(xx ** 2 + yy ** 2 <= R * R, w, 0.0)
@@ -102,34 +104,28 @@ def isometry_constancy(n_funcs=10, seed=0, n_omega=32):
     return report
 
 
-def _sw_operator(w, omega, half_width, truncation, samples_per_axis=129,
-                 n_samples=512):
+def _sw_operator(w, omega, half_width, truncation):
     """Square function of the weight: L^2_v norm of the half-derivative
-    of the weight's line transform in direction omega."""
-    prof = xray_profile(w, omega, half_width, samples_per_axis, truncation,
-                        n_samples)
+    of the weight's line transform in direction omega (129 offsets, 512
+    samples per line)."""
+    prof = xray_profile(w, omega, half_width, 129, truncation, 512)
     return frac_laplacian(prof, 0.25, taper=True).lp_norm(2)
 
 
-def _symmetric_cap_pair(grid, radius=0.4):
-    """Smooth antipodally symmetric density: bumps at +/- e2."""
+def _symmetric_cap_pair(grid):
+    """Smooth antipodally symmetric density: bumps of radius 0.4 at +/- e2."""
+    plus, minus = (bump_cap_density(grid, np.array([0.0, s]), 0.4)
+                   for s in (1.0, -1.0))
+
     def evaluator(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for center in (np.array([0.0, 1.0]), np.array([0.0, -1.0])):
-            theta = np.arccos(np.clip(pts @ center, -1.0, 1.0))
-            s = (theta / radius) ** 2
-            inside = s < 1.0
-            out[inside] += np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return out
+        return plus.evaluator(pts) + minus.evaluator(pts)
     return Density(grid, evaluator(grid.nodes), evaluator=evaluator)
 
 
 def default_wstein_family():
     """The declared (g, w) pairs: symmetric densities, decaying weights."""
     grid = make_circle_grid(512)
-    one = Density(grid, np.ones(grid.node_count),
-                  evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
+    one = preset_density(grid, "constant", None)
     caps = _symmetric_cap_pair(grid)
 
     def w_gauss(pts):
@@ -145,55 +141,48 @@ def default_wstein_family():
             ("cap-pair/tube", caps, w_tube)]
 
 
-def verify_wstein(pairs=None, R_list=(16, 32, 64), C_max=50.0, n_omega=64,
-                  spacing=0.25):
+def verify_wstein(R_list=(16, 32, 64), C_max=50.0):
     """Weighted ball mass against the bilinear square-function bound (n = 2).
 
     LHS: integral of |g dsigma hat|^2 w over the ball of radius R, by the
-    trapezoid rule at ``spacing`` on the box [-R, R]^2 masked to the disc;
-    the box field is one NUFFT evaluation (``extend_field``).
-    RHS: sphere integral of [BT_(1/R)(h, h)(omega)^(1/2) +
-    BT_(1/R)(h, h)(omega_perp)^(1/2)] * Sw(omega), where h is the squared
-    Poisson mollification of |g| at scale 1/R and Sw is the L^2_v norm of
-    the half-derivative of the weight's line transform.  The bound holds
-    for antipodally symmetric g; the declared family respects that.
+    trapezoid rule at spacing 0.25 on the box [-R, R]^2 masked to the
+    disc; the box field is one NUFFT evaluation (``extend_field``).
+    RHS: sphere integral, over 64 equispaced directions, of
+    [BT_(1/R)(h, h)(omega)^(1/2) + BT_(1/R)(h, h)(omega_perp)^(1/2)]
+    * Sw(omega), where h is the squared Poisson mollification of |g| at
+    scale 1/R and Sw is the L^2_v norm of the half-derivative of the
+    weight's line transform.  The bound holds for antipodally symmetric
+    g; the declared family respects that.
 
     Pass: C = LHS/RHS stays below C_max for every (pair, R), and for each
     pair the spread of C across the R-doubling sweep is at most 2x.
     """
-    if pairs is None:
-        pairs = default_wstein_family()
+    n_omega = 64
     report = ExperimentReport(name="wstein",
                               params={"R_list": list(R_list), "C_max": C_max})
-    all_C = {}
-    # Sw depends only on the weight, R and the directions; pairs share weights
+    # Sw depends only on the weight and R: the pairs share a grid and weights
     sw_cache = {}
-    for label, g, w in pairs:
+    for label, g, w in default_wstein_family():
         grid = g.grid
         N = grid.node_count
-        if N % n_omega != 0:
-            raise InvalidArgumentError("n_omega must divide the grid size")
-        stride = N // n_omega
         habs = g.map(np.abs)
         Cs = []
         for R in R_list:
-            lhs = _ball_quadrature_2d(g, w, float(R), spacing=spacing)
+            lhs = _ball_quadrature_2d(g, w, float(R))
             h = poisson_mollify_circle(habs, 1.0 / R).map(lambda v: v ** 2)
             bt = bt_delta_circle_grid(h, h, 1.0 / R).real
-            sub = np.arange(0, N, stride)
+            sub = np.arange(0, N, N // n_omega)
             perp = (sub + N // 4) % N
-            key = (w, R, grid.nodes[sub].tobytes())
-            if key not in sw_cache:
-                sw_cache[key] = np.array([
+            if (w, R) not in sw_cache:
+                sw_cache[w, R] = np.array([
                     _sw_operator(w, grid.nodes[k], half_width=2.0 * R + 8.0,
                                  truncation=2.0 * R + 8.0)
                     for k in sub])
-            sw = sw_cache[key]
+            sw = sw_cache[w, R]
             integrand = (np.sqrt(np.maximum(bt[sub], 0.0))
                          + np.sqrt(np.maximum(bt[perp], 0.0))) * sw
             rhs = float(np.add.reduce(integrand) * (2.0 * np.pi / n_omega))
             Cs.append(lhs / rhs)
-        all_C[label] = Cs
         report.raw_data[f"C[{label}]"] = Cs
         report.check(f"C_max[{label}]", max(Cs), hi=C_max)
         report.check(f"stability[{label}]", max(Cs) / min(Cs), hi=2.0)

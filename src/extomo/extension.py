@@ -146,12 +146,11 @@ def _nufft1(coeff, thetas, n_modes):
     return modes * functools.reduce(np.multiply.outer, [deconv] * len(axes))
 
 
-def _direct_sum(g, pts, chunk=None):
+def _direct_sum(g, pts):
     """sum_j w_j g_j exp(i x.xi_j) at each row of pts, one phase per pair."""
     coeff = g.grid.weights * g.values
-    if chunk is None:
-        # keep each phase matrix block at ~256 MB
-        chunk = max(1, 2 ** 24 // g.grid.node_count)
+    # keep each phase matrix block at ~256 MB
+    chunk = max(1, 2 ** 24 // g.grid.node_count)
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
@@ -180,20 +179,18 @@ def _nufft_extend(g, center, steps, n_modes):
     return _nufft1(coeff, [nodes @ step for step in steps], n_modes)
 
 
-def extend(g, x, chunk=None):
+def extend(g, x):
     """Evaluate the extension operator at one point or a batch of points.
 
     Parameters
     ----------
     g : Density
     x : (n,) or (M, n) array of evaluation points.
-    chunk : rows per phase block of the direct sum (default ~256 MB).
 
     A batch of M >= 2 uniformly spaced collinear points, x_k = x_0 + k d
     to within a few ulps of max |x|, is evaluated by a type-1 NUFFT whose
     error is below 1e-12 times sum |w_j g_j|; any other input
-    takes the direct sum.  ``chunk`` bounds only the direct sum's phase
-    block.
+    takes the direct sum, in phase blocks of about 256 MB.
 
     Returns
     -------
@@ -206,7 +203,7 @@ def extend(g, x, chunk=None):
         raise InvalidArgumentError("evaluation points must be finite")
     d = _uniform_step(pts)
     if d is None:
-        out = _direct_sum(g, pts, chunk)
+        out = _direct_sum(g, pts)
     else:
         M = pts.shape[0]
         out = _nufft_extend(g, pts[0] + (M // 2) * d, [d], M)

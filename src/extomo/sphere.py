@@ -26,6 +26,8 @@ __all__ = [
     "poisson_mollify_circle",
     "knapp_cap_density",
     "bump_cap_density",
+    "PRESETS",
+    "preset_density",
 ]
 
 
@@ -138,22 +140,15 @@ class Density:
 
 @dataclass(frozen=True)
 class CapSpec:
-    """Geodesic cap with an optional linear phase modulation exp(i a.xi)."""
+    """Geodesic cap: a unit center and a radius in (0, pi]."""
 
     center: np.ndarray
     radius: float
-    modulation_frequency: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_unit(self.center, "center"))
         if not 0 < self.radius <= np.pi:
             raise InvalidArgumentError("cap radius must lie in (0, pi]")
-        if self.modulation_frequency is None:
-            object.__setattr__(self, "modulation_frequency",
-                               np.zeros_like(self.center))
-        else:
-            object.__setattr__(self, "modulation_frequency",
-                               np.asarray(self.modulation_frequency, dtype=float))
 
 
 def make_circle_grid(N):
@@ -223,16 +218,15 @@ def poisson_mollify_circle(g, scale):
 
 
 def knapp_cap_density(grid, cap):
-    """Indicator of a geodesic cap times the modulation exp(i a.xi)."""
+    """Indicator of a geodesic cap."""
     if cap.radius >= np.pi / 2:
         raise InvalidArgumentError("knapp cap radius must be < pi/2")
     cosdist = np.clip(grid.nodes @ cap.center, -1.0, 1.0)
     inside = np.arccos(cosdist) <= cap.radius
-    phase = np.exp(1j * grid.nodes @ cap.modulation_frequency)
-    return Density(grid, inside * phase)
+    return Density(grid, inside)
 
 
-def bump_cap_density(grid, center, radius, amplitude=1.0):
+def bump_cap_density(grid, center, radius):
     """Smooth bump supported in the geodesic cap of the given radius.
 
     Uses the standard C^infinity cutoff exp(1 - 1/(1 - (theta/radius)^2)),
@@ -249,7 +243,57 @@ def bump_cap_density(grid, center, radius, amplitude=1.0):
         s = (theta / radius) ** 2
         out = np.zeros(pts.shape[0])
         inside = s < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
         return out
 
+    return Density(grid, evaluator(grid.nodes), evaluator=evaluator)
+
+
+PRESETS = ("constant", "cap", "band", "smooth", "modulated", "knapp")
+
+
+def preset_density(grid, name, rng, k=None):
+    """The named test density of PRESETS on the grid, pole e_n.
+
+    - ``constant``: g = 1;
+    - ``cap``: the bump of radius 0.7 around the pole;
+    - ``band``: the indicator of |xi_1| <= 0.3;
+    - ``smooth``: 1 + 0.5 tanh(a.xi) + 0.3 (b.xi)^2, with a and b drawn
+      from ``rng`` (the only preset that draws);
+    - ``modulated``: the cap times exp(i k.xi), k = (1, ..., n) by default;
+    - ``knapp``: the indicator of the cap of radius 0.1 around the pole.
+
+    Every preset but ``knapp`` carries an evaluator for off-node points.
+    """
+    n = grid.dim
+    pole = np.zeros(n)
+    pole[-1] = 1.0
+    if name == "cap":
+        return bump_cap_density(grid, pole, 0.7)
+    if name == "knapp":
+        return knapp_cap_density(grid, CapSpec(pole, 0.1))
+    if name == "constant":
+        def evaluator(pts):
+            return np.ones(np.atleast_2d(pts).shape[0])
+    elif name == "band":
+        def evaluator(pts):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            return (np.abs(pts[:, 0]) <= 0.3).astype(float)
+    elif name == "smooth":
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n)
+
+        def evaluator(pts):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            return 1.0 + 0.5 * np.tanh(pts @ a) + 0.3 * (pts @ b) ** 2
+    elif name == "modulated":
+        base = bump_cap_density(grid, pole, 0.7)
+        k = np.arange(1.0, n + 1) if k is None else np.asarray(k, dtype=float)
+
+        def evaluator(pts):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            return base.evaluate(pts) * np.exp(1j * pts @ k)
+    else:
+        raise InvalidArgumentError(
+            f"unknown preset {name!r} (choose from {PRESETS})")
     return Density(grid, evaluator(grid.nodes), evaluator=evaluator)

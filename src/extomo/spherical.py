@@ -187,20 +187,18 @@ def bt_delta_circle_grid(g1, g2, delta):
     return out
 
 
-def rotcurv(phi, x, y, step=1e-4):
+def rotcurv(phi, x, y):
     """Rotational curvature: the bordered Hessian determinant of phi.
 
     |det [[phi, grad_x phi], [grad_y phi, d2_{xy} phi]]| assembled from
-    central finite differences with the given step.
+    central finite differences with step 1e-4.
     """
-    if not 1e-6 <= step <= 1e-2:
-        raise InvalidArgumentError("step must lie in [1e-6, 1e-2]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = x.size
     if y.size != d:
         raise InvalidArgumentError("x and y must have equal dimension")
-    h = step
+    h = 1e-4
     M = np.empty((d + 1, d + 1))
     M[0, 0] = phi(x, y)
     eye = np.eye(d)

@@ -198,10 +198,11 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
                        values=prof.reshape((samples_per_axis,) * len(basis)))
 
 
-def _taper_window(M, fraction=0.1):
-    """Raised-cosine taper equal to 1 on the interior, rolling to 0 at the edges."""
+def _taper_window(M):
+    """Raised-cosine taper equal to 1 on the interior, rolling to 0 on the
+    outer 10 percent at each edge."""
     w = np.ones(M)
-    edge = max(int(np.ceil(M * fraction)), 2)
+    edge = max(int(np.ceil(M * 0.1)), 2)
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
     w[:edge] = ramp
     w[-edge:] = ramp[::-1]
@@ -253,19 +254,19 @@ def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
                        values=out, basis=profile.basis)
 
 
-def xray_isometry_ratio(f, f_l2, sphere_grid, half_width=24.0,
-                        samples_per_axis=257, truncation=24.0, n_samples=1024,
-                        taper=True):
+def xray_isometry_ratio(f, f_l2, sphere_grid):
     """Ratio ||(-Delta_v)^(1/4) X f||_{L^2(lines)} / ||f||_{L^2(R^n)}.
 
     ``f_l2`` is the caller-supplied L^2 norm of f (closed form or an
     independent quadrature); the direction integral runs over the given
-    sphere grid.
+    sphere grid.  Each direction's profile has 257 offsets per axis in
+    [-24, 24] and 1024 samples per line truncated at 24, tapered before
+    the half derivative.
     """
     total = 0.0
     for node, weight in zip(sphere_grid.nodes, sphere_grid.weights):
-        prof = xray_profile(f, node, half_width, samples_per_axis, truncation, n_samples)
-        half = frac_laplacian(prof, 0.25, taper=taper)
+        prof = xray_profile(f, node, 24.0, 257, 24.0, 1024)
+        half = frac_laplacian(prof, 0.25, taper=True)
         total += weight * half.lp_norm(2) ** 2
     return float(np.sqrt(total) / f_l2)
 
@@ -315,18 +316,20 @@ def tube_sum_field(family):
     return field_fn
 
 
-def kakeya_dual_functional(family, box_half_width=1.5, points_per_axis=None):
+def kakeya_dual_functional(family):
     """||sum of tube indicators||_{L^{n/(n-1)}} and the dual Kakeya scale.
 
-    Returns (lhs, rhs) with rhs = (R^{-(n-1)/2} #T)^{(n-1)/n}, where the
-    tube width delta is identified with R^{-1/2}.
+    The norm is a Riemann sum over the box [-1.5, 1.5]^n.  Returns
+    (lhs, rhs) with rhs = (R^{-(n-1)/2} #T)^{(n-1)/n}, where the tube
+    width delta is identified with R^{-1/2}.
     """
     if family.count == 0:
         raise InvalidArgumentError("tube family is empty")
     n = family.directions.shape[1]
-    if points_per_axis is None:
-        # resolve the tube width with ~8 samples
-        points_per_axis = min(int(16 * box_half_width / family.delta) + 1, 1025 if n == 2 else 161)
+    box_half_width = 1.5
+    # resolve the tube width with ~8 samples
+    points_per_axis = min(int(16 * box_half_width / family.delta) + 1,
+                          1025 if n == 2 else 161)
     f = tube_sum_field(family)
     ax = np.linspace(-box_half_width, box_half_width, points_per_axis)
     h = ax[1] - ax[0]

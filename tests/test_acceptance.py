@@ -20,30 +20,11 @@ from extomo.experiments import (isometry_constancy, lemma_X_reduction_check,
 from extomo.extension import sigma_hat_closed_form
 from extomo.reports import experiment_rng
 from extomo.sphere import Density, bump_cap_density, make_circle_grid, \
-    make_sphere_grid
+    make_sphere_grid, preset_density
 from extomo.spherical import BA_t, phi_zero, rotcurv
 
 GENERIC_OMEGA_3 = np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
 GENERIC_OMEGA_2 = np.array([0.6, 0.8])
-
-
-def _density_family(grid, which, seed=0):
-    pole = np.zeros(grid.dim)
-    pole[-1] = 1.0
-    if which == "constant":
-        return Density(grid, np.ones(grid.node_count),
-                       evaluator=lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    if which == "cap":
-        return bump_cap_density(grid, pole, 0.7)
-    rng = experiment_rng(seed, "acceptance:smooth")
-    a = rng.standard_normal(grid.dim)
-    b = rng.standard_normal(grid.dim)
-
-    def smooth_eval(pts, a=a, b=b):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return 1.0 + 0.5 * np.tanh(pts @ a) + 0.3 * (pts @ b) ** 2
-
-    return Density(grid, smooth_eval(grid.nodes), evaluator=smooth_eval)
 
 
 @pytest.mark.parametrize("preset", ["constant", "cap", "smooth"])
@@ -52,7 +33,8 @@ def test_criterion_01_xray_identity(preset):
     for n_polar, tol in ((96, 1e-2), (192, 5e-3)):
         start = time.monotonic()
         grid = make_sphere_grid(n_polar, 2 * n_polar)
-        g = _density_family(grid, preset)
+        rng = experiment_rng(0, "acceptance:smooth")
+        g = preset_density(grid, preset, rng)
         rep = verify_xray_identity(g, GENERIC_OMEGA_3)
         elapsed = time.monotonic() - start
         assert rep.metrics["rel_err"] <= tol, rep.summary()
@@ -96,7 +78,7 @@ def test_criterion_05_radon_growth():
     """5. truncated hyperplane norm grows like log R; out-of-range probe grows like a power"""
     R_list = (16, 32, 64, 128, 256, 512, 1024)
     grid = make_circle_grid(2560)
-    one = _density_family(grid, "constant")
+    one = preset_density(grid, "constant", None)
     fit = radon_growth_sweep(
         one, 2.0, R_list,
         closed_form=lambda pts: sigma_hat_closed_form(
@@ -155,7 +137,7 @@ def test_criterion_09_weighted_inequalities():
 def test_criterion_10_appendix_ratios():
     """10. box-sweep Lorentz ratios Cauchy-flat within 10%; q=1 equality within 5%"""
     grid = make_sphere_grid(16, 32)
-    one = _density_family(grid, "constant")
+    one = preset_density(grid, "constant", None)
     sweep = power_weight_ratio(
         one, 2.0, 4.0, 2.0, L_list=(8, 16, 32, 64),
         closed_form=lambda r: sigma_hat_closed_form(3, r))

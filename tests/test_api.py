@@ -1,10 +1,12 @@
-"""Every exported name of the package resolves and is reached, and the
-benchmark's counters accept the signatures of the functions they count."""
+"""Every exported name of the package resolves and is reached, every
+optional parameter is passed by some caller, and the benchmark's counters
+accept the signatures of the functions they count."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -86,3 +88,170 @@ def test_benchmark_counters_accept_library_signatures(monkeypatch):
         sig.bind(*[None] * len(positional))
         sig.bind(**{p.name: None for p in params
                     if p.kind is not p.POSITIONAL_ONLY})
+
+
+# optional parameters that no scanned caller passes, each kept for a reason
+KEPT_KNOBS = {
+    "identities.verify_mollified_radon(n_slice)":
+        "refinement delta: re-run at twice the samples",
+    "identities.sharp_constant_S2(truncation)":
+        "refinement delta: re-run at twice the samples",
+    "identities.sharp_constant_S2(n_t)":
+        "refinement delta: re-run at twice the samples",
+    "identities.sharp_constant_S2(n_slice)":
+        "refinement delta: re-run at twice the samples",
+    "tomography.frac_laplacian(boundary_tol)":
+        "test seam: the multiplier tests need periodic inputs that do not "
+        "decay at the boundary",
+    "extremal.extremize(init)": "test seam: a fixed starting density",
+    "extremal.extremize(grid)": "test seam: a small grid",
+    "tubes.randomized_tube_experiment(angles)": "test seam: fixed directions",
+    "tubes.randomized_tube_experiment(n_points)": "test seam: fewer points",
+}
+ALL_KEYS = frozenset({"*"})  # a ``**x`` whose keys the scan cannot see
+
+
+def _calls(node, scope=()):
+    """Each call in the tree with the function definitions enclosing it."""
+    if isinstance(node, ast.FunctionDef):
+        scope = scope + (node,)
+    if isinstance(node, ast.Call):
+        yield node, scope
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, scope)
+
+
+def _top_level_defs(tree):
+    """(qualified name, def, is method) of each top-level function and
+    method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, not static
+
+
+def _knob_keys(expr, assigned, scope):
+    """What a ``**expr`` argument passes: a set of keys, ALL_KEYS, or
+    ``("forward", name)`` for the ``**kwargs`` of the enclosing function
+    ``name``."""
+    if isinstance(expr, ast.IfExp):
+        keys = [_knob_keys(e, assigned, scope)
+                for e in (expr.body, expr.orelse)]
+        if any(isinstance(k, tuple) for k in keys):
+            return ALL_KEYS
+        return keys[0] | keys[1]
+    if (isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "dict"
+            and not expr.args):
+        names = {kw.arg for kw in expr.keywords}
+        return ALL_KEYS if None in names else frozenset(names)
+    if isinstance(expr, ast.Dict):
+        if all(isinstance(k, ast.Constant) for k in expr.keys):
+            return frozenset(k.value for k in expr.keys)
+        return ALL_KEYS
+    if isinstance(expr, ast.Name):
+        for fn in reversed(scope):
+            if fn.args.kwarg is not None and fn.args.kwarg.arg == expr.id:
+                return ("forward", fn.name)
+        values = assigned.get(expr.id, [])
+        keys = [_knob_keys(v, assigned, scope) for v in values]
+        if not keys or any(isinstance(k, tuple) for k in keys):
+            return ALL_KEYS
+        return frozenset().union(*keys)
+    return ALL_KEYS
+
+
+def _optional_parameters(fn, method):
+    """(name, position or None) of each optional parameter of a def; a
+    ``**kwargs`` catch-all is named ``**kwargs``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(p.arg, i - method) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    if args.kwarg is not None:
+        out.append((f"**{args.kwarg.arg}", None))
+    return out
+
+
+def _unreached_knobs():
+    """Optional parameters of ``src/extomo`` that no scanned call passes."""
+    package = sorted((ROOT / "src" / "extomo").rglob("*.py"))
+    files = [*package, *sorted((ROOT / "demos").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py",
+             ROOT / "perfbench" / "workloads.py"]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+    # calls by bare name: (positional count, keyword names, ** arguments)
+    calls = {}
+    named = {}  # bare name -> the named parameters of every def of that name
+    for path, tree in trees.items():
+        assigned = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for _, fn, _ in _top_level_defs(tree):
+            a = fn.args
+            named.setdefault(fn.name, set()).update(
+                p.arg for p in a.posonlyargs + a.args + a.kwonlyargs)
+        for call, scope in _calls(tree):
+            name = (getattr(call.func, "id", None)
+                    or getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            calls.setdefault(name, []).append((
+                math.inf if starred else len(call.args),
+                {kw.arg for kw in call.keywords if kw.arg is not None},
+                [_knob_keys(kw.value, assigned, scope)
+                 for kw in call.keywords if kw.arg is None]))
+
+    # the keys that reach each function's own **kwargs, to a fixed point
+    forwarded = {}
+
+    def passed(keys):
+        if isinstance(keys, tuple):
+            return forwarded.get(keys[1], frozenset())
+        return keys
+
+    while True:
+        new = {name: frozenset().union(*(
+            (kws - named[name]).union(*map(passed, stars))
+            for _, kws, stars in calls.get(name, [])))
+            for name in named}
+        if new == forwarded:
+            break
+        forwarded = new
+
+    def reached(name, param, position):
+        for n_args, kws, stars in calls.get(name, []):
+            keys = frozenset().union(*map(passed, stars))
+            if param.startswith("**"):
+                if (kws - named[name]) or keys:
+                    return True
+            elif (position is not None and position < n_args) or param in kws \
+                    or param in keys or "*" in keys:
+                return True
+        return False
+
+    return [f"{path.stem}.{qualname}({param})"
+            for path in package
+            for qualname, fn, method in _top_level_defs(trees[path])
+            for param, position in _optional_parameters(fn, method)
+            if not reached(fn.name, param, position)]
+
+
+def test_every_optional_parameter_is_reached():
+    # an optional parameter that no caller in the package, a demo, an
+    # acceptance criterion or a benchmark workload passes is a setting
+    # with one value in use: it belongs in the code as a constant
+    unreached = _unreached_knobs()
+    dead = [k for k in unreached if k not in KEPT_KNOBS]
+    assert not dead, f"optional parameters never passed: {dead}"
+    stale = sorted(set(KEPT_KNOBS) - set(unreached))
+    assert not stale, f"kept knobs that are now passed or gone: {stale}"

@@ -52,6 +52,10 @@ class TestUsage:
     def test_bad_tolerance_shape(self, capsys):
         assert run(["sweep", "t-delta", "--tol.slope", "1,2,3"]) == 2
 
+    def test_unknown_preset(self, capsys):
+        assert run(["verify", "xray-identity", "--preset", "nope"]) == 2
+        assert "unknown preset" in capsys.readouterr().err
+
     def test_funk_needs_n3(self, capsys):
         assert run(["transform", "dump", "--transform", "funk",
                     "--n", "2"]) == 2

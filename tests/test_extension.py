@@ -60,10 +60,14 @@ class TestExtend:
         with pytest.raises(InvalidArgumentError):
             extend(one_sphere, np.array([np.nan, 0.0, 0.0]))
 
-    def test_chunked_matches_unchunked(self, one_sphere, rng):
-        pts = rng.uniform(-5, 5, (37, 3))
-        assert np.allclose(extend(one_sphere, pts, chunk=5),
-                           extend(one_sphere, pts), rtol=1e-13)
+    def test_chunked_matches_unchunked(self, rng):
+        # 910 rows per phase block on this grid: several blocks and a
+        # partial last one, each row against its own one-point sum
+        grid = make_sphere_grid(96, 192)
+        g = Density(grid, rng.standard_normal(grid.node_count))
+        pts = rng.uniform(-5, 5, (2000, 3))
+        single = np.array([extend(g, x) for x in pts])
+        assert np.allclose(extend(g, pts), single, rtol=1e-13, atol=0)
 
 
 class TestExtendField:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
-from extomo.sphere import (CapSpec, Density, bump_cap_density,
+from extomo.sphere import (PRESETS, CapSpec, Density, bump_cap_density,
                            knapp_cap_density, make_circle_grid,
-                           make_sphere_grid, poisson_mollify_circle)
+                           make_sphere_grid, poisson_mollify_circle,
+                           preset_density)
 
 
 class TestGrids:
@@ -106,13 +107,6 @@ class TestCapDensities:
         g = knapp_cap_density(grid, CapSpec(np.array([0.0, 0.0, 1.0]), r))
         assert g.norm(1) == pytest.approx(2 * np.pi * (1 - np.cos(r)), rel=1e-2)
 
-    def test_knapp_modulation_unimodular(self, sphere_grid):
-        cap = CapSpec(np.array([0.0, 0.0, 1.0]), 0.5,
-                      modulation_frequency=np.array([3.0, -1.0, 2.0]))
-        g = knapp_cap_density(sphere_grid, cap)
-        inside = np.abs(g.values) > 0
-        assert np.allclose(np.abs(g.values[inside]), 1.0)
-
     def test_knapp_wide_cap_rejected(self, sphere_grid):
         with pytest.raises(InvalidArgumentError):
             knapp_cap_density(sphere_grid,
@@ -124,10 +118,24 @@ class TestCapDensities:
         assert np.all(g.values[outside] == 0)
 
     def test_bump_peak_at_center(self, sphere_grid):
-        g = bump_cap_density(sphere_grid, np.array([0.0, 0.0, 1.0]), 0.5,
-                             amplitude=2.0)
+        g = bump_cap_density(sphere_grid, np.array([0.0, 0.0, 1.0]), 0.5)
         val = g.evaluate(np.array([0.0, 0.0, 1.0]))
-        assert val[0].real == pytest.approx(2.0)
+        assert val[0].real == pytest.approx(1.0)
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_evaluator_matches_node_values(self, name, n, circle_grid,
+                                           sphere_grid):
+        # knapp carries no evaluator: its nearest-node lookup is exact on nodes
+        grid = circle_grid if n == 2 else sphere_grid
+        g = preset_density(grid, name, np.random.default_rng(0))
+        assert np.array_equal(g.evaluate(grid.nodes), g.values)
+
+    def test_unknown_name_rejected(self, sphere_grid):
+        with pytest.raises(InvalidArgumentError):
+            preset_density(sphere_grid, "nope", np.random.default_rng(0))
 
 
 @settings(max_examples=25, deadline=None)

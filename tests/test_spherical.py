@@ -256,11 +256,6 @@ class TestRotationalCurvature:
         phi = lambda x, y: float(x[0] * y[0] - 1.0)
         assert rotcurv(phi, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
 
-    def test_step_domain(self):
-        phi = lambda x, y: float(x[0] * y[0])
-        with pytest.raises(InvalidArgumentError):
-            rotcurv(phi, 0.0, 0.0, step=1e-7)
-
     def test_phi_zero_shift_only_changes_entry(self):
         p0 = phi_zero(3)
         ps = phi_zero(3, shift=0.5)
