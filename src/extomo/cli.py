@@ -325,9 +325,14 @@ def _run_transform(p, seed):
         return np.abs(extend(g, pts)) ** 2
 
     if kind == "xray":
-        prof = xray_profile(field_fn, omega, half_width=p.get("half_width", 8.0),
+        def line_field(pts):
+            # one extend call per line: a uniform line takes the NUFFT
+            return np.concatenate([field_fn(x) for x in
+                                   np.split(pts, len(pts) // 1024)])
+
+        prof = xray_profile(line_field, omega, half_width=p.get("half_width", 8.0),
                             samples_per_axis=p.get("samples", 65),
-                            truncation=p.get("truncation", 40.0))
+                            truncation=p.get("truncation", 40.0), n_samples=1024)
         ax = prof.axis()
         mid = prof.values if n == 2 else prof.values[:, len(ax) // 2]
         report.raw_data["abscissa"] = [float(v) for v in ax]

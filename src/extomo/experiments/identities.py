@@ -14,8 +14,8 @@ from ..extension import (SliceMeasureSpec, extend, extend_plane_field,
                          extend_slice)
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
-from ..sphere import (_as_unit, _trapezoid_weights, bump_cap_density,
-                      make_sphere_grid, preset_density)
+from ..sphere import (_as_unit, bump_cap_density, make_sphere_grid,
+                      preset_density)
 from ..tomography import Hyperplane, Line, radon, xray
 
 __all__ = [
@@ -25,21 +25,6 @@ __all__ = [
     "sharp_constant_S2",
     "slice_square_integral",
 ]
-
-
-def _abs_squared(g):
-    """|g|^2 as a Density, with the evaluator carried along when present."""
-    ev = None
-    if g.evaluator is not None:
-        ev = lambda pts: np.abs(np.asarray(g.evaluator(pts))) ** 2
-    return g.map(lambda v: np.abs(v) ** 2, evaluator=ev)
-
-
-def _abs_density(g):
-    ev = None
-    if g.evaluator is not None:
-        ev = lambda pts: np.abs(np.asarray(g.evaluator(pts)))
-    return g.map(np.abs, evaluator=ev)
 
 
 def slice_square_integral(g, omega, v, n_t=64, n_slice=256):
@@ -101,7 +86,7 @@ def verify_xray_identity(g, omega, truncation=120.0, n_samples=2401,
         return report
     report.check("rel_err", abs(lhs - rhs) / abs(rhs), hi=1e-2)
 
-    habs = _abs_density(g)
+    habs = g.map(np.abs)
 
     def field_abs(pts):
         return np.abs(extend(habs, pts)) ** 2
@@ -144,8 +129,8 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     if n_samples is None:
         n_samples = int(2 * truncation / 0.25) + 1
 
-    rhs = (2.0 * np.pi) ** (n - 1) * T_delta(_abs_squared(g), omega, 0.0,
-                                             support_margin=margin / 2)
+    rhs = (2.0 * np.pi) ** (n - 1) * T_delta(
+        g.map(lambda v: np.abs(v) ** 2), omega, 0.0, support_margin=margin / 2)
 
     def field(pts):
         return np.abs(extend(g, pts)) ** 2
@@ -161,12 +146,8 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
         if n == 2:
             lhs = radon(field, Hyperplane(omega, t), truncation, n_samples)
         else:
-            vals, u = extend_plane_field(g, omega, t, truncation, n_samples)
-            w_trap = _trapezoid_weights(n_samples)
-            du = u[1] - u[0]
-            lhs = float(np.add.reduce(
-                (w_trap[:, None] * w_trap[None, :] * np.abs(vals) ** 2).ravel())
-                * du * du)
+            plane = extend_plane_field(g, omega, t, truncation, n_samples)
+            lhs = float(plane.integrate(lambda v: np.abs(v) ** 2))
         lhs_vals.append(lhs)
         if rhs == 0.0:
             report.check(f"abs_err_t{t:g}", abs(lhs), hi=1e-10)
@@ -203,7 +184,8 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
         if R < 4:
             raise PreconditionError("R must be >= 4")
         rhs = (2.0 * np.pi) ** (n - 1) * t_delta_via_slices(
-            _abs_squared(g), omega, 1.0 / R, n_u=200, n_slice=n_slice)
+            g.map(lambda v: np.abs(v) ** 2), omega, 1.0 / R, n_u=200,
+            n_slice=n_slice)
 
         def field(pts):
             inside = np.linalg.norm(pts, axis=1) <= R
@@ -215,14 +197,10 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
             if n == 2:
                 lhs = radon(field, Hyperplane(omega, t), float(R), n_samples)
             else:
-                vals, u = extend_plane_field(g, omega, t, float(R), n_samples)
-                w = _trapezoid_weights(n_samples)
-                uu, vv = np.meshgrid(u, u, indexing="ij")
+                plane = extend_plane_field(g, omega, t, float(R), n_samples)
+                uu, vv = plane.meshgrid()
                 disc = uu ** 2 + vv ** 2 + t * t <= R * R
-                du = u[1] - u[0]
-                lhs = float(np.add.reduce(
-                    (w[:, None] * w[None, :] * disc * np.abs(vals) ** 2).ravel())
-                    * du * du)
+                lhs = float(plane.integrate(lambda v: np.abs(v) ** 2 * disc))
             best = max(best, lhs / rhs if rhs > 0 else np.inf)
         ratios.append(best)
     report.raw_data["R"] = list(R_list)

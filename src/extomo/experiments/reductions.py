@@ -15,8 +15,8 @@ from ..extension import _nufft1, extend
 from ..reports import ExperimentReport, experiment_rng
 from ..sphere import _as_unit, make_sphere_grid, preset_density
 from ..spherical import BA_t
-from ..tomography import LineProfile, frac_laplacian, lorentz_norm, perp_basis
-from ..experiments.identities import _abs_density, slice_square_integral
+from ..tomography import SampledField, frac_laplacian, lorentz_norm, perp_basis
+from ..experiments.identities import slice_square_integral
 
 __all__ = [
     "lemma_X_reduction_check",
@@ -82,7 +82,7 @@ def lemma_X_reduction_check(g, q=1.0):
     if g.grid.dim != 3:
         raise InvalidArgumentError("n = 3 only")
     omega_grid = make_sphere_grid(12, 24)
-    habs = _abs_density(g)
+    habs = g.map(np.abs)
     x0_vals = np.array([slice_square_integral(habs, om, np.zeros(3),
                                               n_t=48, n_slice=256)
                         for om in omega_grid.nodes])
@@ -141,8 +141,7 @@ def _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice):
                  * np.exp(1j * (pts @ center)))
         S = _nufft1(coeff, [pts @ (du * basis[0]), pts @ (du * basis[1])], n_v)
         prof += wt * np.abs(S) ** 2
-    return LineProfile(omega=omega, half_width=half_width,
-                       values=2.0 * np.pi * prof, basis=basis)
+    return SampledField(half_width, 2.0 * np.pi * prof)
 
 
 def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,

@@ -11,8 +11,9 @@ non-uniform FFT (Gaussian gridding at 2x oversampling, Greengard & Lee
 2004) whose error is below 1e-12 times sum |w_j g_j|: uniformly spaced
 collinear points (the samples of a line, as ``xray`` and the n = 2
 ``radon`` pass them), the n = 2 boxes of ``extend_field`` and the uniform
-hyperplane patches of ``extend_plane_field``.  Every other point set takes
-the direct sum, one exp(i x.xi) per (point, node) pair.
+hyperplane patches of ``extend_plane_field``; those two grids come back
+as a ``tomography.SampledField``.  Every other point set takes the direct
+sum, one exp(i x.xi) per (point, node) pair.
 """
 
 import functools
@@ -22,10 +23,10 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import InvalidArgumentError
-from .sphere import _as_unit, _trapezoid_weights, perp_basis
+from .sphere import _as_unit, perp_basis
+from .tomography import SampledField
 
 __all__ = [
-    "SampledField",
     "SliceMeasureSpec",
     "extend",
     "extend_field",
@@ -42,48 +43,6 @@ _NUFFT_HALF_WIDTH = int(np.ceil(-1.5 * np.log(_NUFFT_EPS) / np.pi))
 _SPREAD_BLOCK = 2 ** 21
 # uniform-line test: deviation from x0 + k d allowed, in ulps of max |x|
 _LINE_ULPS = 8
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Uniform Cartesian samples of a function on the box [-L, L]^dim."""
-
-    dim: int
-    half_width: float
-    points_per_axis: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise InvalidArgumentError("points_per_axis must be >= 2")
-        vals = np.asarray(self.values, dtype=complex)
-        expected = (self.points_per_axis,) * self.dim
-        if vals.shape != expected:
-            raise InvalidArgumentError(f"values shape {vals.shape} != {expected}")
-        object.__setattr__(self, "values", vals)
-        self.values.setflags(write=False)
-
-    @property
-    def spacing(self):
-        return 2.0 * self.half_width / (self.points_per_axis - 1)
-
-    def axis(self):
-        return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
-
-    def meshgrid(self):
-        ax = self.axis()
-        return np.meshgrid(*([ax] * self.dim), indexing="ij")
-
-    def integrate(self, integrand=None):
-        """Trapezoid-rule integral of the field (or of integrand(values))."""
-        vals = self.values if integrand is None else integrand(self.values)
-        w = _trapezoid_weights(self.points_per_axis)
-        for axis_idx in range(self.dim):
-            shape = [1] * vals.ndim
-            shape[axis_idx] = self.points_per_axis
-            vals = vals * w.reshape(shape)
-        total = np.add.reduce(vals.ravel())
-        return total * self.spacing ** self.dim
 
 
 @dataclass(frozen=True)
@@ -210,6 +169,18 @@ def extend(g, x):
     return out[0] if single else out
 
 
+def _extend_square(g, center, axes, half_width, points_per_axis):
+    """One NUFFT: the extension at center + u_a axes[0] + u_b axes[1], u in [-L, L]."""
+    M = int(points_per_axis)
+    if M < 2:
+        raise InvalidArgumentError("points_per_axis must be >= 2")
+    du = 2.0 * half_width / (M - 1)
+    mid = -half_width + (M // 2) * du
+    values = _nufft_extend(g, center + mid * (axes[0] + axes[1]),
+                           [du * e for e in axes], M)
+    return SampledField(float(half_width), values)
+
+
 def extend_field(g, half_width, points_per_axis):
     """Evaluate the extension operator on the uniform box [-L, L]^2 (n = 2).
 
@@ -219,35 +190,21 @@ def extend_field(g, half_width, points_per_axis):
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("extend_field requires dim 2")
-    M = int(points_per_axis)
-    if M < 2:
-        raise InvalidArgumentError("points_per_axis must be >= 2")
-    du = 2.0 * half_width / (M - 1)
-    mid = -half_width + (M // 2) * du
-    values = _nufft_extend(g, np.array([mid, mid]),
-                           [np.array([du, 0.0]), np.array([0.0, du])], M)
-    return SampledField(dim=2, half_width=float(half_width),
-                        points_per_axis=M, values=values)
+    return _extend_square(g, np.zeros(2), np.eye(2), half_width, points_per_axis)
 
 
 def extend_plane_field(g, omega, t, truncation, n_samples):
     """Extension values on a uniform patch of the hyperplane {x.omega = t}.
 
     n = 3 only.  The patch is a 2-D uniform grid, evaluated by a type-1
-    NUFFT (error below 1e-12 times sum |w_j g_j|).  Returns (values, u)
-    with values indexed by the two in-plane coordinates u x u along the
-    axes of ``perp_basis(omega)``.
+    NUFFT (error below 1e-12 times sum |w_j g_j|).  Returns a SampledField
+    over [-truncation, truncation]^2 whose values[a, b] sits at
+    t omega + axis[a] e1 + axis[b] e2, with (e1, e2) = ``perp_basis(omega)``.
     """
     omega = _as_unit(omega, "omega")
     if omega.size != 3:
         raise InvalidArgumentError("extend_plane_field requires dim 3")
-    e1, e2 = perp_basis(omega)
-    u = np.linspace(-truncation, truncation, n_samples)
-    du = (u[-1] - u[0]) / max(n_samples - 1, 1)
-    mid = u[0] + (n_samples // 2) * du
-    values = _nufft_extend(g, t * omega + mid * (e1 + e2), [du * e1, du * e2],
-                           n_samples)
-    return values, u
+    return _extend_square(g, t * omega, perp_basis(omega), truncation, n_samples)
 
 
 def slice_circle_points(omega, t, n_slice):

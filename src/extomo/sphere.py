@@ -134,8 +134,11 @@ class Density:
             return absv.max()
         return float(np.add.reduce(self.grid.weights * absv ** p)) ** (1.0 / p)
 
-    def map(self, fn, evaluator=None):
-        return Density(self.grid, fn(self.values), evaluator=evaluator)
+    def map(self, fn):
+        """fn applied to the values, and to the evaluator's output if any."""
+        ev = self.evaluator
+        return Density(self.grid, fn(self.values),
+                       evaluator=None if ev is None else lambda pts: fn(ev(pts)))
 
 
 @dataclass(frozen=True)

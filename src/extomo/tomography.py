@@ -1,5 +1,9 @@
 """X-ray and Radon transforms of fields on R^n, Lorentz norms and tube sums.
 
+Uniform grids of samples (line profiles, and the boxes and hyperplane
+patches of ``extension``) are ``SampledField``s, integrated by one
+trapezoid rule, ``SampledField.integrate``.
+
 Fields enter as vectorized callables mapping an (M, n) array of points,
 not always C-contiguous, to an (M,) array of values; ``xray_profile``
 calls a field once per block of lines.  Improper integrals over R are
@@ -18,7 +22,7 @@ from .sphere import _as_unit, _trapezoid_weights, perp_basis
 __all__ = [
     "Line",
     "Hyperplane",
-    "LineProfile",
+    "SampledField",
     "TubeFamily",
     "perp_basis",
     "xray",
@@ -60,51 +64,67 @@ class Hyperplane:
         object.__setattr__(self, "omega", _as_unit(self.omega, "omega"))
 
 
-@dataclass(frozen=True)
-class LineProfile:
-    """Samples of v -> h(omega, v) on a uniform grid of the offset plane.
+def _per_axis(vals, w):
+    """vals[a, b, ...] * w[a] * w[b] * ...: one weight vector on every axis."""
+    for axis_idx in range(vals.ndim):
+        shape = [1] * vals.ndim
+        shape[axis_idx] = w.size
+        vals = vals * w.reshape(shape)
+    return vals
 
-    ``values`` is 1-D for n = 2 and 2-D for n = 3; ``basis`` holds the
-    orthonormal axes of the offset plane, so the sample at index (i, j)
-    sits at axis[i] * basis[0] + axis[j] * basis[1].
+
+@dataclass(frozen=True)
+class SampledField:
+    """Uniform samples of a function on the cube [-L, L]^dim.
+
+    ``values`` has shape (M,) * dim with M >= 2; the sample at index
+    (a, b, ...) sits at axis[a] e_1 + axis[b] e_2 + ..., where the e_d are
+    the coordinate axes for a box (``extend_field``) and the rows of
+    ``perp_basis(omega)`` for a hyperplane patch (``extend_plane_field``)
+    or a line profile (``xray_profile``).  Values keep their dtype.
     """
 
-    omega: np.ndarray
     half_width: float
     values: np.ndarray
-    basis: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _as_unit(self.omega, "omega"))
         vals = np.asarray(self.values)
+        M = vals.shape[0] if vals.ndim else 0
+        if M < 2 or vals.shape != (M,) * vals.ndim:
+            raise InvalidArgumentError("values must be a square grid with >= 2 "
+                                       f"points per axis, not {vals.shape}")
         object.__setattr__(self, "values", vals)
-        if self.basis is None:
-            object.__setattr__(self, "basis", perp_basis(self.omega))
-        M = vals.shape[0]
-        if vals.shape != (M,) * vals.ndim:
-            raise InvalidArgumentError("profile grid must be square")
+        self.values.setflags(write=False)
 
     @property
-    def samples_per_axis(self):
+    def dim(self):
+        return self.values.ndim
+
+    @property
+    def points_per_axis(self):
         return self.values.shape[0]
 
     @property
     def spacing(self):
-        return 2.0 * self.half_width / (self.samples_per_axis - 1)
+        return 2.0 * self.half_width / (self.points_per_axis - 1)
 
     def axis(self):
-        return np.linspace(-self.half_width, self.half_width, self.samples_per_axis)
+        return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
+
+    def meshgrid(self):
+        return np.meshgrid(*[self.axis()] * self.dim, indexing="ij")
+
+    def integrate(self, integrand=None):
+        """Trapezoid-rule integral of the field (or of integrand(values))."""
+        vals = self.values if integrand is None else integrand(self.values)
+        vals = _per_axis(vals, _trapezoid_weights(self.points_per_axis))
+        return np.add.reduce(vals.ravel()) * self.spacing ** self.dim
 
     def lp_norm(self, p):
+        """L^p norm by the trapezoid rule; the largest |value| for p = inf."""
         if np.isinf(p):
             return float(np.abs(self.values).max())
-        w = _trapezoid_weights(self.samples_per_axis)
-        vals = np.abs(self.values) ** p
-        for axis_idx in range(vals.ndim):
-            shape = [1] * vals.ndim
-            shape[axis_idx] = self.samples_per_axis
-            vals = vals * w.reshape(shape)
-        return float((np.add.reduce(vals.ravel()) * self.spacing ** self.values.ndim) ** (1.0 / p))
+        return float(self.integrate(lambda v: np.abs(v) ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -157,21 +177,18 @@ def radon(f, plane, truncation, n_samples_per_axis=1024):
     basis = perp_basis(omega)
     if omega.size == 2:
         return xray(f, Line(basis[0], t * omega), truncation, n_samples_per_axis)
+    # one field call per row: each row is a uniform line
     u = np.linspace(-truncation, truncation, n_samples_per_axis)
-    w = _trapezoid_weights(n_samples_per_axis)
-    du = u[1] - u[0]
-    total = 0.0
     base = t * omega
-    for i, u1 in enumerate(u):
-        pts = base[None, :] + u1 * basis[0][None, :] + u[:, None] * basis[1][None, :]
-        row = np.asarray(f(pts)).real
-        total += w[i] * np.add.reduce(row * w)
-    return float(total * du * du)
+    rows = [np.asarray(f(base[None, :] + u1 * basis[0][None, :]
+                         + u[:, None] * basis[1][None, :])).real for u1 in u]
+    return float(SampledField(truncation, np.array(rows)).integrate())
 
 
 def xray_profile(f, omega, half_width, samples_per_axis, truncation,
                  n_samples=1024):
-    """Sample v -> Xf(omega, v) on a uniform grid of the offset plane.
+    """Sample v -> Xf(omega, v) on a uniform grid of the offset plane: a
+    SampledField whose axes are the rows of ``perp_basis(omega)``.
 
     ``f`` gets one (m, n) column-major view of a reused buffer per block of
     whole lines, of at most _XRAY_BLOCK points or one line.  A one-line
@@ -194,8 +211,7 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
         pts = np.add(block[:, :, None], along, out=buf[:, :block.shape[1]])
         vals = np.asarray(f(pts.reshape(omega.size, -1).T)).real
         prof[r0:r0 + rows] = np.trapezoid(vals.reshape(-1, n_samples), s, axis=1)
-    return LineProfile(omega=omega, half_width=half_width, basis=basis,
-                       values=prof.reshape((samples_per_axis,) * len(basis)))
+    return SampledField(half_width, prof.reshape((samples_per_axis,) * len(basis)))
 
 
 def _taper_window(M):
@@ -218,7 +234,7 @@ def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
     be mean-zero (the multiplier is non-integrable at zero frequency).
     """
     vals = np.asarray(profile.values, dtype=complex)
-    M = profile.samples_per_axis
+    M = profile.points_per_axis
     peak = np.abs(vals).max()
     if peak > 0 and not taper:
         if vals.ndim == 1:
@@ -230,11 +246,7 @@ def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
             raise PreconditionError(
                 "profile does not decay at the grid boundary; pass taper=True")
     if taper:
-        w = _taper_window(M)
-        for axis_idx in range(vals.ndim):
-            shape = [1] * vals.ndim
-            shape[axis_idx] = M
-            vals = vals * w.reshape(shape)
+        vals = _per_axis(vals, _taper_window(M))
     if alpha < 0:
         mean = np.abs(vals.mean())
         if peak > 0 and mean > 1e-8 * peak:
@@ -250,8 +262,7 @@ def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
     out = np.fft.ifftn(np.fft.fftn(vals) * mult)
     if np.isrealobj(profile.values):
         out = out.real
-    return LineProfile(omega=profile.omega, half_width=profile.half_width,
-                       values=out, basis=profile.basis)
+    return SampledField(profile.half_width, out)
 
 
 def xray_isometry_ratio(f, f_l2, sphere_grid):
@@ -317,34 +328,25 @@ def tube_sum_field(family):
 
 
 def kakeya_dual_functional(family):
-    """||sum of tube indicators||_{L^{n/(n-1)}} and the dual Kakeya scale.
+    """||sum of tube indicators||_{L^2} and the dual Kakeya scale (n = 2).
 
-    The norm is a Riemann sum over the box [-1.5, 1.5]^n.  Returns
-    (lhs, rhs) with rhs = (R^{-(n-1)/2} #T)^{(n-1)/n}, where the tube
-    width delta is identified with R^{-1/2}.
+    The norm is a Riemann sum over the box [-1.5, 1.5]^2.  Returns
+    (lhs, rhs) with rhs = (R^{-1/2} #T)^{1/2}, where the tube width delta
+    is identified with R^{-1/2}.
     """
     if family.count == 0:
         raise InvalidArgumentError("tube family is empty")
-    n = family.directions.shape[1]
+    if family.directions.shape[1] != 2:
+        raise InvalidArgumentError("kakeya_dual_functional requires 2-D directions")
     box_half_width = 1.5
     # resolve the tube width with ~8 samples
-    points_per_axis = min(int(16 * box_half_width / family.delta) + 1,
-                          1025 if n == 2 else 161)
+    points_per_axis = min(int(16 * box_half_width / family.delta) + 1, 1025)
     f = tube_sum_field(family)
     ax = np.linspace(-box_half_width, box_half_width, points_per_axis)
     h = ax[1] - ax[0]
-    p = n / (n - 1.0)
-    total = 0.0
-    if n == 2:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        vals = f(np.column_stack([X.ravel(), Y.ravel()]))
-        total = np.add.reduce(vals ** p) * h * h
-    else:
-        for x1 in ax:
-            X2, X3 = np.meshgrid(ax, ax, indexing="ij")
-            pts = np.column_stack([np.full(X2.size, x1), X2.ravel(), X3.ravel()])
-            total += np.add.reduce(f(pts) ** p) * h ** 3
-    lhs = total ** (1.0 / p)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    vals = f(np.column_stack([X.ravel(), Y.ravel()]))
+    lhs = (np.add.reduce(vals ** 2.0) * h * h) ** 0.5
     R = family.delta ** -2.0
-    rhs = (R ** (-(n - 1) / 2.0) * family.count) ** ((n - 1.0) / n)
+    rhs = (R ** -0.5 * family.count) ** 0.5
     return float(lhs), float(rhs)

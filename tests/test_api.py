@@ -60,6 +60,45 @@ def test_every_layer_export_is_reached():
     assert not unreached, f"exported but never used: {unreached}"
 
 
+# the package modules each layer may import, ``errors`` aside; a new
+# cross-layer edge is a change to this table
+LAYER_IMPORTS = {
+    "sphere": set(),
+    "reports": set(),
+    "tomography": {"sphere"},
+    "extension": {"sphere", "tomography"},
+    "spherical": {"sphere", "extension"},
+}
+
+
+def _package_imports(path):
+    """The extomo modules a file imports, relatively or by absolute name."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = ([f"extomo.{node.module}"] if node.module else
+                     [f"extomo.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module == "extomo":
+            names = [f"extomo.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in names
+                        if name.startswith("extomo."))
+    return imported - {"errors"}
+
+
+def test_layers_import_only_the_declared_layers():
+    assert sorted(LAYER_IMPORTS) == sorted(LAYERS)
+    extra = {layer: sorted(_package_imports(
+        ROOT / "src" / "extomo" / f"{layer}.py") - allowed)
+        for layer, allowed in LAYER_IMPORTS.items()}
+    assert not any(extra.values()), f"undeclared layer imports: {extra}"
+
+
 def _load_tracing(monkeypatch):
     """perfbench/tracing.py as a module, loaded without writing bytecode."""
     path = ROOT / "perfbench" / "tracing.py"

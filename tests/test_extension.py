@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profile
-from extomo.extension import (SampledField, SliceMeasureSpec, _direct_sum,
-                              _uniform_step, extend, extend_field,
-                              extend_plane_field, extend_slice,
-                              sigma_hat_closed_form)
+from extomo.extension import (SliceMeasureSpec, _direct_sum, _uniform_step,
+                              extend, extend_field, extend_plane_field,
+                              extend_slice, sigma_hat_closed_form)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
+from extomo.tomography import SampledField
 
 
 class TestExtend:
@@ -80,10 +80,17 @@ class TestExtendField:
         g = Density(grid, rng.standard_normal(grid.node_count))
         omega = np.array([0.0, 0.0, 1.0])
         t = 0.7
-        vals, u = extend_plane_field(g, omega, t, 2.0, 5)
-        # middle sample sits at x = t omega + u[2] e1 + u[2] e2 for the
+        plane = extend_plane_field(g, omega, t, 2.0, 5)
+        # middle sample sits at x = t omega + axis[2] (e1 + e2) for the
         # deterministic in-plane basis; check the center point directly
-        assert vals[2, 2] == pytest.approx(extend(g, t * omega), rel=1e-12)
+        assert plane.values[2, 2] == pytest.approx(extend(g, t * omega),
+                                                   rel=1e-12)
+
+    def test_plane_field_axis(self, rng):
+        g = _random_density(3, rng)
+        plane = extend_plane_field(g, np.array([0.6, 0.0, 0.8]), 0.3, 7.5, 12)
+        assert plane.dim == 2 and plane.points_per_axis == 12
+        np.testing.assert_array_equal(plane.axis(), np.linspace(-7.5, 7.5, 12))
 
 
 def _random_density(n, rng):
@@ -164,12 +171,12 @@ class TestFastPaths:
         g = _random_density(3, rng)
         omega = rng.standard_normal(3)
         omega /= np.linalg.norm(omega)
-        vals, u = extend_plane_field(g, omega, t, truncation, n_samples)
+        plane = extend_plane_field(g, omega, t, truncation, n_samples)
         e1, e2 = perp_basis(omega)
-        a, b = np.meshgrid(u, u, indexing="ij")
+        a, b = plane.meshgrid()
         pts = t * omega + a.reshape(-1, 1) * e1 + b.reshape(-1, 1) * e2
         ref = extend(g, pts).reshape(n_samples, n_samples)
-        assert np.abs(vals - ref).max() <= 1e-11 * _mass(g)
+        assert np.abs(plane.values - ref).max() <= 1e-11 * _mass(g)
 
 
     @settings(max_examples=30, deadline=None)
@@ -209,9 +216,44 @@ class TestFastPaths:
 
 class TestSampledField:
     def test_integrate_constant(self):
-        f = SampledField(dim=2, half_width=1.0, points_per_axis=11,
-                         values=np.ones((11, 11), dtype=complex))
+        f = SampledField(half_width=1.0, values=np.ones((11, 11), dtype=complex))
+        assert f.dim == 2 and f.points_per_axis == 11
         assert f.integrate().real == pytest.approx(4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), M=st.integers(2, 24),
+           half_width=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_integrate_exact_on_multiaffine(self, dim, M, half_width, seed):
+        # the trapezoid rule is exact for c + prod_d (a_d + b_d x_d)
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(-1.0, 1.0, (2, dim))
+        c = rng.uniform(-1.0, 1.0)
+        ax = np.linspace(-half_width, half_width, M)
+        coords = np.meshgrid(*[ax] * dim, indexing="ij")
+        vals = c + np.prod([a[d] + b[d] * coords[d] for d in range(dim)], axis=0)
+        got = SampledField(half_width, vals).integrate()
+        exact = (2.0 * half_width) ** dim * (c + np.prod(a))
+        scale = (2.0 * half_width) ** dim * (
+            abs(c) + np.prod(np.abs(a) + np.abs(b) * half_width))
+        assert abs(got - exact) <= 1e-12 * scale
+
+    def test_lp_norms(self, rng):
+        vals = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        f = SampledField(3.0, vals)
+        assert f.lp_norm(2) ** 2 == pytest.approx(
+            f.integrate(lambda v: np.abs(v) ** 2), rel=1e-14)
+        assert f.lp_norm(np.inf) == np.abs(vals).max()
+
+    def test_values_keep_dtype_and_are_read_only(self):
+        f = SampledField(1.0, np.linspace(0.0, 1.0, 5))
+        assert f.values.dtype == float
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (4, 5), (3, 3, 2)])
+    def test_non_square_or_one_point_grid_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError):
+            SampledField(1.0, np.zeros(shape))
 
 
 class TestSliceMeasures:

@@ -231,9 +231,8 @@ class TestArrayOffsets:
     @pytest.mark.parametrize("n", [2, 3])
     def test_funk_at(self, n, rng):
         (g, _), omega = self._densities(n, rng)
-        rotated = g.map(lambda v: (1 + 2j) * v,
-                        evaluator=lambda pts: (1 + 2j) * g.evaluate(pts))
-        modulus = g.map(np.abs, evaluator=lambda pts: np.abs(g.evaluate(pts)))
+        rotated = g.map(lambda v: (1 + 2j) * v)
+        modulus = g.map(np.abs)
         for f, kind in ((rotated, complex), (modulus, float)):
             scalar = [funk_At(f, omega, t, n_slice=64) for t in self.T]
             assert all(type(v) is kind for v in scalar)

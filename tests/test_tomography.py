@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
-from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, TubeFamily,
-                               frac_laplacian, kakeya_dual_functional,
-                               lorentz_norm, perp_basis, radon, tube_sum_field,
-                               xray, xray_profile)
+from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, SampledField,
+                               TubeFamily, frac_laplacian,
+                               kakeya_dual_functional, lorentz_norm,
+                               perp_basis, radon, tube_sum_field, xray,
+                               xray_profile)
 
 
 def gaussian_2d(pts):
@@ -91,9 +92,7 @@ class TestFracLaplacian:
         k = 8
         eta = 2.0 * np.pi * k / (v[-1] - v[0] + (v[1] - v[0]))
         prof_vals = np.cos(eta * v)
-        from extomo.tomography import LineProfile
-        prof = LineProfile(omega=np.array([1.0, 0.0]), half_width=L,
-                           values=prof_vals)
+        prof = SampledField(L, prof_vals)
         out = frac_laplacian(prof, 0.25, taper=False, boundary_tol=10.0)
         assert np.allclose(out.values, np.sqrt(eta) * prof_vals, atol=1e-8)
 
@@ -101,36 +100,28 @@ class TestFracLaplacian:
         M, L = 129, 10.0
         v = np.linspace(-L, L, M)
         vals = np.exp(-v ** 2)
-        from extomo.tomography import LineProfile
-        prof = LineProfile(omega=np.array([1.0, 0.0]), half_width=L,
-                           values=vals)
+        prof = SampledField(L, vals)
         once = frac_laplacian(frac_laplacian(prof, 0.25), 0.25,
                               boundary_tol=1.0)
         twice = frac_laplacian(prof, 0.5)
         assert np.allclose(once.values, twice.values, atol=1e-10)
 
     def test_boundary_decay_enforced(self):
-        from extomo.tomography import LineProfile
-        prof = LineProfile(omega=np.array([1.0, 0.0]), half_width=4.0,
-                           values=np.ones(65))
+        prof = SampledField(4.0, np.ones(65))
         with pytest.raises(PreconditionError):
             frac_laplacian(prof, 0.25)
 
     def test_negative_order_needs_mean_zero(self):
-        from extomo.tomography import LineProfile
         v = np.linspace(-8, 8, 129)
-        prof = LineProfile(omega=np.array([1.0, 0.0]), half_width=8.0,
-                           values=np.exp(-v ** 2))
+        prof = SampledField(8.0, np.exp(-v ** 2))
         with pytest.raises(PreconditionError):
             frac_laplacian(prof, -0.25)
 
     def test_self_adjoint(self, rng):
-        from extomo.tomography import LineProfile
         M = 64
         a = rng.standard_normal(M)
         b = rng.standard_normal(M)
-        mk = lambda vals: LineProfile(omega=np.array([1.0, 0.0]),
-                                      half_width=8.0, values=vals)
+        mk = lambda vals: SampledField(8.0, vals)
         La = frac_laplacian(mk(a), 0.25, boundary_tol=np.inf).values
         Lb = frac_laplacian(mk(b), 0.25, boundary_tol=np.inf).values
         assert np.dot(La, b) == pytest.approx(np.dot(a, Lb), rel=1e-10)
@@ -301,3 +292,9 @@ class TestTubes:
                          centers=np.zeros((2, 2)))
         lhs, rhs = kakeya_dual_functional(fam)
         assert lhs > 0 and rhs > 0
+
+    def test_dual_functional_needs_2d_family(self):
+        fam = TubeFamily(delta=0.125, directions=np.eye(3),
+                         centers=np.zeros((3, 3)))
+        with pytest.raises(InvalidArgumentError):
+            kakeya_dual_functional(fam)
