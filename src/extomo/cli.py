@@ -29,11 +29,11 @@ import numpy as np
 from . import __version__
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
                      PreconditionError)
-from .extension import extend, sigma_hat_closed_form
+from .extension import extend, extend_plane_field, sigma_hat_closed_form
 from .reports import ExperimentReport, experiment_rng
 from .sphere import make_circle_grid, make_sphere_grid, preset_density
 from .spherical import funk_At
-from .tomography import Hyperplane, radon, xray_profile
+from .tomography import xray_profile
 from . import experiments as X
 
 
@@ -321,13 +321,10 @@ def _run_transform(p, seed):
                               params={"n": n, "transform": kind,
                                       "preset": p.get("preset", "cap")})
 
-    def field_fn(pts):
-        return np.abs(extend(g, pts)) ** 2
-
     if kind == "xray":
         def line_field(pts):
             # one extend call per line: a uniform line takes the NUFFT
-            return np.concatenate([field_fn(x) for x in
+            return np.concatenate([np.abs(extend(g, x)) ** 2 for x in
                                    np.split(pts, len(pts) // 1024)])
 
         prof = xray_profile(line_field, omega, half_width=p.get("half_width", 8.0),
@@ -341,10 +338,9 @@ def _run_transform(p, seed):
     elif kind == "radon":
         t_grid = np.arange(-p.get("t_extent", 2.0), p.get("t_extent", 2.0)
                            + 1e-12, p.get("t_pitch", 0.25))
-        vals = [radon(field_fn, Hyperplane(omega, float(t)),
-                      truncation=p.get("truncation", 40.0),
-                      n_samples_per_axis=p.get("samples", 1024))
-                for t in t_grid]
+        vals = [extend_plane_field(g, omega, float(t), p.get("truncation", 40.0),
+                                   p.get("samples", 1024))
+                .integrate(lambda v: np.abs(v) ** 2) for t in t_grid]
         report.raw_data["abscissa"] = [float(t) for t in t_grid]
         report.raw_data["ordinate"] = [float(v) for v in vals]
         report.record("max_value", float(np.max(vals)))

@@ -12,10 +12,11 @@ from scipy.integrate import quad
 
 from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend
-from ..reports import ExperimentReport, GrowthFit, fit_log_growth
+from ..reports import ExperimentReport, fit_log_growth
 from ..sphere import (CapSpec, Density, knapp_cap_density, make_circle_grid,
                       make_sphere_grid, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
+from ..tomography import Hyperplane, radon
 
 __all__ = [
     "t_delta_log_law",
@@ -55,16 +56,12 @@ def t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
 def _lattice_sup_line_integral(field, omega, R, t_lattice):
     """max over the offset lattice of the field's line integral inside B_R,
     each line sampled at spacing 0.25."""
-    perp = np.array([-omega[1], omega[0]])
+    def inside(pts):
+        return np.where(np.linalg.norm(pts, axis=1) <= R, field(pts), 0.0)
+
     n_s = int(2 * R / 0.25) + 1
-    s = np.linspace(-R, R, n_s)
-    best = 0.0
-    for t in t_lattice:
-        pts = t * omega[None, :] + s[:, None] * perp[None, :]
-        vals = field(pts)
-        vals = np.where(np.linalg.norm(pts, axis=1) <= R, vals, 0.0)
-        best = max(best, float(np.trapezoid(vals, dx=s[1] - s[0])))
-    return best
+    return max([0.0] + [radon(inside, Hyperplane(omega, t), R, n_s)
+                        for t in t_lattice])
 
 
 def radon_growth_sweep(g, q, R_list, closed_form=None):

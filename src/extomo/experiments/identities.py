@@ -16,7 +16,7 @@ from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
 from ..sphere import (_as_unit, bump_cap_density, make_sphere_grid,
                       preset_density)
-from ..tomography import Hyperplane, Line, radon, xray
+from ..tomography import Line, xray
 
 __all__ = [
     "verify_xray_identity",
@@ -114,9 +114,9 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     is modest; the integrand concentrates at small radius anyway because
     the stationary direction leaves the cap support.
 
-    Each offset costs one type-1 NUFFT: a 2-D one over the n_samples^2
-    hyperplane patch for n = 3 (``extend_plane_field``), a 1-D one over
-    the line for n = 2 (``extend`` on uniform samples).
+    Each offset costs one type-1 NUFFT over the hyperplane patch of
+    ``extend_plane_field``: n_samples^2 points for n = 3, n_samples for
+    n = 2, where the hyperplane is a line.
     """
     omega = _as_unit(omega, "omega")
     n = omega.size
@@ -131,10 +131,6 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
 
     rhs = (2.0 * np.pi) ** (n - 1) * T_delta(
         g.map(lambda v: np.abs(v) ** 2), omega, 0.0, support_margin=margin / 2)
-
-    def field(pts):
-        return np.abs(extend(g, pts)) ** 2
-
     report = ExperimentReport(name="radon_identity",
                               params={"t_list": list(t_list), "margin": margin,
                                       "truncation": truncation,
@@ -143,11 +139,8 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     report.record("rhs", rhs)
     lhs_vals = []
     for t in t_list:
-        if n == 2:
-            lhs = radon(field, Hyperplane(omega, t), truncation, n_samples)
-        else:
-            plane = extend_plane_field(g, omega, t, truncation, n_samples)
-            lhs = float(plane.integrate(lambda v: np.abs(v) ** 2))
+        plane = extend_plane_field(g, omega, t, truncation, n_samples)
+        lhs = float(plane.integrate(lambda v: np.abs(v) ** 2))
         lhs_vals.append(lhs)
         if rhs == 0.0:
             report.check(f"abs_err_t{t:g}", abs(lhs), hi=1e-10)
@@ -186,21 +179,12 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
         rhs = (2.0 * np.pi) ** (n - 1) * t_delta_via_slices(
             g.map(lambda v: np.abs(v) ** 2), omega, 1.0 / R, n_u=200,
             n_slice=n_slice)
-
-        def field(pts):
-            inside = np.linalg.norm(pts, axis=1) <= R
-            return np.abs(extend(g, pts)) ** 2 * inside
-
         n_samples = int(2 * R / 0.25) + 1
         best = 0.0
         for t in t_samples:
-            if n == 2:
-                lhs = radon(field, Hyperplane(omega, t), float(R), n_samples)
-            else:
-                plane = extend_plane_field(g, omega, t, float(R), n_samples)
-                uu, vv = plane.meshgrid()
-                disc = uu ** 2 + vv ** 2 + t * t <= R * R
-                lhs = float(plane.integrate(lambda v: np.abs(v) ** 2 * disc))
+            plane = extend_plane_field(g, omega, t, float(R), n_samples)
+            disc = sum(u ** 2 for u in plane.meshgrid()) + t * t <= R * R
+            lhs = float(plane.integrate(lambda v: np.abs(v) ** 2 * disc))
             best = max(best, lhs / rhs if rhs > 0 else np.inf)
         ratios.append(best)
     report.raw_data["R"] = list(R_list)

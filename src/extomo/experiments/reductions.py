@@ -11,9 +11,9 @@ boxes against sphere Lorentz norms of the density.
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..extension import _nufft1, extend
+from ..extension import _extend_square, extend, slice_circle_points
 from ..reports import ExperimentReport, experiment_rng
-from ..sphere import _as_unit, make_sphere_grid, preset_density
+from ..sphere import make_sphere_grid, preset_density
 from ..spherical import BA_t
 from ..tomography import SampledField, frac_laplacian, lorentz_norm, perp_basis
 from ..experiments.identities import slice_square_integral
@@ -124,23 +124,13 @@ def _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice):
     whole n_v x n_v offset grid is one type-1 NUFFT of the slice circle's
     n_slice points (error below 1e-12 times their sum |g| 2 pi / n_slice).
     """
-    omega = _as_unit(omega, "omega")
     basis = perp_basis(omega)
-    du = 2.0 * half_width / (n_v - 1)
-    # offsets u_a = mid + (a - n_v // 2) du, the NUFFT's mode numbering
-    center = (-half_width + (n_v // 2) * du) * (basis[0] + basis[1])
-    phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
     prof = np.zeros((n_v, n_v))
-    for t, wt in zip(t_nodes, t_weights):
-        rho = np.sqrt(1.0 - t * t)
-        pts = (t * omega[None, :]
-               + rho * (np.cos(phi)[:, None] * basis[0][None, :]
-                        + np.sin(phi)[:, None] * basis[1][None, :]))
-        coeff = (g.evaluate(pts) * (2.0 * np.pi / n_slice)
-                 * np.exp(1j * (pts @ center)))
-        S = _nufft1(coeff, [pts @ (du * basis[0]), pts @ (du * basis[1])], n_v)
-        prof += wt * np.abs(S) ** 2
+    for pts, wt in zip(slice_circle_points(omega, t_nodes, n_slice), t_weights):
+        S = _extend_square(pts, g.evaluate(pts) * (2.0 * np.pi / n_slice),
+                           np.zeros(3), basis, half_width, n_v)
+        prof += wt * np.abs(S.values) ** 2
     return SampledField(half_width, 2.0 * np.pi * prof)
 
 

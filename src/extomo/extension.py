@@ -6,13 +6,14 @@ slice measures delta(xi.omega - t) dsigma, which carry a coarea weight
 (1 - t^2)^(-1/2) per unit arc length.
 
 The quadrature sum over nodes is evaluated one of two ways, chosen by the
-shape of the point set alone.  Every uniform grid goes through one type-1
-non-uniform FFT (Gaussian gridding at 2x oversampling, Greengard & Lee
-2004) whose error is below 1e-12 times sum |w_j g_j|: uniformly spaced
-collinear points (the samples of a line, as ``xray`` and the n = 2
-``radon`` pass them), the n = 2 boxes of ``extend_field`` and the uniform
-hyperplane patches of ``extend_plane_field``; those two grids come back
-as a ``tomography.SampledField``.  Every other point set takes the direct
+shape of the point set alone; either way the nodes where w_j g_j = 0 are
+dropped first.  Every uniform grid goes through one type-1 non-uniform
+FFT (Gaussian gridding at 2x oversampling, Greengard & Lee 2004) whose
+error is below 1e-12 times sum |w_j g_j|: uniformly spaced collinear
+points (the samples of a line, as ``xray`` passes them), the n = 2 boxes
+of ``extend_field`` and the uniform hyperplane patches of
+``extend_plane_field`` (n = 2 and 3); those two grids come back as a
+``tomography.SampledField``.  Every other point set takes the direct
 sum, one exp(i x.xi) per (point, node) pair.
 """
 
@@ -105,15 +106,21 @@ def _nufft1(coeff, thetas, n_modes):
     return modes * functools.reduce(np.multiply.outer, [deconv] * len(axes))
 
 
+def _nonzero(nodes, coeff):
+    """The nodes and coefficients where coeff != 0, not copied when all are."""
+    keep = coeff != 0
+    return (nodes, coeff) if keep.all() else (nodes[keep], coeff[keep])
+
+
 def _direct_sum(g, pts):
-    """sum_j w_j g_j exp(i x.xi_j) at each row of pts, one phase per pair."""
-    coeff = g.grid.weights * g.values
+    """sum_j w_j g_j exp(i x.xi_j) at each row of pts, one phase per w_j g_j != 0."""
+    nodes, coeff = _nonzero(g.grid.nodes, g.grid.weights * g.values)
     # keep each phase matrix block at ~256 MB
-    chunk = max(1, 2 ** 24 // g.grid.node_count)
+    chunk = max(1, 2 ** 24 // max(coeff.size, 1))
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
-        out[start:start + chunk] = np.exp(1j * (block @ g.grid.nodes.T)) @ coeff
+        out[start:start + chunk] = np.exp(1j * (block @ nodes.T)) @ coeff
     return out
 
 
@@ -131,10 +138,13 @@ def _uniform_step(pts):
     return d if np.abs(pts - model).max() <= tol else None
 
 
-def _nufft_extend(g, center, steps, n_modes):
-    """Extension at center + sum_d (a_d - n_modes // 2) steps[d] on a uniform grid."""
-    nodes = g.grid.nodes
-    coeff = g.grid.weights * g.values * np.exp(1j * (nodes @ center))
+def _nufft_extend(nodes, coeff, center, steps, n_modes):
+    """sum_j coeff_j exp(i x.xi_j) over coeff_j != 0, on the uniform grid
+    x = center + sum_d (a_d - n_modes // 2) steps[d]."""
+    nodes, coeff = _nonzero(nodes, coeff)
+    if coeff.size == 0:
+        return np.zeros((n_modes,) * len(steps), dtype=complex)
+    coeff = coeff * np.exp(1j * (nodes @ center))
     return _nufft1(coeff, [nodes @ step for step in steps], n_modes)
 
 
@@ -158,6 +168,8 @@ def extend(g, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
+    if pts.shape[-1] != g.grid.dim:
+        raise InvalidArgumentError(f"points must have dimension {g.grid.dim}")
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("evaluation points must be finite")
     d = _uniform_step(pts)
@@ -165,18 +177,19 @@ def extend(g, x):
         out = _direct_sum(g, pts)
     else:
         M = pts.shape[0]
-        out = _nufft_extend(g, pts[0] + (M // 2) * d, [d], M)
+        out = _nufft_extend(g.grid.nodes, g.grid.weights * g.values,
+                            pts[0] + (M // 2) * d, [d], M)
     return out[0] if single else out
 
 
-def _extend_square(g, center, axes, half_width, points_per_axis):
-    """One NUFFT: the extension at center + u_a axes[0] + u_b axes[1], u in [-L, L]."""
+def _extend_square(nodes, coeff, center, axes, half_width, points_per_axis):
+    """One NUFFT: sum_j coeff_j exp(i x.xi_j) at center + sum_d u_d axes[d], u in [-L, L]."""
     M = int(points_per_axis)
     if M < 2:
         raise InvalidArgumentError("points_per_axis must be >= 2")
     du = 2.0 * half_width / (M - 1)
     mid = -half_width + (M // 2) * du
-    values = _nufft_extend(g, center + mid * (axes[0] + axes[1]),
+    values = _nufft_extend(nodes, coeff, center + mid * np.sum(axes, axis=0),
                            [du * e for e in axes], M)
     return SampledField(float(half_width), values)
 
@@ -190,21 +203,25 @@ def extend_field(g, half_width, points_per_axis):
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("extend_field requires dim 2")
-    return _extend_square(g, np.zeros(2), np.eye(2), half_width, points_per_axis)
+    return _extend_square(g.grid.nodes, g.grid.weights * g.values, np.zeros(2),
+                          np.eye(2), half_width, points_per_axis)
 
 
 def extend_plane_field(g, omega, t, truncation, n_samples):
     """Extension values on a uniform patch of the hyperplane {x.omega = t}.
 
-    n = 3 only.  The patch is a 2-D uniform grid, evaluated by a type-1
-    NUFFT (error below 1e-12 times sum |w_j g_j|).  Returns a SampledField
-    over [-truncation, truncation]^2 whose values[a, b] sits at
-    t omega + axis[a] e1 + axis[b] e2, with (e1, e2) = ``perp_basis(omega)``.
+    n = 2 or 3, the dimension of the density's grid.  The patch is a
+    uniform grid of dimension n - 1 (a line for n = 2), evaluated by one
+    type-1 NUFFT (error below 1e-12 times sum |w_j g_j|).  Returns a
+    SampledField over [-truncation, truncation]^(n-1) whose values[a, ...]
+    sits at t omega + axis[a] e1 + ..., with (e1, ...) = ``perp_basis(omega)``;
+    ``integrate`` of it is the truncated hyperplane integral.
     """
     omega = _as_unit(omega, "omega")
-    if omega.size != 3:
-        raise InvalidArgumentError("extend_plane_field requires dim 3")
-    return _extend_square(g, t * omega, perp_basis(omega), truncation, n_samples)
+    if omega.size != g.grid.dim:
+        raise InvalidArgumentError(f"omega must have dimension {g.grid.dim}")
+    return _extend_square(g.grid.nodes, g.grid.weights * g.values, t * omega,
+                          perp_basis(omega), truncation, n_samples)
 
 
 def slice_circle_points(omega, t, n_slice):

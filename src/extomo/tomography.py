@@ -170,19 +170,18 @@ def xray(f, line, truncation, n_samples=1024):
 
 
 def radon(f, plane, truncation, n_samples_per_axis=1024):
-    """Radon transform: integral of f over the hyperplane {x.omega = t}."""
-    if n_samples_per_axis < 16:
-        raise InvalidArgumentError("n_samples_per_axis must be >= 16")
+    """Radon transform for n = 2: the ``xray`` of f along the line
+    {x.omega = t}, in the direction ``perp_basis(omega)[0]``.
+
+    A hyperplane integral of |g dsigma hat|^2, for n = 2 or 3, is instead
+    ``extension.extend_plane_field(...).integrate``: one NUFFT per plane.
+    """
     omega, t = plane.omega, plane.t
-    basis = perp_basis(omega)
-    if omega.size == 2:
-        return xray(f, Line(basis[0], t * omega), truncation, n_samples_per_axis)
-    # one field call per row: each row is a uniform line
-    u = np.linspace(-truncation, truncation, n_samples_per_axis)
-    base = t * omega
-    rows = [np.asarray(f(base[None, :] + u1 * basis[0][None, :]
-                         + u[:, None] * basis[1][None, :])).real for u1 in u]
-    return float(SampledField(truncation, np.array(rows)).integrate())
+    if omega.size != 2:
+        raise InvalidArgumentError("radon is the n = 2 line sweep; integrate an "
+                                   "extend_plane_field patch for n = 3")
+    return xray(f, Line(perp_basis(omega)[0], t * omega), truncation,
+                n_samples_per_axis)
 
 
 def xray_profile(f, omega, half_width, samples_per_axis, truncation,

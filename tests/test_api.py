@@ -160,6 +160,25 @@ def _calls(node, scope=()):
         yield from _calls(child, scope)
 
 
+def _callers(name):
+    """(module, innermost enclosing def) of each call of ``name`` in the
+    package."""
+    found = set()
+    for path in (ROOT / "src" / "extomo").rglob("*.py"):
+        for call, scope in _calls(ast.parse(path.read_text(), str(path))):
+            if name in (getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                found.add((path.stem, scope[-1].name if scope else None))
+    return found
+
+
+def test_nufft_is_called_only_inside_the_extension_layer():
+    # a uniform grid of the extension reaches the NUFFT through
+    # _extend_square or extend; no experiment builds its phases by hand
+    assert _callers("_nufft1") == {("extension", "_nufft_extend")}
+    assert {module for module, _ in _callers("_nufft_extend")} == {"extension"}
+
+
 def _top_level_defs(tree):
     """(qualified name, def, is method) of each top-level function and
     method."""

@@ -3,9 +3,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from extomo import cli
 from extomo.cli import run
+from extomo.extension import extend
+from extomo.sphere import perp_basis
+from extomo.tomography import SampledField
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +131,39 @@ class TestDeterminism:
         a = json.loads((in_tmp / "a" / "report.json").read_text())
         b = json.loads((in_tmp / "b" / "report.json").read_text())
         assert a["metrics"]["khintchine_ratio"] != b["metrics"]["khintchine_ratio"]
+
+
+class TestTransformDump:
+    def test_radon_n3_is_one_plane_field_per_offset(self, in_tmp, monkeypatch,
+                                                    capsys):
+        extend_plane_field = cli.extend_plane_field
+        planes, points = [], []
+
+        def counted_plane(*args):
+            planes.append(args)
+            return extend_plane_field(*args)
+
+        def counted_extend(g, x):
+            points.append(x)
+            return extend(g, x)
+
+        monkeypatch.setattr(cli, "extend_plane_field", counted_plane)
+        monkeypatch.setattr(cli, "extend", counted_extend)
+        out = in_tmp / "radon3"
+        assert run(["transform", "dump", "--transform", "radon", "--n", "3",
+                    "--samples", "64", "--t_extent", "0.5",
+                    "--out", str(out)]) == 0
+        raw = json.loads((out / "report.json").read_text())["raw_data"]
+        assert [args[2] for args in planes] == raw["abscissa"]
+        assert len(planes) == 5 and not points
+        # reference: each row of the patch as its own uniform line
+        for (g, omega, t, L, M), val in zip(planes, raw["ordinate"]):
+            u = np.linspace(-L, L, M)
+            e1, e2 = perp_basis(omega)
+            rows = [np.abs(extend(g, t * omega + u1 * e1 + u[:, None] * e2)) ** 2
+                    for u1 in u]
+            ref = SampledField(L, np.array(rows)).integrate()
+            assert val == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestPlotData:

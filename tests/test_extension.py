@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profile
-from extomo.extension import (SliceMeasureSpec, _direct_sum, _uniform_step,
-                              extend, extend_field, extend_plane_field,
-                              extend_slice, sigma_hat_closed_form)
+from extomo.extension import (SliceMeasureSpec, _direct_sum, _nufft1,
+                              _uniform_step, extend, extend_field,
+                              extend_plane_field, extend_slice,
+                              sigma_hat_closed_form)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
 from extomo.tomography import SampledField
@@ -60,6 +61,10 @@ class TestExtend:
         with pytest.raises(InvalidArgumentError):
             extend(one_sphere, np.array([np.nan, 0.0, 0.0]))
 
+    def test_point_dimension_must_match_grid(self, one_sphere):
+        with pytest.raises(InvalidArgumentError):
+            extend(one_sphere, np.zeros((4, 2)))
+
     def test_chunked_matches_unchunked(self, rng):
         # 910 rows per phase block on this grid: several blocks and a
         # partial last one, each row against its own one-point sum
@@ -75,6 +80,11 @@ class TestExtendField:
         with pytest.raises(InvalidArgumentError):
             extend_field(one_sphere, 3.0, 9)
 
+    def test_plane_omega_dimension_must_match_grid(self):
+        g = Density(make_circle_grid(16), np.ones(16))
+        with pytest.raises(InvalidArgumentError):
+            extend_plane_field(g, np.array([0.0, 0.0, 1.0]), 0.5, 4.0, 9)
+
     def test_plane_field_matches_pointwise(self, rng):
         grid = make_sphere_grid(8, 16)
         g = Density(grid, rng.standard_normal(grid.node_count))
@@ -87,10 +97,11 @@ class TestExtendField:
                                                    rel=1e-12)
 
     def test_plane_field_axis(self, rng):
-        g = _random_density(3, rng)
-        plane = extend_plane_field(g, np.array([0.6, 0.0, 0.8]), 0.3, 7.5, 12)
-        assert plane.dim == 2 and plane.points_per_axis == 12
-        np.testing.assert_array_equal(plane.axis(), np.linspace(-7.5, 7.5, 12))
+        for omega in (np.array([0.6, 0.8]), np.array([0.6, 0.0, 0.8])):
+            g = _random_density(omega.size, rng)
+            plane = extend_plane_field(g, omega, 0.3, 7.5, 12)
+            assert plane.dim == omega.size - 1 and plane.points_per_axis == 12
+            np.testing.assert_array_equal(plane.axis(), np.linspace(-7.5, 7.5, 12))
 
 
 def _random_density(n, rng):
@@ -162,21 +173,66 @@ class TestFastPaths:
         assert np.array_equal(extend(g, pts), _direct_sum(g, pts))
 
     @settings(max_examples=30, deadline=None)
-    @given(n_samples=st.integers(2, 64), truncation=st.floats(0.5, 80.0),
-           t=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n_samples=5, truncation=2.0, t=0.7, seed=0)
-    @example(n_samples=6, truncation=60.0, t=0.5, seed=1)
-    def test_plane_field_matches_extend(self, n_samples, truncation, t, seed):
+    @given(n=st.sampled_from([2, 3]), n_samples=st.integers(2, 64),
+           truncation=st.floats(0.5, 80.0), t=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=3, n_samples=5, truncation=2.0, t=0.7, seed=0)
+    @example(n=3, n_samples=6, truncation=60.0, t=0.5, seed=1)
+    @example(n=2, n_samples=64, truncation=80.0, t=-3.0, seed=2)
+    @example(n=2, n_samples=2, truncation=0.5, t=0.0, seed=3)
+    def test_plane_field_matches_extend(self, n, n_samples, truncation, t, seed):
         rng = np.random.default_rng(seed)
-        g = _random_density(3, rng)
-        omega = rng.standard_normal(3)
+        g = _random_density(n, rng)
+        omega = rng.standard_normal(n)
         omega /= np.linalg.norm(omega)
         plane = extend_plane_field(g, omega, t, truncation, n_samples)
-        e1, e2 = perp_basis(omega)
-        a, b = plane.meshgrid()
-        pts = t * omega + a.reshape(-1, 1) * e1 + b.reshape(-1, 1) * e2
-        ref = extend(g, pts).reshape(n_samples, n_samples)
+        assert plane.dim == n - 1
+        pts = t * omega + sum(u.reshape(-1, 1) * e for u, e in
+                              zip(plane.meshgrid(), perp_basis(omega)))
+        ref = _direct_sum(g, pts).reshape(plane.values.shape)
         assert np.abs(plane.values - ref).max() <= 1e-11 * _mass(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["points", "line", "plane", "box"]),
+           n=st.sampled_from([2, 3]), zero_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="points", n=3, zero_frac=1.0, seed=0)
+    @example(kind="line", n=2, zero_frac=1.0, seed=1)
+    @example(kind="plane", n=3, zero_frac=1.0, seed=2)
+    @example(kind="plane", n=2, zero_frac=0.9, seed=3)
+    @example(kind="box", n=2, zero_frac=1.0, seed=4)
+    def test_zero_nodes_skipped(self, kind, n, zero_frac, seed):
+        # the sums over the nodes with w g != 0 against the same sums over
+        # every node, zeros included, for a random zero pattern
+        rng = np.random.default_rng(seed)
+        n = 2 if kind == "box" else n
+        g = _random_density(n, rng)
+        g = Density(g.grid, np.where(rng.random(g.grid.node_count) < zero_frac,
+                                     0.0, g.values))
+        nodes, coeff = g.grid.nodes, g.grid.weights * g.values
+        if kind == "points":
+            pts = rng.uniform(-30.0, 30.0, (50, n))
+            got, full = extend(g, pts), np.exp(1j * pts @ nodes.T) @ coeff
+        elif kind == "line":
+            pts = _uniform_line(n, 40, 0.7, 20.0, rng)
+            d = _uniform_step(pts)
+            got = extend(g, pts)
+            full = _nufft1(coeff * np.exp(1j * nodes @ (pts[0] + 20 * d)),
+                           [nodes @ d], 40)
+        else:
+            omega = rng.standard_normal(n)
+            omega /= np.linalg.norm(omega)
+            if kind == "plane":
+                field = extend_plane_field(g, omega, 0.4, 9.0, 17)
+                axes, base = perp_basis(omega), 0.4 * omega
+            else:
+                field = extend_field(g, 9.0, 17)
+                axes, base = np.eye(2), np.zeros(2)
+            center = base + field.axis()[8] * axes.sum(axis=0)
+            got = field.values
+            full = _nufft1(coeff * np.exp(1j * nodes @ center),
+                           [nodes @ (field.spacing * e) for e in axes], 17)
+        assert np.abs(got - full).max() <= 1e-13 * _mass(g)
 
 
     @settings(max_examples=30, deadline=None)

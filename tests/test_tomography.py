@@ -70,13 +70,11 @@ class TestXray:
 
 
 class TestRadon:
-    def test_gaussian_plane_integral_3d(self):
-        def f(pts):
-            pts = np.atleast_2d(pts)
-            return np.exp(-np.sum(pts ** 2, axis=1))
+    def test_radon_3d_rejected(self):
+        # n = 3 hyperplane integrals are extend_plane_field patches
         omega = np.array([0.0, 0.0, 1.0])
-        val = radon(f, Hyperplane(omega, 0.5), 8.0, 321)
-        assert val == pytest.approx(np.pi * np.exp(-0.25), rel=1e-6)
+        with pytest.raises(InvalidArgumentError, match="extend_plane_field"):
+            radon(gaussian_2d, Hyperplane(omega, 0.5), 8.0, 321)
 
     def test_radon_2d_reduces_to_xray(self):
         omega = np.array([0.6, 0.8])
