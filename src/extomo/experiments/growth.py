@@ -60,6 +60,9 @@ def _lattice_sup_line_integral(field, omega, R, t_lattice):
         return np.where(np.linalg.norm(pts, axis=1) <= R, field(pts), 0.0)
 
     n_s = int(2 * R / 0.25) + 1
+    if n_s < 16:
+        raise InvalidArgumentError(f"R = {R} < 1.875 gives a line of B_R "
+                                   "fewer than 16 samples at spacing 0.25")
     return max([0.0] + [radon(inside, Hyperplane(omega, t), R, n_s)
                         for t in t_lattice])
 

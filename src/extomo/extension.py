@@ -107,9 +107,9 @@ def _nufft1(coeff, thetas, n_modes):
 
 
 def _nonzero(nodes, coeff):
-    """The nodes and coefficients where coeff != 0, not copied when all are."""
+    """The nodes and coefficients where coeff != 0."""
     keep = coeff != 0
-    return (nodes, coeff) if keep.all() else (nodes[keep], coeff[keep])
+    return nodes[keep], coeff[keep]
 
 
 def _direct_sum(g, pts):
@@ -168,10 +168,9 @@ def extend(g, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if pts.shape[-1] != g.grid.dim:
-        raise InvalidArgumentError(f"points must have dimension {g.grid.dim}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidArgumentError("evaluation points must be finite")
+    if pts.shape[-1] != g.grid.dim or not np.all(np.isfinite(pts)):
+        raise InvalidArgumentError("evaluation points must be finite and of "
+                                   f"dimension {g.grid.dim}")
     d = _uniform_step(pts)
     if d is None:
         out = _direct_sum(g, pts)

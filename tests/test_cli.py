@@ -65,6 +65,12 @@ class TestUsage:
         assert run(["transform", "dump", "--transform", "funk",
                     "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["radon-growth", "outside-range"])
+    def test_line_sweep_needs_R_at_least_1875(self, sweep, capsys):
+        # a line of B_R at spacing 0.25 has int(8 R) + 1 < 16 samples
+        assert run(["sweep", sweep, "--R_list", "1.5,"]) == 2
+        assert "R = 1.5" in capsys.readouterr().err
+
 
 class TestRunDirectory:
     def test_sweep_writes_artifacts(self, in_tmp, capsys):
