@@ -126,12 +126,17 @@ def _default_grid(n, fine=False):
     return make_sphere_grid(*((96, 192) if fine else (24, 48)))
 
 
-def _fit_report(name, fit, abscissa_label, params, checks=()):
-    """Wrap a GrowthFit into an ExperimentReport with plot-ready raw data."""
-    report = ExperimentReport(name=name, params=params)
+def _plot_columns(report, fit):
+    """Put a GrowthFit's abscissa, ordinate and fit_value columns in raw data."""
     report.raw_data["abscissa"] = [float(v) for v in fit.abscissae]
     report.raw_data["ordinate"] = [float(v) for v in fit.ordinates]
     report.raw_data["fit_value"] = [float(v) for v in fit.predicted()]
+    return report
+
+
+def _fit_report(name, fit, abscissa_label, params, checks=()):
+    """Wrap a GrowthFit into an ExperimentReport with plot-ready raw data."""
+    report = _plot_columns(ExperimentReport(name=name, params=params), fit)
     report.params["abscissa"] = abscissa_label
     report.record("slope", fit.slope)
     report.record("intercept", fit.intercept)
@@ -207,10 +212,7 @@ def _run_reduce_lemma(p, seed):
 def _run_t_delta(p, seed):
     fit, report = X.t_delta_log_law(
         delta_list=tuple(p.get("delta_list", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])))
-    report.raw_data["abscissa"] = [float(v) for v in fit.abscissae]
-    report.raw_data["ordinate"] = [float(v) for v in fit.ordinates]
-    report.raw_data["fit_value"] = [float(v) for v in fit.predicted()]
-    return report
+    return _plot_columns(report, fit)
 
 
 def _run_radon_growth(p, seed):
@@ -262,10 +264,7 @@ def _run_necessity(p, seed):
     report, fit = X.necessity_band_example(
         delta_list=tuple(p.get("delta_list", [0.2, 0.1, 0.05, 0.025])),
         eps=p.get("eps", 0.25), seed=seed)
-    report.raw_data["abscissa"] = [float(v) for v in fit.abscissae]
-    report.raw_data["ordinate"] = [float(v) for v in fit.ordinates]
-    report.raw_data["fit_value"] = [float(v) for v in fit.predicted()]
-    return report
+    return _plot_columns(report, fit)
 
 
 def _run_power_weight(p, seed):
@@ -506,6 +505,9 @@ def _build_config(name, tokens):
         file_params.update(params)
         params = file_params
     params.pop("experiment", None)
+    # a single value given for a list parameter is a one-element list
+    params.update({k: [v] for k, v in params.items()
+                   if k.endswith("_list") and not isinstance(v, list)})
     seed = int(params.pop("seed", 0))
     outdir = params.pop("out", None)
     overrides = {}

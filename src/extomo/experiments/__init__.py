@@ -1,8 +1,7 @@
 """Named, reproducible experiments; each returns an ExperimentReport or GrowthFit."""
 
 from .identities import (verify_xray_identity, verify_radon_identity,
-                         verify_mollified_radon, sharp_constant_S2,
-                         slice_square_integral)
+                         verify_mollified_radon, sharp_constant_S2)
 from .growth import (t_delta_log_law, radon_growth_sweep,
                      radon_outside_range_probe, knapp_radon_lower_bounds,
                      xray_multiscale_lower_bound, bt_bounds_sweep,
@@ -20,7 +19,6 @@ __all__ = [
     "verify_radon_identity",
     "verify_mollified_radon",
     "sharp_constant_S2",
-    "slice_square_integral",
     "t_delta_log_law",
     "radon_growth_sweep",
     "radon_outside_range_probe",

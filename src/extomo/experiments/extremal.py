@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, NonFiniteObjectiveError
 from ..reports import ExperimentReport, experiment_rng
-from ..extension import slice_circle_points
+from ..extension import slice_rule
 from ..sphere import (Density, _trapezoid_weights, make_circle_grid,
                       make_sphere_grid)
 from ..spherical import t_delta_via_slices
@@ -57,9 +57,8 @@ def _xray_sup_functional(grid, q):
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
     rows = []
     for om in omega_grid.nodes:
-        for pts in slice_circle_points(om, t_nodes, n_slice):
-            rows.append(_nearest_node_matrix(
-                grid, pts, np.full(n_slice, 2.0 * np.pi / n_slice))[0])
+        for pts, w in zip(*slice_rule(om, t_nodes, n_slice)):
+            rows.append(_nearest_node_matrix(grid, pts, np.full(n_slice, w))[0])
     A = np.array(rows).reshape(omega_grid.node_count, n_t, grid.node_count)
     p_norm_weights = grid.weights
 

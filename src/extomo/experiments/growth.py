@@ -17,6 +17,7 @@ from ..sphere import (CapSpec, Density, knapp_cap_density, make_circle_grid,
                       make_sphere_grid, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
 from ..tomography import Hyperplane, radon
+from .reductions import _ba_square_integral
 
 __all__ = [
     "t_delta_log_law",
@@ -344,25 +345,16 @@ def necessity_band_example(delta_list=(0.2, 0.1, 0.05, 0.025), eps=0.25,
                                       "eps": eps})
     grid = make_sphere_grid(32, 64)
     omega_grid = make_sphere_grid(16, 32)
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(n_s)
-    s_nodes = 0.5 * (s_nodes + 1.0)
-    s_weights = 0.5 * s_weights
-    t_nodes = s_nodes ** (1.0 / (2.0 * eps))
-
     q_values = []
     plateau = []
     for delta in delta_list:
         g = _polar_band_density(grid, delta)
+        t_integral = _ba_square_integral(g, eps, n_s, n_slice)
         # the zonal symmetry of g makes BA_t(g,g)(u) a function of |u_3|
         # alone: tabulate the t-integral on a polar-angle mesh once
         theta = np.linspace(0.0, np.pi / 2, n_u)
-        F = np.empty(n_u)
-        for i, th in enumerate(theta):
-            u_vec = np.array([np.sin(th), 0.0, np.cos(th)])
-            ba = BA_t(g, g, u_vec, t_nodes, n_slice=n_slice)
-            # as abs() of each complex; np.abs of an array can differ by an ulp
-            ba = np.hypot(ba.real, ba.imag)
-            F[i] = np.add.reduce(s_weights * ba ** 2) / (2.0 * eps)
+        F = np.array([t_integral(np.array([np.sin(th), 0.0, np.cos(th)]))
+                      for th in theta])
         plateau.append(abs(BA_t(g, g, np.array([1.0, 0.0, 0.0]), delta / 2,
                                 n_slice=n_slice)))
 

@@ -10,8 +10,7 @@ entirely on the sphere through slice transforms.
 import numpy as np
 
 from ..errors import PreconditionError
-from ..extension import (SliceMeasureSpec, extend, extend_plane_field,
-                         extend_slice)
+from ..extension import extend, extend_plane_field
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
 from ..sphere import (_as_unit, bump_cap_density, make_sphere_grid,
@@ -23,22 +22,15 @@ __all__ = [
     "verify_radon_identity",
     "verify_mollified_radon",
     "sharp_constant_S2",
-    "slice_square_integral",
 ]
 
 
-def slice_square_integral(g, omega, v, n_t=64, n_slice=256):
-    """2 pi * integral over t in (-1,1) of |slice-measure extension at v|^2.
-
-    This is the sphere-side expression for the X-ray transform of
-    |g dsigma hat|^2 along the line with direction omega and offset v.
-    """
-    omega = _as_unit(omega, "omega")
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
-    ext = extend_slice(g, SliceMeasureSpec(omega, t_nodes), v, n_slice=n_slice)
-    # as abs() of each complex; np.abs of an array can differ by an ulp
-    vals = np.hypot(ext.real, ext.imag) ** 2
-    return 2.0 * np.pi * float(np.add.reduce(t_weights * vals))
+def _require_resolved(grid, radius):
+    """Reject a grid that cannot resolve e^{i x.xi} out to |x| = radius."""
+    if grid.exactness_degree < radius:
+        raise PreconditionError(
+            f"grid of exactness degree {grid.exactness_degree} cannot resolve "
+            f"phases out to the radius {radius:g}; refine the grid")
 
 
 def verify_xray_identity(g, omega, truncation=120.0, n_samples=2401,
@@ -62,17 +54,13 @@ def verify_xray_identity(g, omega, truncation=120.0, n_samples=2401,
     omega = _as_unit(omega, "omega")
     n = omega.size
     origin = np.zeros(n)
-    if g.grid.exactness_degree < truncation:
-        raise PreconditionError(
-            f"grid of exactness degree {g.grid.exactness_degree} cannot resolve "
-            f"phases out to the line radius {truncation:g}; refine the grid or "
-            "lower the truncation")
+    _require_resolved(g.grid, truncation)
 
     def field(pts):
         return np.abs(extend(g, pts)) ** 2
 
     lhs = xray(field, Line(omega, origin), truncation, n_samples)
-    rhs = slice_square_integral(g, omega, origin, n_t=n_t, n_slice=n_slice)
+    rhs = 2.0 * np.pi * S_operator(g, omega, n_t=n_t, n_slice=n_slice) ** 2
 
     report = ExperimentReport(name="xray_identity",
                               params={"truncation": truncation,
@@ -217,8 +205,8 @@ def sharp_constant_S2(truncation=2000.0, n_t=128, n_slice=256):
     grid = make_sphere_grid(48, 96)
     one = preset_density(grid, "constant", None)
     omega = np.array([0.0, 0.0, 1.0])
-    ratio_slice = slice_square_integral(one, omega, np.zeros(3),
-                                        n_t=n_t, n_slice=n_slice) / norm_sq
+    ratio_slice = (2.0 * np.pi * S_operator(one, omega, n_t=n_t,
+                                            n_slice=n_slice) ** 2 / norm_sq)
 
     cap = bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), 0.5)
     cap_norm_sq = cap.norm(2) ** 2
@@ -228,9 +216,8 @@ def sharp_constant_S2(truncation=2000.0, n_t=128, n_slice=256):
     ratio_cap = 0.0
     for om in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)):
-        val = slice_square_integral(cap, om, np.zeros(3),
-                                    n_t=n_t, n_slice=n_slice) / cap_norm_sq
-        ratio_cap = max(ratio_cap, val)
+        val = 2.0 * np.pi * S_operator(cap, om, n_t=n_t, n_slice=n_slice) ** 2
+        ratio_cap = max(ratio_cap, val / cap_norm_sq)
 
     target = 4.0 * np.pi ** 2
     report = ExperimentReport(name="sharp_constant_S2",

@@ -11,12 +11,12 @@ boxes against sphere Lorentz norms of the density.
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..extension import _extend_square, extend, slice_circle_points
+from ..extension import _extend_square, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng
 from ..sphere import make_sphere_grid, preset_density
-from ..spherical import BA_t
+from ..spherical import BA_t, S_operator
 from ..tomography import SampledField, frac_laplacian, lorentz_norm, perp_basis
-from ..experiments.identities import slice_square_integral
+from .identities import _require_resolved
 
 __all__ = [
     "lemma_X_reduction_check",
@@ -83,8 +83,8 @@ def lemma_X_reduction_check(g, q=1.0):
         raise InvalidArgumentError("n = 3 only")
     omega_grid = make_sphere_grid(12, 24)
     habs = g.map(np.abs)
-    x0_vals = np.array([slice_square_integral(habs, om, np.zeros(3),
-                                              n_t=48, n_slice=256)
+    x0_vals = np.array([2.0 * np.pi * S_operator(habs, om, n_t=48,
+                                                 n_slice=256) ** 2
                         for om in omega_grid.nodes])
     lhs = float(omega_grid.integrate(x0_vals ** q) ** (1.0 / q))
 
@@ -121,17 +121,33 @@ def _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice):
 
     For fixed direction, the line integral is 2 pi times the t-integral
     of squared slice-measure extensions; each slice extension over the
-    whole n_v x n_v offset grid is one type-1 NUFFT of the slice circle's
-    n_slice points (error below 1e-12 times their sum |g| 2 pi / n_slice).
+    whole n_v x n_v offset grid is one type-1 NUFFT of the ``slice_rule``
+    points of the circle (error below 1e-12 times their weighted sum |g|).
     """
     basis = perp_basis(omega)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
     prof = np.zeros((n_v, n_v))
-    for pts, wt in zip(slice_circle_points(omega, t_nodes, n_slice), t_weights):
-        S = _extend_square(pts, g.evaluate(pts) * (2.0 * np.pi / n_slice),
-                           np.zeros(3), basis, half_width, n_v)
+    for pts, w, wt in zip(*slice_rule(omega, t_nodes, n_slice), t_weights):
+        S = _extend_square(pts, g.evaluate(pts) * w, np.zeros(3), basis,
+                           half_width, n_v)
         prof += wt * np.abs(S.values) ** 2
     return SampledField(half_width, 2.0 * np.pi * prof)
+
+
+def _ba_square_integral(g, eps, n_s, n_slice):
+    """u -> integral over t in (0, 1) of |BA_t(g,g)(u)|^2 t^(2 eps - 1), by
+    n_s-point Gauss-Legendre in s = t^(2 eps), which removes the singularity."""
+    s_nodes, s_weights = np.polynomial.legendre.leggauss(n_s)
+    t_nodes = (0.5 * (s_nodes + 1.0)) ** (1.0 / (2.0 * eps))
+    s_weights = 0.5 * s_weights
+
+    def integral(u_vec):
+        ba = BA_t(g, g, u_vec, t_nodes, n_slice=n_slice)
+        # as abs() of each complex; np.abs of an array can differ by an ulp
+        ba = np.hypot(ba.real, ba.imag)
+        return np.add.reduce(s_weights * ba ** 2) / (2.0 * eps)
+
+    return integral
 
 
 def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
@@ -153,21 +169,12 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
         raise InvalidArgumentError("n = 3 only")
     if omega_grid is None:
         omega_grid = make_sphere_grid(8, 16)
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(n_s)
-    s_nodes = 0.5 * (s_nodes + 1.0)
-    s_weights = 0.5 * s_weights
-    t_sub = s_nodes ** (1.0 / (2.0 * eps))
-
     lhs = 0.0
     for om, w in zip(omega_grid.nodes, omega_grid.weights):
         prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
         lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
 
-    def t_integral(u_vec):
-        ba = BA_t(g, g, u_vec, t_sub, n_slice=n_slice)
-        # as abs() of each complex; np.abs of an array can differ by an ulp
-        ba = np.hypot(ba.real, ba.imag)
-        return np.add.reduce(s_weights * ba ** 2) / (2.0 * eps)
+    t_integral = _ba_square_integral(g, eps, n_s, n_slice)
 
     if q == 2.0:
         # interchanging the u and omega integrals collapses the double
@@ -175,15 +182,13 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
         inner = np.array([t_integral(om) for om in omega_grid.nodes])
         rhs = 2.0 * np.pi * float(omega_grid.integrate(inner))
     else:
-        n_u = 32
-        phi = 2.0 * np.pi * np.arange(n_u) / n_u
         rhs = 0.0
         for om, w in zip(omega_grid.nodes, omega_grid.weights):
-            basis = perp_basis(om)
+            # the great circle perp to omega is the t = 0 slice
+            circle, w_u = slice_rule(om, 0.0, 32)
             inner = 0.0
-            for ang in phi:
-                u_vec = np.cos(ang) * basis[0] + np.sin(ang) * basis[1]
-                inner += t_integral(u_vec) * (2.0 * np.pi / n_u)
+            for u_vec in circle:
+                inner += t_integral(u_vec) * w_u
             rhs += w * inner ** (q / 2.0)
 
     report = ExperimentReport(name="reduce_lemma",
@@ -242,8 +247,13 @@ def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), closed_form=None):
     percent.  Points outside the admissible triangle are allowed but
     flagged as probes.
 
-    ``closed_form`` replaces the extension with a radial profile r -> value.
+    ``closed_form`` replaces the extension with a radial profile r -> value;
+    without it the grid must resolve the phases out to the largest radius.
     """
+    if len(L_list) < 2:
+        raise InvalidArgumentError(f"cauchy_flat needs two L, got {L_list}")
+    if closed_form is None:
+        _require_resolved(g.grid, np.arange(0.25, max(L_list), 0.25)[-1])
     n = 3
     gamma = (n + 1.0) / (2.0 * q) - (n - 1.0) / (2.0 * (p / (p - 1.0)))
     _, inside = _triangle_coords(p, q, n)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError
 from ..reports import ExperimentReport, experiment_rng
-from ..tomography import TubeFamily, kakeya_dual_functional
+from ..tomography import TubeFamily, kakeya_dual_functional, perp_basis
 
 __all__ = [
     "tube_direction_angles",
@@ -98,7 +98,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
     c_min = np.inf
     center_err = 0.0
     for u, y, packet in zip(dirs, centers, packets):
-        perp = np.array([-u[1], u[0]])
+        perp = perp_basis(u)[0]
         core = (y[None, None, :] + s_core[:, None, None] * u[None, None, :]
                 + offsets[None, :, None] * perp[None, None, :])
         vals = np.abs(packet(R * core.reshape(-1, 2))) * R ** 0.5

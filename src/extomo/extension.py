@@ -2,8 +2,8 @@
 
 ``extend`` evaluates g |-> integral of exp(i x.xi) g(xi) dsigma(xi) by
 quadrature on the density's grid; ``extend_slice`` does the same for the
-slice measures delta(xi.omega - t) dsigma, which carry a coarea weight
-(1 - t^2)^(-1/2) per unit arc length.
+slice measures delta(xi.omega - t) dsigma, whose one quadrature rule,
+coarea weight included, is ``slice_rule``.
 
 The quadrature sum over nodes is evaluated one of two ways, chosen by the
 shape of the point set alone; either way the nodes where w_j g_j = 0 are
@@ -223,58 +223,43 @@ def extend_plane_field(g, omega, t, truncation, n_samples):
                           perp_basis(omega), truncation, n_samples)
 
 
-def slice_circle_points(omega, t, n_slice):
-    """Equispaced points on the slice circle {xi.omega = t} of S^2.
+def slice_rule(omega, t, n_slice):
+    """Points and weight of the slice measure delta(xi.omega - t) dsigma.
 
-    t may be a 1-D array: the frame is built once and the points come back
-    as an (n_t, n_slice, 3) stack, (n_slice, 3) for a scalar t.
+    n = 3: n_slice equispaced points of the circle in the ``perp_basis``
+    frame, weight 2 pi / n_slice.  n = 2: t omega + root e1, then
+    t omega - root e1, root = (1 - t^2)^(1/2), weight 1 / root.  A slice
+    integral is ``np.add.reduce(f(points), -1) * weight``; an array t gives
+    points (n_t, m, n) and weights (n_t,).
     """
     # both normalise the given omega once, so the frame matches omega exactly
-    e1, e2 = perp_basis(omega)
+    e = perp_basis(omega)
     omega = _as_unit(omega, "omega")
     t = np.asarray(t, dtype=float)[..., None, None]
-    rho = np.sqrt(1.0 - t * t)
-    phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
-    return (t * omega[None, :]
-            + rho * (np.cos(phi)[:, None] * e1[None, :]
-                     + np.sin(phi)[:, None] * e2[None, :]))
-
-
-def _slice_pair_points(omega, t):
-    """The two points of the n = 2 slice {xi.omega = t} and (1 - t^2)^(1/2).
-
-    Points are (..., 2, 2): t omega + root perp, then t omega - root perp.
-    """
-    perp = np.array([-omega[1], omega[0]])
-    t = np.asarray(t, dtype=float)[..., None]
     root = np.sqrt(1.0 - t * t)
-    pts = np.stack([t * omega + root * perp, t * omega - root * perp], axis=-2)
-    return pts, root[..., 0]
+    if omega.size == 2:
+        circle = np.array([[1.0], [-1.0]]) * e[0]
+        weight = 1.0 / root[..., 0, 0]
+    else:
+        phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
+        circle = np.cos(phi)[:, None] * e[0] + np.sin(phi)[:, None] * e[1]
+        weight = np.full(t.shape[:-2], 2.0 * np.pi / n_slice)
+    return t * omega + root * circle, weight
 
 
 def extend_slice(g, spec, v, n_slice=256):
     """Fourier transform of the slice measure g dsigma_{omega,t} at v.
 
-    ``v`` must lie in the hyperplane orthogonal to omega.  For n = 3 the
-    slice is a circle integrated with an equispaced rule (the coarea
-    weight cancels against the circle radius, leaving plain d(phi)); for
-    n = 2 it is the sum of the two point masses with weight
-    (1 - t^2)^(-1/2) each.  An array ``spec.t`` gives one value per offset.
+    ``v`` must lie in the hyperplane orthogonal to omega; the slice is
+    integrated by ``slice_rule``.  An array ``spec.t`` gives one value per
+    offset.
     """
-    omega, t = spec.omega, spec.t
     v = np.asarray(v, dtype=float)
-    if abs(v @ omega) > 1e-10:
+    if abs(v @ spec.omega) > 1e-10:
         raise InvalidArgumentError("v must be orthogonal to omega")
-    if g.grid.dim == 2:
-        pts, root = _slice_pair_points(omega, t)
-    else:
-        pts = slice_circle_points(omega, t, n_slice)
+    pts, weight = slice_rule(spec.omega, spec.t, n_slice)
     gv = g.evaluate(pts.reshape(-1, g.grid.dim)).reshape(pts.shape[:-1])
-    phases = np.exp(1j * pts @ v)
-    if g.grid.dim == 2:
-        # one length-2 dot per offset, the same BLAS dot as gv @ phases
-        return (gv[..., None, :] @ phases[..., None])[..., 0, 0] / root
-    return np.add.reduce(gv * phases, axis=-1) * (2.0 * np.pi / n_slice)
+    return np.add.reduce(gv * np.exp(1j * pts @ v), axis=-1) * weight
 
 
 def sigma_hat_closed_form(n, r):

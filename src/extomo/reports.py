@@ -5,6 +5,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 __all__ = ["ExperimentReport", "GrowthFit", "fit_log_growth", "experiment_rng"]
 
 
@@ -112,6 +114,9 @@ def fit_log_growth(abscissae, ordinates):
     """Fit ordinate ~ a + b * abscissa and report r^2."""
     x = np.asarray(abscissae, dtype=float)
     y = np.asarray(ordinates, dtype=float)
+    if np.unique(x).size < 2:
+        raise InvalidArgumentError("a growth fit needs at least two distinct "
+                                   f"abscissae, got {x.tolist()}")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (intercept + slope * x)
     ss_res = float(np.sum(resid ** 2))

@@ -12,8 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, PreconditionError
-from .extension import (SliceMeasureSpec, _slice_pair_points, extend_slice,
-                        slice_circle_points)
+from .extension import SliceMeasureSpec, extend_slice, slice_rule
 from .sphere import _as_unit
 
 __all__ = [
@@ -128,21 +127,15 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "closed" and n != 2:
         raise InvalidArgumentError("closed form is n = 2 only")
-    if n == 2:
-        pts, root = _slice_pair_points(omega, t)
-    else:
-        pts = slice_circle_points(omega, t, n_slice)
+    pts, weight = slice_rule(omega, t, n_slice)
     shape = pts.shape[:-1]
-    flat = pts.reshape(-1, n)
+    va = g1.evaluate(pts.reshape(-1, n)).reshape(shape)
     if n == 2 and method in ("auto", "closed"):
-        # g1 at (p+, p-) against conj g2 at (p-, p+)
-        va = g1.evaluate(flat).reshape(shape)
+        # -R_omega swaps the two points: g1 at (p+, p-) against conj g2 at (p-, p+)
         vb = np.conj(g2.evaluate(pts[..., ::-1, :].reshape(-1, n))).reshape(shape)
-        out = (va[..., 0] * vb[..., 0] + va[..., 1] * vb[..., 1]) / root
     else:
-        vals = g1.evaluate(flat) * _tilde_after_reflection(g2, omega, flat)
-        out = np.add.reduce(vals.reshape(shape), axis=-1)
-        out = out / root if n == 2 else out * (2.0 * np.pi / n_slice)
+        vb = _tilde_after_reflection(g2, omega, pts.reshape(-1, n)).reshape(shape)
+    out = np.add.reduce(va * vb, axis=-1) * weight
     return complex(out) if np.ndim(t) == 0 else out
 
 

@@ -329,7 +329,7 @@ def tube_sum_field(family):
 def kakeya_dual_functional(family):
     """||sum of tube indicators||_{L^2} and the dual Kakeya scale (n = 2).
 
-    The norm is a Riemann sum over the box [-1.5, 1.5]^2.  Returns
+    The norm is the trapezoid rule over the box [-1.5, 1.5]^2.  Returns
     (lhs, rhs) with rhs = (R^{-1/2} #T)^{1/2}, where the tube width delta
     is identified with R^{-1/2}.
     """
@@ -340,12 +340,10 @@ def kakeya_dual_functional(family):
     box_half_width = 1.5
     # resolve the tube width with ~8 samples
     points_per_axis = min(int(16 * box_half_width / family.delta) + 1, 1025)
-    f = tube_sum_field(family)
     ax = np.linspace(-box_half_width, box_half_width, points_per_axis)
-    h = ax[1] - ax[0]
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    vals = f(np.column_stack([X.ravel(), Y.ravel()]))
-    lhs = (np.add.reduce(vals ** 2.0) * h * h) ** 0.5
+    vals = tube_sum_field(family)(np.column_stack([X.ravel(), Y.ravel()]))
+    lhs = SampledField(box_half_width, vals.reshape(X.shape)).lp_norm(2)
     R = family.delta ** -2.0
     rhs = (R ** -0.5 * family.count) ** 0.5
     return float(lhs), float(rhs)

@@ -71,6 +71,22 @@ class TestUsage:
         assert run(["sweep", sweep, "--R_list", "1.5,"]) == 2
         assert "R = 1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", ["radon-growth", "outside-range"])
+    @pytest.mark.parametrize("R_list", ["16", "16,"])
+    def test_line_sweep_needs_two_R(self, sweep, R_list, capsys):
+        # a single R, with or without the list comma, is one point: no fit
+        assert run(["sweep", sweep, "--R_list", R_list]) == 2
+        assert "two distinct abscissae" in capsys.readouterr().err
+
+    def test_single_R_list_value_runs(self, capsys):
+        assert run(["verify", "mollified-radon", "--R_list", "16"]) == 0
+
+    def test_power_weight_grid_must_resolve_radius(self, capsys):
+        # the 16 x 32 grid has exactness degree 31; |x| reaches 63.75
+        assert run(["sweep", "power-weight", "--preset", "cap"]) == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError" in err and "31" in err and "63.75" in err
+
 
 class TestRunDirectory:
     def test_sweep_writes_artifacts(self, in_tmp, capsys):

@@ -10,7 +10,7 @@ from extomo.experiments.reductions import _slice_xray_profile
 from extomo.extension import (SliceMeasureSpec, _direct_sum, _nufft1,
                               _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
-                              sigma_hat_closed_form)
+                              sigma_hat_closed_form, slice_rule)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
 from extomo.tomography import SampledField
@@ -313,6 +313,40 @@ class TestSampledField:
 
 
 class TestSliceMeasures:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), n_slice=st.integers(3, 64),
+           t=st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2, n_slice=3, t=[0.0, -0.5, 0.999999], seed=0)
+    @example(n=3, n_slice=64, t=[0.0, 0.6, -0.999999], seed=1)
+    def test_slice_rule(self, n, n_slice, t, seed):
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal(n)
+        omega /= np.linalg.norm(omega)
+        t = np.array(t)
+        pts, weight = slice_rule(omega, t, n_slice)
+        m = 2 if n == 2 else n_slice
+        assert pts.shape == (t.size, m, n) and weight.shape == (t.size,)
+        # every point is a unit vector on the slice {xi.omega = t}
+        assert np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max() <= 1e-14
+        assert np.abs(pts @ omega - t[:, None]).max() <= 1e-14
+        # the weights integrate 1 to the slice mass
+        mass = 2.0 * np.pi if n == 3 else 2.0 / np.sqrt(1.0 - t * t)
+        assert weight * m == pytest.approx(mass, rel=1e-14)
+        # each row of the batch is the scalar-t rule, bit for bit
+        for k, tk in enumerate(t):
+            pts_k, weight_k = slice_rule(omega, tk, n_slice)
+            np.testing.assert_array_equal(pts_k, pts[k])
+            assert weight_k == weight[k]
+        if n == 2:
+            # t omega + root e1 first; -R_omega swaps the pair, which is
+            # what the closed form of BA_t evaluates g2 at
+            e1 = perp_basis(omega)[0]
+            assert np.all((pts[:, 0] - pts[:, 1]) @ e1 > 0)
+            reflected = pts - 2.0 * (pts @ omega)[..., None] * omega
+            assert np.abs(pts[:, ::-1] + reflected).max() <= 1e-14
+
     def test_slice_mass_sphere_is_2pi(self, one_sphere):
         # the coarea weight makes the n = 3 slice mass independent of t
         t = np.array([0.0, 0.3, 0.8, 0.99])

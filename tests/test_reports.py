@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from extomo.errors import InvalidArgumentError
 from extomo.reports import (ExperimentReport, GrowthFit, experiment_rng,
                             fit_log_growth)
 
@@ -70,6 +71,14 @@ class TestFitLogGrowth:
         fit = fit_log_growth(x, y)
         assert fit.slope == pytest.approx(3.0, abs=0.05)
         assert fit.r_squared > 0.99
+
+    def test_single_point_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            fit_log_growth([2.0], [1.0])
+
+    def test_repeated_abscissa_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            fit_log_growth([2.0, 2.0], [1.0, 3.0])
 
     def test_predicted_matches(self):
         fit = GrowthFit(abscissae=np.array([0.0, 1.0]),

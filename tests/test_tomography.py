@@ -291,6 +291,13 @@ class TestTubes:
         lhs, rhs = kakeya_dual_functional(fam)
         assert lhs > 0 and rhs > 0
 
+    def test_dual_functional_single_tube_area(self):
+        # one tube of width 2 delta and length 1: ||1_T||_2 = (2 delta)^(1/2)
+        fam = TubeFamily(delta=0.125, directions=np.array([[1.0, 0.0]]),
+                         centers=np.zeros((1, 2)))
+        lhs, _ = kakeya_dual_functional(fam)
+        assert lhs == pytest.approx(np.sqrt(2 * 0.125), rel=0.1)
+
     def test_dual_functional_needs_2d_family(self):
         fam = TubeFamily(delta=0.125, directions=np.eye(3),
                          centers=np.zeros((3, 3)))
