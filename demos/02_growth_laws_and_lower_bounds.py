@@ -31,19 +31,21 @@ print("\nball-truncated sup-over-offsets line norm for g = 1 (n = 2):")
 R_list = (16, 32, 64, 128, 256, 512, 1024)
 grid = make_circle_grid(256)
 one = Density(grid, np.ones(grid.node_count))
-fit = radon_growth_sweep(
+rep = radon_growth_sweep(
     one, 2.0, R_list,
     closed_form=lambda pts: sigma_hat_closed_form(
         2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
-for R, v in zip(R_list, fit.ordinates):
+for R, v in zip(R_list, rep.raw_data["ordinate"]):
     print(f"  R = {R:5d}:  norm {v:8.4f}   norm/log R {v / np.log(R):.4f}")
-print(f"  log-fit r^2 = {fit.r_squared:.4f}: the norm tracks log R")
+print(f"  log-fit r^2 = {rep.metrics['r_squared']:.4f}, max/min of norm/log R"
+      f" = {rep.metrics['band_ratio']:.4f}: the norm tracks log R")
 
 # --- the out-of-range probe -----------------------------------------------
 print("\noutside the admissible exponent range the growth is a power, not a")
 print("log: a cap of width R^(-1/2) concentrates on a dual tube, and the")
 print("line integral along the tube direction grows like R^(1/2):")
 probe = radon_outside_range_probe()
-for logR, logv in zip(probe.abscissae, probe.ordinates):
+for logR, logv in zip(probe.raw_data["abscissa"], probe.raw_data["ordinate"]):
     print(f"  R = {np.exp(logR):6.0f}:  value {np.exp(logv):9.3f}")
-print(f"  fitted log-log slope {probe.slope:.3f} (positive power growth)")
+print(f"  fitted log-log slope {probe.metrics['slope']:.3f} (positive power"
+      " growth)")

@@ -30,7 +30,7 @@ from . import __version__
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
                      PreconditionError)
 from .extension import extend, extend_plane_field, sigma_hat_closed_form
-from .reports import ExperimentReport, experiment_rng
+from .reports import ExperimentReport, experiment_rng, fit_columns
 from .sphere import make_circle_grid, make_sphere_grid, preset_density
 from .spherical import funk_At
 from .tomography import xray_profile
@@ -68,7 +68,8 @@ class RunConfig:
 
 
 def _parse_value(text):
-    """Typed parsing: int, float, inf, comma-separated list, else string."""
+    """Typed parsing: int, float (inf included), comma-separated list, else
+    string."""
     text = text.strip()
     if "," in text:
         return [_parse_value(tok) for tok in text.split(",") if tok.strip()]
@@ -77,8 +78,6 @@ def _parse_value(text):
             return caster(text)
         except ValueError:
             pass
-    if text in ("inf", "+inf"):
-        return math.inf
     return text
 
 
@@ -115,110 +114,76 @@ def _preset_density(grid, preset, seed):
     return preset_density(grid, preset, rng)
 
 
-def _generic_direction(n):
-    omega = np.array([0.6, 0.8]) if n == 2 else np.array([0.3, -0.5, 0.8])
-    return omega / np.linalg.norm(omega)
-
-
-def _default_grid(n, fine=False):
+def _default_input(n, preset, seed):
+    """The preset density on the default grid in dimension n, and a
+    generic unit direction."""
     if n == 2:
-        return make_circle_grid(512 if fine else 256)
-    return make_sphere_grid(*((96, 192) if fine else (24, 48)))
-
-
-def _plot_columns(report, fit):
-    """Put a GrowthFit's abscissa, ordinate and fit_value columns in raw data."""
-    report.raw_data["abscissa"] = [float(v) for v in fit.abscissae]
-    report.raw_data["ordinate"] = [float(v) for v in fit.ordinates]
-    report.raw_data["fit_value"] = [float(v) for v in fit.predicted()]
-    return report
-
-
-def _fit_report(name, fit, abscissa_label, params, checks=()):
-    """Wrap a GrowthFit into an ExperimentReport with plot-ready raw data."""
-    report = _plot_columns(ExperimentReport(name=name, params=params), fit)
-    report.params["abscissa"] = abscissa_label
-    report.record("slope", fit.slope)
-    report.record("intercept", fit.intercept)
-    report.record("r_squared", fit.r_squared)
-    for key, lo, hi in checks:
-        report.check(key, report.metrics[key], lo=lo, hi=hi)
-    return report
+        grid, omega = make_circle_grid(512), np.array([0.6, 0.8])
+    elif n == 3:
+        grid, omega = make_sphere_grid(96, 192), np.array([0.3, -0.5, 0.8])
+    else:
+        raise UsageError(f"bad-dimension n = {n!r} (expected 2 or 3)")
+    return _preset_density(grid, preset, seed), omega / np.linalg.norm(omega)
 
 
 # ---------------------------------------------------------------------------
-# experiment adapters: params dict + seed -> ExperimentReport
+# experiment adapters: seed + the parameters the user gave -> ExperimentReport
+#
+# An adapter names only the keys it reads itself and forwards the rest, so
+# every other default is the experiment's own.
 
 
-def _run_xray_identity(p, seed):
-    n = p.get("n", 3)
-    grid = _default_grid(n, fine=True)
-    g = _preset_density(grid, p.get("preset", "cap"), seed)
-    return X.verify_xray_identity(g, _generic_direction(n))
+def _run_xray_identity(seed, n=3, preset="cap"):
+    g, omega = _default_input(n, preset, seed)
+    return X.verify_xray_identity(g, omega)
 
 
-def _run_radon_identity(p, seed):
-    n = p.get("n", 3)
-    grid = _default_grid(n, fine=True)
-    g = _preset_density(grid, p.get("preset", "cap"), seed)
-    return X.verify_radon_identity(g, _generic_direction(n))
+def _run_radon_identity(seed, n=3, preset="cap"):
+    g, omega = _default_input(n, preset, seed)
+    return X.verify_radon_identity(g, omega)
 
 
-def _run_mollified_radon(p, seed):
-    n = p.get("n", 2)
-    grid = _default_grid(n, fine=True)
-    g = _preset_density(grid, p.get("preset", "constant"), seed)
-    R_list = tuple(p.get("R_list", [16, 64, 256]))
-    return X.verify_mollified_radon(g, _generic_direction(n), R_list=R_list)
+def _run_mollified_radon(seed, n=2, preset="constant", **kw):
+    g, omega = _default_input(n, preset, seed)
+    return X.verify_mollified_radon(g, omega, **kw)
 
 
-def _run_sharp_constant(p, seed):
+def _run_sharp_constant(seed):
     return X.sharp_constant_S2()
 
 
-def _run_isometry(p, seed):
-    return X.isometry_constancy(n_funcs=p.get("n_funcs", 10), seed=seed)
+def _run_isometry(seed, **kw):
+    return X.isometry_constancy(seed=seed, **kw)
 
 
-def _run_wstein(p, seed):
-    return X.verify_wstein(R_list=tuple(p.get("R_list", [16, 32, 64])),
-                           C_max=p.get("C_max", 50))
+def _run_wstein(seed, **kw):
+    return X.verify_wstein(**kw)
 
 
-def _run_wmiztak(p, seed):
-    return X.verify_wmiztak(
-        R_list=tuple(p.get("R_list", [16, 32, 64, 128, 256])),
-        q_probe=p.get("q_probe", 3.0), seed=seed,
-        C_max=p.get("C_max", 50))
+def _run_wmiztak(seed, **kw):
+    return X.verify_wmiztak(seed=seed, **kw)
 
 
-def _run_x_reduction(p, seed):
-    q = p.get("q", 1.0)
-    grid = make_sphere_grid(24, 48)
-    g = _preset_density(grid, p.get("preset", "constant" if q > 1 else "cap"),
-                        seed)
+def _run_x_reduction(seed, q=1.0, preset=None):
+    # q > 1 is defined for the constant density only
+    preset = preset or ("constant" if q > 1 else "cap")
+    g = _preset_density(make_sphere_grid(24, 48), preset, seed)
     return X.lemma_X_reduction_check(g, q=q)
 
 
-def _run_reduce_lemma(p, seed):
-    if p.get("family", 1):
-        return X.reduce_lemma_family(eps=p.get("eps", 0.25),
-                                     q=p.get("q", 2.0), seed=seed)
-    grid = make_sphere_grid(24, 48)
-    g = _preset_density(grid, p.get("preset", "cap"), seed)
-    return X.verify_reduce_lemma(g, eps=p.get("eps", 0.25), q=p.get("q", 2.0))
+def _run_reduce_lemma(seed, family=1, preset="cap", **kw):
+    if family:
+        return X.reduce_lemma_family(seed=seed, **kw)
+    g = _preset_density(make_sphere_grid(24, 48), preset, seed)
+    return X.verify_reduce_lemma(g, **kw)
 
 
-def _run_t_delta(p, seed):
-    fit, report = X.t_delta_log_law(
-        delta_list=tuple(p.get("delta_list", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])))
-    return _plot_columns(report, fit)
+def _run_t_delta(seed, **kw):
+    return X.t_delta_log_law(**kw)[1]
 
 
-def _run_radon_growth(p, seed):
-    R_list = tuple(p.get("R_list", [16, 32, 64, 128, 256, 512, 1024]))
-    q = p.get("q", 2.0)
-    preset = p.get("preset", "constant")
+def _run_radon_growth(seed, q=2.0, R_list=(16, 32, 64, 128, 256, 512, 1024),
+                      preset="constant"):
     grid = make_circle_grid(max(64, int(np.ceil(2.5 * max(R_list)))))
     g = _preset_density(grid, preset, seed)
     closed_form = None
@@ -226,82 +191,54 @@ def _run_radon_growth(p, seed):
         def closed_form(pts):
             return sigma_hat_closed_form(2, np.linalg.norm(
                 np.atleast_2d(pts), axis=1))
-    fit = X.radon_growth_sweep(g, q, R_list, closed_form=closed_form)
-    return _fit_report("radon_growth_sweep", fit, "log(R)",
-                       {"q": q, "preset": preset, "R_list": list(R_list)},
-                       checks=(("r_squared", 0.9, 1.0),))
+    report = X.radon_growth_sweep(g, q, R_list, closed_form=closed_form)
+    report.params["preset"] = preset
+    return report
 
 
-def _run_outside_range(p, seed):
-    fit = X.radon_outside_range_probe(
-        R_list=tuple(p.get("R_list", [16, 32, 64, 128, 256])))
-    return _fit_report("radon_outside_range_probe", fit, "log(R)",
-                       {}, checks=(("slope", 0.3, math.inf),))
+def _run_outside_range(seed, **kw):
+    return X.radon_outside_range_probe(**kw)
 
 
-def _run_bt_bounds(p, seed):
-    fit_half, fit_one = X.bt_bounds_sweep(
-        delta_list=tuple(p.get("delta_list", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])),
-        family=p.get("family", "constant"), seed=seed)
-    report = _fit_report("bt_bounds_sweep", fit_one, "log(1/delta)",
-                         {"family": p.get("family", "constant")},
-                         checks=(("slope", 0.0, math.inf),
-                                 ("r_squared", 0.9, 1.0)))
+def _run_bt_bounds(seed, family="constant", **kw):
+    fit_half, fit_one = X.bt_bounds_sweep(family=family, seed=seed, **kw)
+    report = fit_columns(
+        ExperimentReport(name="bt_bounds_sweep",
+                         params={"family": family, "abscissa": "log(1/delta)"}),
+        fit_one, checks=(("slope", 0.0, math.inf), ("r_squared", 0.9, 1.0)))
     report.record("slope_half_norm", fit_half.slope)
     report.record("r_squared_half_norm", fit_half.r_squared)
     return report
 
 
-def _run_multiscale(p, seed):
-    fit = X.xray_multiscale_lower_bound(
-        delta_list=tuple(p.get("delta_list", [0.2, 0.1, 0.05, 0.025])))
-    return _fit_report("xray_multiscale_lower_bound", fit, "log(1/delta)",
-                       {}, checks=(("slope", 0.0, math.inf),
-                                   ("r_squared", 0.8, 1.0)))
+def _run_multiscale(seed, **kw):
+    return X.xray_multiscale_lower_bound(**kw)
 
 
-def _run_necessity(p, seed):
-    report, fit = X.necessity_band_example(
-        delta_list=tuple(p.get("delta_list", [0.2, 0.1, 0.05, 0.025])),
-        eps=p.get("eps", 0.25), seed=seed)
-    return _plot_columns(report, fit)
+def _run_necessity(seed, **kw):
+    return X.necessity_band_example(seed=seed, **kw)[0]
 
 
-def _run_power_weight(p, seed):
-    grid = make_sphere_grid(16, 32)
-    g = _preset_density(grid, p.get("preset", "constant"), seed)
+def _run_power_weight(seed, p=2.0, q=4.0, r=2.0, preset="constant", **kw):
+    g = _preset_density(make_sphere_grid(16, 32), preset, seed)
     closed_form = None
-    if p.get("preset", "constant") == "constant":
+    if preset == "constant":
         def closed_form(r_grid):
             return sigma_hat_closed_form(3, r_grid)
-    return X.power_weight_ratio(
-        g, p.get("p", 2.0), p.get("q", 4.0), p.get("r", 2.0),
-        L_list=tuple(p.get("L_list", [8, 16, 32, 64])),
-        closed_form=closed_form)
+    return X.power_weight_ratio(g, p, q, r, closed_form=closed_form, **kw)
 
 
-def _run_knapp(p, seed):
-    return X.knapp_radon_lower_bounds(
-        m=p.get("m", 1),
-        delta_list=tuple(p.get("delta_list", [0.2, 0.1, 0.05, 0.025])),
-        q=p.get("q", 2.0), seed=seed)
+def _run_knapp(seed, m=1, **kw):
+    return X.knapp_radon_lower_bounds(m, seed=seed, **kw)
 
 
-def _run_tubes(p, seed):
-    return X.randomized_tube_experiment(
-        R=p.get("R", 64), n_trials=p.get("n_trials", 400), seed=seed,
-        cap_scale=p.get("cap_scale", 0.5))
+def _run_tubes(seed, **kw):
+    return X.randomized_tube_experiment(seed=seed, **kw)
 
 
-def _run_extremize(p, seed):
-    functional = p.get("functional", "xray_sup_ratio(2,inf)")
-    if isinstance(functional, list):
-        # commas inside functional ids hit the list-valued parser
-        functional = ",".join("inf" if v == math.inf else str(v)
-                              for v in functional)
-    density, report = X.extremize(functional, steps=p.get("steps", 40),
-                                  step_size=p.get("step_size", 0.5),
-                                  seed=seed)
+def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):
+    # commas inside functional ids hit the list-valued parser
+    density, report = X.extremize(_format_value(functional), seed=seed, **kw)
     report.raw_data["abscissa"] = list(
         range(len(report.raw_data["objective"])))
     report.raw_data["ordinate"] = list(report.raw_data["objective"])
@@ -310,40 +247,36 @@ def _run_extremize(p, seed):
     return report
 
 
-def _run_transform(p, seed):
-    kind = p.get("transform", "xray")
-    n = p.get("n", 2)
-    grid = _default_grid(n, fine=True)
-    g = _preset_density(grid, p.get("preset", "cap"), seed)
-    omega = _generic_direction(n)
-    report = ExperimentReport(name=f"transform_{kind}",
-                              params={"n": n, "transform": kind,
-                                      "preset": p.get("preset", "cap")})
+def _run_transform(seed, transform="xray", n=2, preset="cap", half_width=8.0,
+                   samples=None, truncation=40.0, t_extent=2.0, t_pitch=0.25):
+    g, omega = _default_input(n, preset, seed)
+    report = ExperimentReport(name=f"transform_{transform}",
+                              params={"n": n, "transform": transform,
+                                      "preset": preset})
 
-    if kind == "xray":
+    if transform == "xray":
         def line_field(pts):
             # one extend call per line: a uniform line takes the NUFFT
             return np.concatenate([np.abs(extend(g, x)) ** 2 for x in
                                    np.split(pts, len(pts) // 1024)])
 
-        prof = xray_profile(line_field, omega, half_width=p.get("half_width", 8.0),
-                            samples_per_axis=p.get("samples", 65),
-                            truncation=p.get("truncation", 40.0), n_samples=1024)
+        prof = xray_profile(line_field, omega, half_width=half_width,
+                            samples_per_axis=65 if samples is None else samples,
+                            truncation=truncation, n_samples=1024)
         ax = prof.axis()
         mid = prof.values if n == 2 else prof.values[:, len(ax) // 2]
         report.raw_data["abscissa"] = [float(v) for v in ax]
         report.raw_data["ordinate"] = [float(v) for v in mid]
         report.record("max_value", float(np.max(prof.values)))
-    elif kind == "radon":
-        t_grid = np.arange(-p.get("t_extent", 2.0), p.get("t_extent", 2.0)
-                           + 1e-12, p.get("t_pitch", 0.25))
-        vals = [extend_plane_field(g, omega, float(t), p.get("truncation", 40.0),
-                                   p.get("samples", 1024))
+    elif transform == "radon":
+        t_grid = np.arange(-t_extent, t_extent + 1e-12, t_pitch)
+        vals = [extend_plane_field(g, omega, float(t), truncation,
+                                   1024 if samples is None else samples)
                 .integrate(lambda v: np.abs(v) ** 2) for t in t_grid]
         report.raw_data["abscissa"] = [float(t) for t in t_grid]
         report.raw_data["ordinate"] = [float(v) for v in vals]
         report.record("max_value", float(np.max(vals)))
-    elif kind == "funk":
+    elif transform == "funk":
         angles = 2.0 * np.pi * np.arange(64) / 64
         if n == 2:
             raise UsageError("funk transform requires n = 3")
@@ -355,7 +288,7 @@ def _run_transform(p, seed):
         report.raw_data["ordinate"] = vals
         report.record("max_value", float(np.max(vals)))
     else:
-        raise UsageError(f"unknown-transform {kind!r}")
+        raise UsageError(f"unknown-transform {transform!r}")
     return report
 
 
@@ -508,13 +441,17 @@ def _build_config(name, tokens):
     # a single value given for a list parameter is a one-element list
     params.update({k: [v] for k, v in params.items()
                    if k.endswith("_list") and not isinstance(v, list)})
-    seed = int(params.pop("seed", 0))
+    seed = params.pop("seed", 0)
+    if not isinstance(seed, int):
+        raise UsageError(f"bad-seed {_format_value(seed)!r} "
+                         "(expected an integer)")
     outdir = params.pop("out", None)
     overrides = {}
     for key in [k for k in params if k.startswith("tol.")]:
         value = params.pop(key)
         pair = value if isinstance(value, list) else [-math.inf, value]
-        if len(pair) != 2:
+        if len(pair) != 2 or not all(isinstance(v, (int, float))
+                                     for v in pair):
             raise UsageError(f"bad-tolerance {key} (expected lo,hi)")
         overrides[key[4:]] = (float(pair[0]), float(pair[1]))
     unknown = set(params) - allowed
@@ -528,7 +465,7 @@ def _build_config(name, tokens):
 
 def _execute(config):
     group, runner, _, _ = REGISTRY[config.experiment]
-    report = runner(dict(config.params), config.seed)
+    report = runner(config.seed, **config.params)
     report.params.setdefault("seed", config.seed)
     for key, (lo, hi) in config.tolerance_overrides.items():
         report.tolerances[key] = (lo, hi)

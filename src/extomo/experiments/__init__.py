@@ -1,4 +1,11 @@
-"""Named, reproducible experiments; each returns an ExperimentReport or GrowthFit."""
+"""Named, reproducible experiments.
+
+Each returns an ExperimentReport with its own checks, except
+``t_delta_log_law`` (fit, report), ``necessity_band_example`` (report,
+fit), ``bt_bounds_sweep`` (two GrowthFits, checked by ``sweep
+bt-bounds``) and ``extremize`` (density, report); the other names are
+building blocks.
+"""
 
 from .identities import (verify_xray_identity, verify_radon_identity,
                          verify_mollified_radon, sharp_constant_S2)

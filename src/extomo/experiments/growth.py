@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend
-from ..reports import ExperimentReport, fit_log_growth
+from ..reports import ExperimentReport, fit_columns, fit_log_growth
 from ..sphere import (CapSpec, Density, knapp_cap_density, make_circle_grid,
                       make_sphere_grid, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
@@ -36,7 +36,8 @@ def t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
 
     On the circle, the integral of 1/(|xi.omega| + delta) equals
     4 log(1/delta) + O(1); the sweep fits the value against log(1/delta)
-    and checks slope 4 and an essentially perfect linear fit.
+    and checks slope 4 and an essentially perfect linear fit.  Returns
+    (fit, report).
     """
     grid = make_circle_grid(256)
     one = preset_density(grid, "constant", None)
@@ -48,9 +49,8 @@ def t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
                               params={"delta_list": list(delta_list)})
     report.raw_data["delta"] = list(delta_list)
     report.raw_data["value"] = [float(v) for v in values]
-    report.record("intercept", fit.intercept)
-    report.check("slope", fit.slope, lo=3.8, hi=4.2)
-    report.check("r_squared", fit.r_squared, lo=0.999, hi=1.0)
+    fit_columns(report, fit, checks=(("slope", 3.8, 4.2),
+                                     ("r_squared", 0.999, 1.0)))
     return fit, report
 
 
@@ -76,8 +76,9 @@ def radon_growth_sweep(g, q, R_list, closed_form=None):
     integral of 1_{B_R} |g dsigma hat|^2.  ``closed_form``, when
     supplied, is a callable pts -> extension values used instead of grid
     quadrature (for densities with a known extension this sidesteps the
-    grid's phase-resolution limit).  Returns the fit of norm against
-    log R.
+    grid's phase-resolution limit).  The report fits the norm against
+    log R and checks r^2 >= 0.9 and the log band: max/min of norm / log R
+    at most 2.
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("radon_growth_sweep is n = 2 only")
@@ -105,7 +106,15 @@ def radon_growth_sweep(g, q, R_list, closed_form=None):
             norms.append(float(sups.max()))
         else:
             norms.append(float(omegas.integrate(sups ** q) ** (1.0 / q)))
-    return fit_log_growth(np.log(np.asarray(R_list, dtype=float)), norms)
+    log_R = np.log(np.asarray(R_list, dtype=float))
+    report = fit_columns(
+        ExperimentReport(name="radon_growth_sweep",
+                         params={"q": q, "R_list": list(R_list),
+                                 "abscissa": "log(R)"}),
+        fit_log_growth(log_R, norms), checks=(("r_squared", 0.9, 1.0),))
+    band = np.asarray(norms) / log_R
+    report.check("band_ratio", band.max() / band.min(), hi=2.0)
+    return report
 
 
 def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
@@ -114,8 +123,8 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
     Probes (p, q) = (2, inf): a cap of width R^(-1/2) concentrates its
     extension on a dual tube through the origin, and the line integral
     along the tube direction grows like R^(1/2) ||g||_2^2 -- power, not
-    log, growth.  Returns the log-log fit of value/||g||_2^2 against R;
-    a positive slope is the point.
+    log, growth.  The report fits log(value/||g||_2^2) against log R and
+    checks slope >= 0.3.
     """
     values = []
     for R in R_list:
@@ -131,8 +140,12 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
         t_lattice = (0.0, 0.5 / delta, 1.0 / delta)
         sup = _lattice_sup_line_integral(field, omega, float(R), t_lattice)
         values.append(sup / g.norm(2) ** 2)
-    return fit_log_growth(np.log(np.asarray(R_list, dtype=float)),
-                          np.log(np.asarray(values)))
+    fit = fit_log_growth(np.log(np.asarray(R_list, dtype=float)),
+                         np.log(np.asarray(values)))
+    return fit_columns(
+        ExperimentReport(name="radon_outside_range_probe",
+                         params={"abscissa": "log(R)"}),
+        fit, checks=(("slope", 0.3, np.inf),))
 
 
 def _slab_cylinder_section_area(cos_alpha, radius, half_length, rule):
@@ -248,7 +261,7 @@ def xray_multiscale_lower_bound(delta_list=(0.2, 0.1, 0.05, 0.025)):
     half_length/|cos a|) where a is the polar angle of omega.  The
     L^2_omega of the chord length gains a log(1/delta)^(1/2) over the
     trivial delta^(-1): the fit of (value * delta)^2 against
-    log(1/delta) must be linear with positive slope.
+    log(1/delta) must be linear (r^2 >= 0.8) with slope >= 0.
 
     The axial spike of the chord profile has polar width ~ delta^2, far
     below any reasonable sphere-grid resolution, so the direction
@@ -270,7 +283,11 @@ def xray_multiscale_lower_bound(delta_list=(0.2, 0.1, 0.05, 0.025)):
         values.append(np.sqrt(4.0 * np.pi * integral))
     values = np.asarray(values)
     deltas = np.asarray(delta_list)
-    return fit_log_growth(np.log(1.0 / deltas), (values * deltas) ** 2)
+    return fit_columns(
+        ExperimentReport(name="xray_multiscale_lower_bound",
+                         params={"abscissa": "log(1/delta)"}),
+        fit_log_growth(np.log(1.0 / deltas), (values * deltas) ** 2),
+        checks=(("slope", 0.0, np.inf), ("r_squared", 0.8, 1.0)))
 
 
 def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
@@ -337,7 +354,8 @@ def necessity_band_example(delta_list=(0.2, 0.1, 0.05, 0.025), eps=0.25,
     log-log slope must land within 0.2 of 1.5 + eps.  Also certifies the
     equatorial-band measure lower bound sigma(E_delta on a great circle)
     >= delta/10 at random directions, and the plateau scaling
-    BA_(delta/2)(g,g)(equator) ~ delta.
+    BA_(delta/2)(g,g)(equator) ~ delta.  Returns (report, fit); the
+    report carries the fit's plot columns.
     """
     rng = np.random.default_rng(seed)
     report = ExperimentReport(name="necessity_band_example", seed=seed,
@@ -379,6 +397,7 @@ def necessity_band_example(delta_list=(0.2, 0.1, 0.05, 0.025), eps=0.25,
     target = 1.5 + eps
     report.raw_data["delta"] = list(delta_list)
     report.raw_data["Q"] = q_values
+    fit_columns(report, fit)
     report.record("fitted_exponent", fit.slope)
     report.record("target_exponent", target)
     report.check("exponent_gap", abs(fit.slope - target), hi=0.2)

@@ -9,7 +9,7 @@ entirely on the sphere through slice transforms.
 
 import numpy as np
 
-from ..errors import PreconditionError
+from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend, extend_plane_field
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
@@ -148,7 +148,8 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
     The identity degrades to an inequality once |g dsigma hat|^2 is cut to
     the ball of radius R; the metric is the largest ratio of the two
     sides over the offsets t = 0, 0.5, 1, 2, which should stay within a
-    fixed band as R sweeps (max ratio at most twice the median ratio).
+    fixed band as R sweeps (max ratio at most twice the median ratio), so
+    ``R_list`` needs two distinct radii.
     The right-hand side carries the same (2 pi)^(n-1) convention constant
     as the exact identity, so the ratios are O(1).  Hyperplanes are
     sampled at spacing 0.25.
@@ -160,10 +161,13 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256), n_slice=256):
                               params={"R_list": list(R_list),
                                       "t_samples": list(t_samples),
                                       "omega": omega.tolist()})
+    if min(R_list) < 4:
+        raise PreconditionError("R must be >= 4")
+    if len(set(R_list)) < 2:
+        raise InvalidArgumentError("a stability check needs at least two "
+                                   f"distinct R, got R_list = {list(R_list)}")
     ratios = []
     for R in R_list:
-        if R < 4:
-            raise PreconditionError("R must be >= 4")
         rhs = (2.0 * np.pi) ** (n - 1) * t_delta_via_slices(
             g.map(lambda v: np.abs(v) ** 2), omega, 1.0 / R, n_u=200,
             n_slice=n_slice)

@@ -155,8 +155,12 @@ def verify_wstein(R_list=(16, 32, 64), C_max=50.0):
     g; the declared family respects that.
 
     Pass: C = LHS/RHS stays below C_max for every (pair, R), and for each
-    pair the spread of C across the R-doubling sweep is at most 2x.
+    pair the spread of C across the R-doubling sweep, which needs two
+    distinct R, is at most 2x.
     """
+    if len(set(R_list)) < 2:
+        raise InvalidArgumentError("a stability check needs at least two "
+                                   f"distinct R, got R_list = {list(R_list)}")
     n_omega = 64
     report = ExperimentReport(name="wstein",
                               params={"R_list": list(R_list), "C_max": C_max})

@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["ExperimentReport", "GrowthFit", "fit_log_growth", "experiment_rng"]
+__all__ = ["ExperimentReport", "GrowthFit", "fit_log_growth", "fit_columns",
+           "experiment_rng"]
 
 
 def experiment_rng(seed, name):
@@ -124,3 +125,22 @@ def fit_log_growth(abscissae, ordinates):
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return GrowthFit(abscissae=x, ordinates=y, slope=float(slope),
                      intercept=float(intercept), r_squared=min(r2, 1.0))
+
+
+def fit_columns(report, fit, checks=None):
+    """Put a GrowthFit's abscissa, ordinate and fit_value plot columns in
+    the report's raw data.
+
+    With ``checks``, a tuple of (metric, lo, hi), also record the fit's
+    slope, intercept and r_squared and check each named metric.
+    """
+    report.raw_data["abscissa"] = [float(v) for v in fit.abscissae]
+    report.raw_data["ordinate"] = [float(v) for v in fit.ordinates]
+    report.raw_data["fit_value"] = [float(v) for v in fit.predicted()]
+    if checks is not None:
+        report.record("slope", fit.slope)
+        report.record("intercept", fit.intercept)
+        report.record("r_squared", fit.r_squared)
+        for key, lo, hi in checks:
+            report.check(key, report.metrics[key], lo=lo, hi=hi)
+    return report

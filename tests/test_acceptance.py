@@ -79,16 +79,19 @@ def test_criterion_05_radon_growth():
     R_list = (16, 32, 64, 128, 256, 512, 1024)
     grid = make_circle_grid(2560)
     one = preset_density(grid, "constant", None)
-    fit = radon_growth_sweep(
+    rep = radon_growth_sweep(
         one, 2.0, R_list,
         closed_form=lambda pts: sigma_hat_closed_form(
             2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
-    assert fit.r_squared >= 0.9
-    band = fit.ordinates / np.log(np.asarray(R_list, dtype=float))
-    assert band.max() / band.min() <= 2.0
+    assert rep.metrics["r_squared"] >= 0.9, rep.summary()
+    band = (np.asarray(rep.raw_data["ordinate"])
+            / np.log(np.asarray(R_list, dtype=float)))
+    assert band.max() / band.min() <= 2.0, rep.summary()
+    assert rep.pass_, rep.summary()
 
     probe = radon_outside_range_probe()
-    assert probe.slope >= 0.3
+    assert probe.metrics["slope"] >= 0.3, probe.summary()
+    assert probe.pass_, probe.summary()
 
 
 def test_criterion_06_isometry_constancy():

@@ -269,6 +269,17 @@ def _unreached_knobs():
                 [_knob_keys(kw.value, assigned, scope)
                  for kw in call.keywords if kw.arg is None]))
 
+    # the CLI calls each REGISTRY runner as runner(seed, **params), where
+    # params holds only keys of the entry's set: read each entry as a call
+    # with that literal key set
+    for node in ast.walk(trees[ROOT / "src" / "extomo" / "cli.py"]):
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "REGISTRY"):
+            for entry in node.value.values:
+                _, runner, keys, _ = entry.elts
+                calls.setdefault(runner.id, []).append((1, {
+                    key.value for key in getattr(keys, "elts", [])}, []))
+
     # the keys that reach each function's own **kwargs, to a fixed point
     forwarded = {}
 

@@ -1,6 +1,7 @@
 """The command-line front end: exit codes, run directories, plot data."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -8,8 +9,12 @@ import pytest
 
 from extomo import cli
 from extomo.cli import run
-from extomo.extension import extend
-from extomo.sphere import perp_basis
+from extomo.experiments import (radon_growth_sweep,
+                                radon_outside_range_probe,
+                                xray_multiscale_lower_bound)
+from extomo.extension import extend, sigma_hat_closed_form
+from extomo.reports import ExperimentReport
+from extomo.sphere import make_circle_grid, perp_basis, preset_density
 from extomo.tomography import SampledField
 
 
@@ -79,7 +84,28 @@ class TestUsage:
         assert "two distinct abscissae" in capsys.readouterr().err
 
     def test_single_R_list_value_runs(self, capsys):
-        assert run(["verify", "mollified-radon", "--R_list", "16"]) == 0
+        # a scalar reaches the experiment as a one-element list, which its
+        # stability check over R rejects: max/min of one ratio is 1
+        for name in ("mollified-radon", "wstein"):
+            assert run(["verify", name, "--R_list", "16"]) == 2
+            assert "R_list = [16]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "abc"), ("--seed", "1.5"), ("--tol.slope", "a,b"),
+        ("--tol.slope", "a")])
+    def test_bad_seed_or_tolerance(self, flag, value, capsys):
+        assert run(["sweep", "t-delta", flag, value]) == 2
+        assert "error: bad-" in capsys.readouterr().err
+
+    def test_dimension_must_be_2_or_3(self, capsys):
+        assert run(["verify", "xray-identity", "--n", "4"]) == 2
+        assert "bad-dimension n = 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, value", [
+        ("inf", math.inf), ("+inf", math.inf), ("-inf", -math.inf),
+        ("1,inf", [1, math.inf])])
+    def test_parse_value_infinities(self, text, value):
+        assert cli._parse_value(text) == value
 
     def test_power_weight_grid_must_resolve_radius(self, capsys):
         # the 16 x 32 grid has exactness degree 31; |x| reaches 63.75
@@ -186,6 +212,32 @@ class TestTransformDump:
                     for u1 in u]
             ref = SampledField(L, np.array(rows)).integrate()
             assert val == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def _radon_growth_at_cli_defaults():
+    grid = make_circle_grid(2560)
+    return radon_growth_sweep(
+        preset_density(grid, "constant", None), 2.0,
+        (16, 32, 64, 128, 256, 512, 1024),
+        closed_form=lambda pts: sigma_hat_closed_form(
+            2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
+
+
+LIBRARY_SWEEPS = {"radon-growth": _radon_growth_at_cli_defaults,
+                  "outside-range": radon_outside_range_probe,
+                  "multiscale": xray_multiscale_lower_bound}
+
+
+class TestLibraryVerdicts:
+    @pytest.mark.parametrize("sweep", sorted(LIBRARY_SWEEPS))
+    def test_sweep_verdict_is_the_library_report(self, sweep, in_tmp, capsys):
+        # the CLI adds no check of its own to these sweeps
+        assert run(["sweep", sweep, "--out", str(in_tmp / "r")]) == 0
+        saved = ExperimentReport.from_json(
+            (in_tmp / "r" / "report.json").read_text())
+        expected = LIBRARY_SWEEPS[sweep]()
+        assert saved.metrics == expected.metrics
+        assert saved.tolerances == expected.tolerances
 
 
 class TestPlotData:
