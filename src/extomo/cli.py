@@ -99,7 +99,7 @@ def _parse_config_file(path):
                     raise UsageError(
                         f"config-syntax {path}:{lineno} (expected key = value)")
                 key, _, value = line.partition("=")
-                params[key.strip()] = _parse_value(value)
+                params[key.strip().replace("-", "_")] = _parse_value(value)
     except OSError as exc:
         raise UsageError(f"config-unreadable {path}: {exc}") from exc
     return params
@@ -189,8 +189,7 @@ def _run_radon_growth(seed, q=2.0, R_list=(16, 32, 64, 128, 256, 512, 1024),
     closed_form = None
     if preset == "constant":
         def closed_form(pts):
-            return sigma_hat_closed_form(2, np.linalg.norm(
-                np.atleast_2d(pts), axis=1))
+            return sigma_hat_closed_form(2, np.linalg.norm(pts, axis=1))
     report = X.radon_growth_sweep(g, q, R_list, closed_form=closed_form)
     report.params["preset"] = preset
     return report
@@ -451,7 +450,7 @@ def _build_config(name, tokens):
         value = params.pop(key)
         pair = value if isinstance(value, list) else [-math.inf, value]
         if len(pair) != 2 or not all(isinstance(v, (int, float))
-                                     for v in pair):
+                                     and not math.isnan(v) for v in pair):
             raise UsageError(f"bad-tolerance {key} (expected lo,hi)")
         overrides[key[4:]] = (float(pair[0]), float(pair[1]))
     unknown = set(params) - allowed

@@ -8,7 +8,6 @@ lower-bound measurements with log-log slope fits.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend
@@ -265,28 +264,20 @@ def xray_multiscale_lower_bound(delta_list=(0.2, 0.1, 0.05, 0.025)):
 
     The axial spike of the chord profile has polar width ~ delta^2, far
     below any reasonable sphere-grid resolution, so the direction
-    integral is done by adaptive polar quadrature with a breakpoint at
-    the spike edge instead of sphere-grid quadrature.
+    integral is taken in closed form: with a* = arctan(radius/half_length)
+    the spike edge, the integral of chord^2 sin a over [0, pi/2] is
+    4 half_length^2 (sec a* - 1) - 4 radius^2 log tan(a*/2).
     """
-    values = []
-    for delta in delta_list:
-        radius, half_length = 1.0 / delta, 1.0 / delta ** 2
-
-        def chord_sq_times_sin(alpha):
-            chord = 2.0 * min(radius / max(np.sin(alpha), 1e-300),
-                              half_length / max(np.cos(alpha), 1e-300))
-            return chord ** 2 * np.sin(alpha)
-
-        alpha_star = np.arctan2(radius, half_length)  # spike edge
-        integral, _ = quad(chord_sq_times_sin, 0.0, np.pi / 2,
-                           points=[alpha_star], limit=200)
-        values.append(np.sqrt(4.0 * np.pi * integral))
-    values = np.asarray(values)
-    deltas = np.asarray(delta_list)
+    delta = np.asarray(delta_list, dtype=float)
+    radius, half_length = 1.0 / delta, 1.0 / delta ** 2
+    t = np.tan(np.arctan2(radius, half_length) / 2.0)
+    # sec a* - 1 = tan a* tan(a*/2), free of cancellation at small a*
+    integral = 4.0 * radius * (half_length * t - radius * np.log(t))
+    values = np.sqrt(4.0 * np.pi * integral)
     return fit_columns(
         ExperimentReport(name="xray_multiscale_lower_bound",
                          params={"abscissa": "log(1/delta)"}),
-        fit_log_growth(np.log(1.0 / deltas), (values * deltas) ** 2),
+        fit_log_growth(np.log(1.0 / delta), (values * delta) ** 2),
         checks=(("slope", 0.0, np.inf), ("r_squared", 0.8, 1.0)))
 
 

@@ -8,10 +8,9 @@ alone; pass criteria are boundedness and stability across the sweep.
 """
 
 import numpy as np
-from scipy.special import j0, j1
 
 from ..errors import InvalidArgumentError
-from ..extension import extend_field
+from ..extension import extend_field, sigma_hat_closed_form
 from ..reports import ExperimentReport, experiment_rng, fit_log_growth
 from ..sphere import (Density, bump_cap_density, make_circle_grid,
                       poisson_mollify_circle, preset_density)
@@ -36,6 +35,7 @@ def gamma_R_weight(R):
     """
     if R <= 0:
         raise InvalidArgumentError("R must be positive")
+    from scipy.special import j1
 
     def weight(pts):
         r = np.linalg.norm(np.atleast_2d(pts), axis=1) / R
@@ -248,9 +248,8 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         gamma = gamma_R_weight(float(R))
 
         def field(pts):
-            pts = np.atleast_2d(pts)
             r = np.linalg.norm(pts, axis=1)
-            return gamma(pts) * (2.0 * np.pi * j0(r)) ** 2
+            return gamma(pts) * sigma_hat_closed_form(2, r) ** 2
 
         # the field oscillates at frequencies up to 2 (twice the sphere
         # radius), so both the offset grid and the line samples must keep

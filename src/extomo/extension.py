@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import InvalidArgumentError
 from .sphere import _as_unit, perp_basis
@@ -63,6 +62,18 @@ class SliceMeasureSpec:
             raise InvalidArgumentError("slice offset t must satisfy |t| < 1")
 
 
+def _next_fast_len(n):
+    """The least 2^a 3^b 5^c 7^d 11^e >= n: scipy.fft's complex FFT length."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _nufft1(coeff, thetas, n_modes):
     """Type-1 NUFFT: F[k] = sum_j coeff_j exp(i k . theta_j) on a uniform grid.
 
@@ -76,7 +87,7 @@ def _nufft1(coeff, thetas, n_modes):
     transform then give the modes.
     """
     m = _NUFFT_HALF_WIDTH
-    nf = next_fast_len(max(2 * n_modes, 2 * m))
+    nf = _next_fast_len(max(2 * n_modes, 2 * m))
     ratio = nf / n_modes
     # Gaussian exp(-x^2 / (4 tau)); tau from the actual oversampling ratio
     tau = np.pi * m / (n_modes ** 2 * ratio * (ratio - 0.5))
@@ -268,6 +279,5 @@ def sigma_hat_closed_form(n, r):
     if n == 2:
         from scipy.special import j0
         return 2.0 * np.pi * np.abs(j0(r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(r == 0, 4.0 * np.pi, 4.0 * np.pi * np.abs(np.sin(r)) / np.where(r == 0, 1.0, r))
-    return val
+    safe = np.where(r == 0, 1.0, r)
+    return np.where(r == 0, 4.0 * np.pi, 4.0 * np.pi * np.abs(np.sin(r)) / safe)

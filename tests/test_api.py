@@ -7,7 +7,9 @@ import importlib
 import importlib.util
 import inspect
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +60,17 @@ def test_every_layer_export_is_reached():
                  for name in importlib.import_module(f"extomo.{layer}").__all__
                  if name not in used and f"{layer}.{name}" not in ORACLES]
     assert not unreached, f"exported but never used: {unreached}"
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.5 s of every process; only the n = 2 Bessel
+    # paths load it, when they first run
+    code = ("import sys, extomo.cli, extomo.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # the package modules each layer may import, ``errors`` aside; a new

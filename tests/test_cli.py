@@ -92,7 +92,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "abc"), ("--seed", "1.5"), ("--tol.slope", "a,b"),
-        ("--tol.slope", "a")])
+        ("--tol.slope", "a"), ("--tol.slope", "nan"),
+        ("--tol.slope", "0,nan")])
     def test_bad_seed_or_tolerance(self, flag, value, capsys):
         assert run(["sweep", "t-delta", flag, value]) == 2
         assert "error: bad-" in capsys.readouterr().err
@@ -151,6 +152,17 @@ class TestRunDirectory:
         report = json.loads((out / "report.json").read_text())
         assert report["params"]["R"] == 16
         assert report["params"]["n_trials"] == 40  # flag wins over file
+
+    def test_config_file_keys_take_dashes_like_flags(self, in_tmp, capsys):
+        cfg = in_tmp / "exp.cfg"
+        cfg.write_text("R = 16\nn-trials = 3\n")
+        out = in_tmp / "tubes"
+        # three trials may miss the Khintchine tolerance (exit 1); the key
+        # itself must be accepted, not rejected as unknown (exit 2)
+        assert run(["tubes", "randomized", "--config", str(cfg),
+                    "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert report["params"]["n_trials"] == 3
 
     def test_config_syntax_error(self, in_tmp, capsys):
         cfg = in_tmp / "bad.cfg"

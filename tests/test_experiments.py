@@ -16,7 +16,8 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 randomized_tube_experiment,
                                 radon_growth_sweep, t_delta_log_law,
                                 tube_direction_angles, verify_mollified_radon,
-                                verify_radon_identity, verify_xray_identity)
+                                verify_radon_identity, verify_xray_identity,
+                                xray_multiscale_lower_bound)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid)
 
@@ -76,6 +77,26 @@ class TestGrowth:
                                          family="random", seed=seed,
                                          max_nodes=1024)
             assert fit_one.r_squared >= 0.9, seed
+
+    def test_multiscale_chord_integral_matches_quadrature(self):
+        # the closed form against the adaptive quadrature it replaced, with
+        # the breakpoint at the spike edge a* = arctan(radius/half_length)
+        from scipy.integrate import quad
+        deltas = (0.2, 0.1, 0.05, 0.025, 1e-3)
+        rep = xray_multiscale_lower_bound(delta_list=deltas)
+        for delta, ordinate in zip(deltas, rep.raw_data["ordinate"]):
+            radius, half_length = 1.0 / delta, 1.0 / delta ** 2
+
+            def chord_sq_times_sin(alpha):
+                chord = 2.0 * min(radius / max(np.sin(alpha), 1e-300),
+                                  half_length / max(np.cos(alpha), 1e-300))
+                return chord ** 2 * np.sin(alpha)
+
+            oracle, _ = quad(chord_sq_times_sin, 0.0, np.pi / 2, limit=200,
+                             points=[np.arctan2(radius, half_length)])
+            # ordinate = (value delta)^2 with value^2 = 4 pi integral
+            integral = ordinate / (4.0 * np.pi * delta ** 2)
+            assert integral == pytest.approx(oracle, rel=1e-12), delta
 
     def test_wrong_dimension_rejected(self):
         grid = make_sphere_grid(8, 16)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profile
-from extomo.extension import (SliceMeasureSpec, _direct_sum, _nufft1,
-                              _uniform_step, extend, extend_field,
+from extomo.extension import (SliceMeasureSpec, _direct_sum, _next_fast_len,
+                              _nufft1, _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
                               sigma_hat_closed_form, slice_rule)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
@@ -143,6 +143,12 @@ def _uniform_line(n, M, spacing, offset, rng):
 
 class TestFastPaths:
     """The NUFFT paths against the direct sum, the oracle."""
+
+    def test_next_fast_len_matches_scipy(self):
+        # the NUFFT grid length, and so every output, is scipy.fft's
+        from scipy.fft import next_fast_len
+        assert all(_next_fast_len(n) == next_fast_len(n)
+                   for n in range(1, 20001))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 3]), M=st.integers(2, 3000),
