@@ -328,8 +328,8 @@ def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
 def _polar_band_density(grid, delta):
     """Indicator of {|(xi_1, xi_2)| <= delta} on S^2 with exact off-node values."""
     def evaluator(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (np.linalg.norm(pts[:, :2], axis=1) <= delta).astype(float)
+        x, y = pts[:, 0], pts[:, 1]
+        return (np.sqrt(x * x + y * y) <= delta).astype(float)
     return Density(grid, evaluator(grid.nodes), evaluator=evaluator)
 
 

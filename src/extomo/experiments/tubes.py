@@ -69,8 +69,10 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5,
     - ``kakeya_ratio``: L^2-norm of the tube overlap function against the
       dual Kakeya scale for the induced family.
 
-    Directions that are not R^(-1/2)-separated raise invalid-argument.
+    Directions not R^(-1/2)-separated, or n_trials < 2, raise invalid-argument.
     """
+    if n_trials < 2:
+        raise InvalidArgumentError("n_trials must be >= 2")
     delta = R ** -0.5
     if angles is None:
         angles = tube_direction_angles(R)

@@ -237,11 +237,12 @@ def extend_plane_field(g, omega, t, truncation, n_samples):
 def slice_rule(omega, t, n_slice):
     """Points and weight of the slice measure delta(xi.omega - t) dsigma.
 
-    n = 3: n_slice equispaced points of the circle in the ``perp_basis``
-    frame, weight 2 pi / n_slice.  n = 2: t omega + root e1, then
-    t omega - root e1, root = (1 - t^2)^(1/2), weight 1 / root.  A slice
-    integral is ``np.add.reduce(f(points), -1) * weight``; an array t gives
-    points (n_t, m, n) and weights (n_t,).
+    n = 3: m = n_slice equispaced points of the circle in the ``perp_basis``
+    frame, weight 2 pi / n_slice.  n = 2: m = 2 points, t omega + root e1
+    then t omega - root e1, root = (1 - t^2)^(1/2), weight 1 / root.  For
+    even m, point k + m/2 of a slice is -R_omega of point k (a half-turn).
+    A slice integral is ``np.add.reduce(f(points), -1) * weight``; an array
+    t gives points (n_t, m, n) and weights (n_t,).
     """
     # both normalise the given omega once, so the frame matches omega exactly
     e = perp_basis(omega)

@@ -101,8 +101,8 @@ class SphereGrid:
 class Density:
     """Complex-valued samples of a density g on a SphereGrid.
 
-    ``evaluator``, when given, is a callable mapping an (M, n) array of
-    unit vectors to values; it is used for off-node evaluation (smooth
+    ``evaluator``, when given, is a callable mapping an (M, n) float array
+    of unit vectors to values; it is used for off-node evaluation (smooth
     densities).  Without it, off-node lookups fall back to the nearest
     grid node (appropriate for sharp indicator inputs).
     """
@@ -241,7 +241,6 @@ def bump_cap_density(grid, center, radius):
         raise InvalidArgumentError("cap radius must lie in (0, pi)")
 
     def evaluator(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         theta = np.arccos(np.clip(pts @ center, -1.0, 1.0))
         s = (theta / radius) ** 2
         out = np.zeros(pts.shape[0])
@@ -280,21 +279,18 @@ def preset_density(grid, name, rng, k=None):
             return np.ones(np.atleast_2d(pts).shape[0])
     elif name == "band":
         def evaluator(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
             return (np.abs(pts[:, 0]) <= 0.3).astype(float)
     elif name == "smooth":
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
 
         def evaluator(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
             return 1.0 + 0.5 * np.tanh(pts @ a) + 0.3 * (pts @ b) ** 2
     elif name == "modulated":
         base = bump_cap_density(grid, pole, 0.7)
         k = np.arange(1.0, n + 1) if k is None else np.asarray(k, dtype=float)
 
         def evaluator(pts):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
             return base.evaluate(pts) * np.exp(1j * pts @ k)
     else:
         raise InvalidArgumentError(

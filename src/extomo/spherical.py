@@ -114,11 +114,11 @@ def _tilde_after_reflection(g, omega, pts):
 def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
     """Bilinear slice form: slice integral of g1(xi) g2~(R_omega(xi)).
 
-    ``method`` selects the generic slice path ("slice"), the n = 2
-    closed two-point form ("closed"), or the fast path when available
-    ("auto").  The two paths agree to quadrature accuracy.  t may be a
-    1-D array: the slices of all offsets are evaluated together and an
-    array comes back; a scalar t gives a complex.
+    ``method`` "slice" evaluates g2 at the reflected points; "auto" (and
+    "closed", n = 2 only) reads them off the half-turn of an even slice,
+    from g1's values when g2 is g1.  The paths agree to round-off.  t may
+    be a 1-D array: the slices of all offsets are evaluated together and
+    an array comes back; a scalar t gives a complex.
     """
     spec = SliceMeasureSpec(omega, t)
     omega = spec.omega
@@ -128,13 +128,14 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
     if method == "closed" and n != 2:
         raise InvalidArgumentError("closed form is n = 2 only")
     pts, weight = slice_rule(omega, t, n_slice)
-    shape = pts.shape[:-1]
+    shape, m = pts.shape[:-1], pts.shape[-2]
     va = g1.evaluate(pts.reshape(-1, n)).reshape(shape)
-    if n == 2 and method in ("auto", "closed"):
-        # -R_omega swaps the two points: g1 at (p+, p-) against conj g2 at (p-, p+)
-        vb = np.conj(g2.evaluate(pts[..., ::-1, :].reshape(-1, n))).reshape(shape)
-    else:
+    if method == "slice" or m % 2:
         vb = _tilde_after_reflection(g2, omega, pts.reshape(-1, n)).reshape(shape)
+    else:
+        # -R_omega turns each slice by half: point k meets point k + m/2
+        vb = va if g2 is g1 else g2.evaluate(pts.reshape(-1, n)).reshape(shape)
+        vb = np.conj(np.roll(vb, m // 2, axis=-1))
     out = np.add.reduce(va * vb, axis=-1) * weight
     return complex(out) if np.ndim(t) == 0 else out
 

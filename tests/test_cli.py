@@ -108,6 +108,13 @@ class TestUsage:
     def test_parse_value_infinities(self, text, value):
         assert cli._parse_value(text) == value
 
+    @pytest.mark.parametrize("n_trials", ["1", "0"])
+    def test_randomized_needs_two_trials(self, n_trials, capsys):
+        # one trial has no standard error for the Khintchine check
+        assert run(["tubes", "randomized", "--R", "16",
+                    "--n-trials", n_trials]) == 2
+        assert "n_trials must be >= 2" in capsys.readouterr().err
+
     def test_power_weight_grid_must_resolve_radius(self, capsys):
         # the 16 x 32 grid has exactness degree 31; |x| reaches 63.75
         assert run(["sweep", "power-weight", "--preset", "cap"]) == 2

@@ -346,12 +346,14 @@ class TestSliceMeasures:
             np.testing.assert_array_equal(pts_k, pts[k])
             assert weight_k == weight[k]
         if n == 2:
-            # t omega + root e1 first; -R_omega swaps the pair, which is
-            # what the closed form of BA_t evaluates g2 at
+            # t omega + root e1 first
             e1 = perp_basis(omega)[0]
             assert np.all((pts[:, 0] - pts[:, 1]) @ e1 > 0)
+        if m % 2 == 0:
+            # -R_omega is the half-turn of the slice (for n = 2 it swaps
+            # the pair), which is where BA_t reads g2 off the slice
             reflected = pts - 2.0 * (pts @ omega)[..., None] * omega
-            assert np.abs(pts[:, ::-1] + reflected).max() <= 1e-14
+            assert np.abs(np.roll(pts, m // 2, axis=-2) + reflected).max() <= 1e-14
 
     def test_slice_mass_sphere_is_2pi(self, one_sphere):
         # the coarea weight makes the n = 3 slice mass independent of t

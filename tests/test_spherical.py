@@ -131,6 +131,29 @@ class TestBilinear:
             generic = BA_t(g1, g2, omega, t, method="slice")
             assert abs(closed - generic) <= 1e-8 * max(1.0, abs(generic))
 
+    @pytest.mark.parametrize("n_slice", [2, 4, 64, 3, 65])
+    @pytest.mark.parametrize("t", [0.3, np.array([-0.95, -0.4, 0.0, 0.77])])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_half_turn_matches_reflection(self, n_slice, t, same):
+        # "auto" reads g2 off the half-turn of an even slice; "slice"
+        # evaluates g2 at the reflected points and is the oracle
+        grid = make_sphere_grid(16, 32)
+        g1, g2 = (Density(grid, f(grid.nodes), evaluator=f) for f in (
+            lambda p: np.exp(1j * p @ [1.0, -2.0, 0.5]) * (1.0 + p[:, 0] ** 2),
+            lambda p: np.exp(1j * p @ [0.3, 0.7, -1.5]) * (2.0 - p[:, 2])))
+        g2 = g1 if same else g2
+        omega = np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
+        fast = BA_t(g1, g2, omega, t, n_slice=n_slice)
+        oracle = BA_t(g1, g2, omega, t, n_slice=n_slice, method="slice")
+        if n_slice % 2:
+            # no half-turn pairing: both methods take the oracle path
+            np.testing.assert_array_equal(fast, oracle)
+        else:
+            # slice sum of |g1(xi) g2(-R_omega xi)|
+            scale = BA_t(g1.map(np.abs), g2.map(np.abs), omega, t,
+                         n_slice=n_slice, method="slice").real
+            assert np.all(np.abs(fast - oracle) <= 1e-12 * scale)
+
     def test_ba_reduces_to_funk(self, one_sphere):
         # with g2 = 1 the reflected factor is 1 and BA_t = A_t(g1)
         grid = one_sphere.grid
@@ -218,8 +241,8 @@ class TestArrayOffsets:
                 bump_cap_density(grid, np.array([0.0, 0.0, 1.0]), 0.9)]
         return caps, np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
 
-    @pytest.mark.parametrize("n, method", [(3, "auto"), (2, "closed"),
-                                           (2, "slice")])
+    @pytest.mark.parametrize("n, method", [(3, "auto"), (3, "slice"),
+                                           (2, "closed"), (2, "slice")])
     def test_ba_t(self, n, method, rng):
         (g1, g2), omega = self._densities(n, rng)
         scalar = [BA_t(g1, g2, omega, t, n_slice=64, method=method)
