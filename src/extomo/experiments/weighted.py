@@ -65,10 +65,14 @@ def _gaussian_test_functions(n_funcs, rng):
         theta = rng.uniform(0, np.pi)
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
+        # |diag(a) rot (x - b)|^2 = d.Q d, Q = rot^T diag(a^2) rot, d = x - b
+        Q = rot.T @ (a[:, None] ** 2 * rot)
 
-        def f(pts, a=a, b=b, rot=rot):
-            y = (np.atleast_2d(pts) - b) @ rot.T
-            return np.exp(-(a[0] * y[:, 0]) ** 2 - (a[1] * y[:, 1]) ** 2)
+        def f(pts, b=b, q00=Q[0, 0], q01=2.0 * Q[0, 1], q11=Q[1, 1]):
+            d0, d1 = pts[:, 0] - b[0], pts[:, 1] - b[1]
+            e = -(d0 * (q00 * d0 + q01 * d1) + q11 * (d1 * d1))
+            # exp is slow where it underflows, and below -746 it is 0 exactly
+            return np.exp(e, out=np.zeros_like(e), where=e > -746.0)
 
         # ||f||_2^2 = prod_i sqrt(pi/2)/a_i; rotation and shift drop out
         l2sq = (np.sqrt(np.pi / 2.0) / a[0]) * (np.sqrt(np.pi / 2.0) / a[1])
@@ -86,6 +90,9 @@ def isometry_constancy(n_funcs=10, seed=0, n_omega=32):
     recorded and compared against the closed form sqrt(4 pi) obtained by
     Plancherel on each direction's profile.
     """
+    if n_funcs < 2:
+        raise InvalidArgumentError("a coefficient of variation needs at least "
+                                   f"two functions, got n_funcs = {n_funcs}")
     rng = experiment_rng(seed, "isometry_constancy")
     grid = make_circle_grid(n_omega)
     ratios = []

@@ -96,6 +96,25 @@ class SphereGrid:
         values = np.asarray(values)
         return np.add.reduce(self.weights * values)
 
+    def line_directions(self):
+        """(nodes, weights): one node of each antipodal pair {xi, -xi}, the
+        first in node order, at the pair's summed weight; a node with no
+        antipode keeps its own, so an even integrand swept over these equals
+        ``integrate``.  Pairs are mutual first matches of coordinates rounded
+        to 1e-9 against negations, with |xi_i + xi_j|_inf <= UNIT_TOL."""
+        K = self.node_count
+        keys = np.rint(self.nodes * 1e9).astype(np.int64)
+        ids = np.unique(np.concatenate([keys, -keys]), axis=0,
+                        return_inverse=True)[1].reshape(-1)
+        first = np.full(2 * K, K)  # the first node with each key; K if none
+        np.minimum.at(first, ids[:K], np.arange(K))
+        j, i = first[ids[K:]], np.arange(K)  # j: the match of -xi_i
+        paired = (np.append(j, K)[j] == i) & (np.abs(
+            self.nodes + self.nodes[j % K]).max(axis=1) <= UNIT_TOL)
+        weights = self.weights + np.where(paired, self.weights[j % K], 0.0)
+        keep = ~paired | (i < j)
+        return self.nodes[keep], weights[keep]
+
 
 @dataclass(frozen=True)
 class Density:

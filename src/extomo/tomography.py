@@ -268,13 +268,13 @@ def xray_isometry_ratio(f, f_l2, sphere_grid):
     """Ratio ||(-Delta_v)^(1/4) X f||_{L^2(lines)} / ||f||_{L^2(R^n)}.
 
     ``f_l2`` is the caller-supplied L^2 norm of f (closed form or an
-    independent quadrature); the direction integral runs over the given
-    sphere grid.  Each direction's profile has 257 offsets per axis in
-    [-24, 24] and 1024 samples per line truncated at 24, tapered before
-    the half derivative.
+    independent quadrature).  omega and -omega give the same lines, so the
+    direction integral runs over ``sphere_grid.line_directions()``.  Each
+    direction's profile has 257 offsets per axis in [-24, 24] and 1024
+    samples per line truncated at 24, tapered before the half derivative.
     """
     total = 0.0
-    for node, weight in zip(sphere_grid.nodes, sphere_grid.weights):
+    for node, weight in zip(*sphere_grid.line_directions()):
         prof = xray_profile(f, node, 24.0, 257, 24.0, 1024)
         half = frac_laplacian(prof, 0.25, taper=True)
         total += weight * half.lp_norm(2) ** 2

@@ -115,6 +115,12 @@ class TestUsage:
                     "--n-trials", n_trials]) == 2
         assert "n_trials must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_funcs", ["1", "0"])
+    def test_isometry_needs_two_functions(self, n_funcs, capsys):
+        # one ratio has a coefficient of variation of 0; none has no mean
+        assert run(["verify", "isometry", "--n_funcs", n_funcs]) == 2
+        assert f"n_funcs = {n_funcs}" in capsys.readouterr().err
+
     def test_power_weight_grid_must_resolve_radius(self, capsys):
         # the 16 x 32 grid has exactness degree 31; |x| reaches 63.75
         assert run(["sweep", "power-weight", "--preset", "cap"]) == 2

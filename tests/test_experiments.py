@@ -16,10 +16,18 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 randomized_tube_experiment,
                                 radon_growth_sweep, t_delta_log_law,
                                 tube_direction_angles, verify_mollified_radon,
-                                verify_radon_identity, verify_xray_identity,
+                                verify_radon_identity, verify_reduce_lemma,
+                                verify_xray_identity,
                                 xray_multiscale_lower_bound)
+from extomo.experiments.reductions import (_ba_square_integral,
+                                           _slice_xray_profile)
+from extomo.experiments.weighted import _gaussian_test_functions
+from extomo.extension import slice_rule
+from extomo.reports import experiment_rng
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
-                           make_sphere_grid)
+                           make_sphere_grid, preset_density)
+from extomo.spherical import S_operator
+from extomo.tomography import frac_laplacian
 
 
 class TestIdentities:
@@ -117,6 +125,58 @@ class TestReductions:
         one = Density(grid, np.ones(grid.node_count))
         with pytest.raises(InvalidArgumentError):
             lemma_X_reduction_check(one, q=1.0)
+
+    # the direct path: every omega of the grid, for the LHS and, at q != 2,
+    # for the great-circle RHS; the benchmark's tiny sizes.  At q != 2 the
+    # same circle point, rounded two ways, can take another perp_basis
+    # frame in BA_t, and 32 slice points differ by 3e-8 between frames
+    # (1e-14 at 64, round-off at 128), so that case runs at 128
+    @pytest.mark.parametrize("q, n_slice", [(2.0, 32), (3.0, 128)])
+    def test_reduce_lemma_matches_full_direction_sweep(self, q, n_slice):
+        grid = make_sphere_grid(8, 16)
+        g = preset_density(grid, "smooth", np.random.default_rng(3))
+        omega_grid = make_sphere_grid(4, 8)
+        eps, n_v, n_t, n_s = 0.25, 9, 6, 6
+        rep = verify_reduce_lemma(g, eps=eps, q=q, omega_grid=omega_grid,
+                                  n_v=n_v, n_t=n_t, n_slice=n_slice, n_s=n_s)
+        lhs = rhs = 0.0
+        t_integral = _ba_square_integral(g, eps, n_s, n_slice)
+        for om, w in zip(omega_grid.nodes, omega_grid.weights):
+            prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
+            lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
+            if q != 2.0:
+                circle, w_u = slice_rule(om, 0.0, 32)
+                inner = sum(t_integral(u) * w_u for u in circle)
+                rhs += w * inner ** (q / 2.0)
+        assert rep.metrics["lhs"] == pytest.approx(lhs, rel=1e-12)
+        if q != 2.0:
+            assert rep.metrics["rhs"] == pytest.approx(rhs, rel=1e-12)
+
+    def test_x_reduction_matches_full_direction_sweep(self):
+        grid = make_sphere_grid(8, 16)
+        g = preset_density(grid, "cap", None)
+        omega_grid = make_sphere_grid(12, 24)
+        x0 = np.array([2.0 * np.pi * S_operator(g, om, n_t=48,
+                                                n_slice=256) ** 2
+                       for om in omega_grid.nodes])
+        rep = lemma_X_reduction_check(g, q=1.0)
+        assert rep.metrics["lhs"] == pytest.approx(omega_grid.integrate(x0),
+                                                   rel=1e-12)
+
+
+class TestWeighted:
+    def test_quadratic_form_gaussian_matches_rotated_form(self):
+        funcs = _gaussian_test_functions(5, experiment_rng(4, "gaussians"))
+        rng = experiment_rng(4, "gaussians")
+        # out to where exp underflows to 0
+        pts = np.random.default_rng(9).uniform(-30.0, 30.0, (4096, 2))
+        for f, _ in funcs:
+            a, b = rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+            theta = rng.uniform(0, np.pi)
+            c, s = np.cos(theta), np.sin(theta)
+            y = (pts - b) @ np.array([[c, -s], [s, c]]).T
+            rotated = np.exp(-(a[0] * y[:, 0]) ** 2 - (a[1] * y[:, 1]) ** 2)
+            np.testing.assert_allclose(f(pts), rotated, rtol=0, atol=1e-14)
 
 
 class TestTubes:

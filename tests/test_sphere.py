@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
-from extomo.sphere import (PRESETS, CapSpec, Density, bump_cap_density,
-                           knapp_cap_density, make_circle_grid,
-                           make_sphere_grid, poisson_mollify_circle,
-                           preset_density)
+from extomo.sphere import (PRESETS, CapSpec, Density, SphereGrid,
+                           bump_cap_density, knapp_cap_density,
+                           make_circle_grid, make_sphere_grid,
+                           poisson_mollify_circle, preset_density)
 
 
 class TestGrids:
@@ -146,3 +146,78 @@ def test_poisson_l1_contraction_property(scale):
     g = Density(grid, rng.standard_normal(grid.node_count))
     h = poisson_mollify_circle(g, scale)
     assert h.norm(1) <= g.norm(1) * (1 + 1e-10)
+
+
+_circle_or_sphere = st.one_of(
+    st.builds(make_circle_grid, st.integers(4, 64)),
+    st.builds(make_sphere_grid, st.integers(4, 12), st.integers(8, 24)))
+
+
+class TestLineDirections:
+    @settings(max_examples=30, deadline=None)
+    @given(grid=_circle_or_sphere)
+    def test_weights_sum_to_the_total(self, grid):
+        _, weights = grid.line_directions()
+        assert weights.sum() == pytest.approx(grid.weights.sum(), rel=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=_circle_or_sphere)
+    def test_no_antipode_is_returned_twice(self, grid):
+        nodes, _ = grid.line_directions()
+        sums = np.abs(nodes[:, None, :] + nodes[None, :, :]).max(axis=2)
+        assert sums.min() > 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.one_of(
+        st.builds(make_circle_grid, st.integers(2, 32).map(lambda k: 2 * k)),
+        st.builds(make_sphere_grid, st.integers(4, 12),
+                  st.integers(4, 12).map(lambda k: 2 * k))))
+    def test_even_grids_halve(self, grid):
+        nodes, weights = grid.line_directions()
+        assert len(nodes) == len(weights) == grid.node_count // 2
+        # the kept nodes, in grid order; each antipode has the same weight
+        idx = np.argmax((nodes[:, None, :] == grid.nodes[None, :, :]).all(2),
+                        axis=1)
+        assert np.array_equal(grid.nodes[idx], nodes)
+        assert np.all(np.diff(idx) > 0)
+        np.testing.assert_allclose(weights, 2.0 * grid.weights[idx],
+                                   rtol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.builds(make_circle_grid,
+                          st.integers(2, 32).map(lambda k: 2 * k + 1)))
+    def test_odd_circle_grid_comes_back_whole(self, grid):
+        nodes, weights = grid.line_directions()
+        assert np.array_equal(nodes, grid.nodes)
+        assert np.array_equal(weights, grid.weights)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           K=st.integers(1, 200))
+    def test_random_unit_vectors_come_back_whole(self, seed, n, K):
+        rng = np.random.default_rng(seed)
+        nodes = rng.standard_normal((K, n))
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        grid = SphereGrid(dim=n, nodes=nodes, weights=rng.uniform(0.1, 1.0, K),
+                          exactness_degree=0)
+        got_nodes, got_weights = grid.line_directions()
+        assert np.array_equal(got_nodes, grid.nodes)
+        assert np.array_equal(got_weights, grid.weights)
+
+    def test_near_antipodes_are_not_paired(self):
+        # within the 1e-9 rounding of the match, but 1e-10 from an antipode
+        nodes = np.array([[1.0, 0.0], [-np.sqrt(1.0 - 1e-20), 1e-10]])
+        grid = SphereGrid(dim=2, nodes=nodes, weights=np.ones(2),
+                          exactness_degree=0)
+        got_nodes, got_weights = grid.line_directions()
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got_weights, np.ones(2))
+
+    def test_duplicate_node_is_paired_once(self):
+        # a repeated node: only its first copy pairs with the antipode
+        nodes = np.array([[0.6, 0.8], [0.6, 0.8], [-0.6, -0.8]])
+        grid = SphereGrid(dim=2, nodes=nodes, weights=np.array([1.0, 2.0, 4.0]),
+                          exactness_degree=0)
+        got_nodes, got_weights = grid.line_directions()
+        assert np.array_equal(got_nodes, nodes[:2])
+        assert np.array_equal(got_weights, [5.0, 2.0])

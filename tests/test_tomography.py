@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
+from extomo.sphere import make_circle_grid
 from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, SampledField,
                                TubeFamily, frac_laplacian,
                                kakeya_dual_functional, lorentz_norm,
                                perp_basis, radon, tube_sum_field, xray,
-                               xray_profile)
+                               xray_isometry_ratio, xray_profile)
 
 
 def gaussian_2d(pts):
@@ -223,6 +224,34 @@ class TestXrayProfile:
         prof = xray_profile(gaussian_2d, np.array([1.0, 0.0]), 10.0, 401, 10.0)
         expected = np.sqrt(np.pi * np.sqrt(np.pi / 2.0))
         assert prof.lp_norm(2) == pytest.approx(expected, rel=1e-6)
+
+
+def _isometry_ratio_full_sweep(f, f_l2, grid):
+    """xray_isometry_ratio over every node of the grid: the direct path."""
+    total = 0.0
+    for node, weight in zip(grid.nodes, grid.weights):
+        prof = xray_profile(f, node, 24.0, 257, 24.0, 1024)
+        total += weight * frac_laplacian(prof, 0.25, taper=True).lp_norm(2) ** 2
+    return float(np.sqrt(total) / f_l2)
+
+
+class TestIsometryRatio:
+    @staticmethod
+    def shifted_gaussian(pts):
+        pts = np.atleast_2d(pts)
+        return np.exp(-(pts[:, 0] - 0.7) ** 2 - 3.0 * (pts[:, 1] + 0.4) ** 2)
+
+    @pytest.mark.parametrize("N", [8, 9])
+    def test_paired_sweep_matches_full_sweep(self, N):
+        # an odd circle grid has no antipodal pairs: the sweep is unchanged
+        grid = make_circle_grid(N)
+        l2 = np.sqrt(np.pi / 2.0 / np.sqrt(3.0))
+        paired = xray_isometry_ratio(self.shifted_gaussian, l2, grid)
+        full = _isometry_ratio_full_sweep(self.shifted_gaussian, l2, grid)
+        if N % 2:
+            assert paired == full
+        else:
+            assert paired == pytest.approx(full, rel=1e-12)
 
 
 class TestLorentzNorm:
