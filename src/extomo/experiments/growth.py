@@ -11,9 +11,9 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import extend
-from ..reports import ExperimentReport, fit_columns, fit_log_growth
+from ..reports import ExperimentReport, experiment_rng, fit_columns, fit_log_growth
 from ..sphere import (CapSpec, Density, knapp_cap_density, make_circle_grid,
-                      make_sphere_grid, preset_density)
+                      make_sphere_grid, make_zonal_grid, perp_basis, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
 from ..tomography import Hyperplane, radon
 from .reductions import _ba_square_integral
@@ -173,6 +173,26 @@ def _knapp_set_geometry(m, delta):
     return np.array([1.0, 0.0, 0.0]), 1.0 / delta ** 2, 1.0 / delta
 
 
+def _knapp_band(m, delta, rng):
+    """(g_m, x): 50 uniform random points x of the inner half of the dual set
+    (constants live at its edges), and g_m on its zonal grid sized at x."""
+    dual_axis, radius, half_length = _knapp_set_geometry(m, delta)
+    r = 0.5 * radius * np.sqrt(rng.uniform(0, 1, 50))
+    phi = rng.uniform(0, 2 * np.pi, 50)
+    h = 0.5 * half_length * rng.uniform(-1, 1, 50)
+    x = np.column_stack([r * np.cos(phi), r * np.sin(phi), h]) @ np.vstack(
+        [perp_basis(dual_axis), dual_axis])
+    c = np.sqrt(1.0 - delta ** 2)
+    axis, zones, length, ds, s_max = (
+        (np.eye(3)[0], [(-delta, delta)], 2 * delta, 1 - c, 1.0) if m == 1 else
+        (np.eye(3)[2], [(-1.0, -c), (c, 1.0)], 1 - c, delta, delta))
+    a = x @ axis
+    rho = np.linalg.norm(x - a[:, None] * axis, axis=1).max()
+    n_z = 16 + int(np.ceil((np.abs(a).max() * length + rho * ds) / 2))
+    grid = make_zonal_grid(axis, zones, n_z, 32 + 2 * int(np.ceil(rho * s_max)))
+    return Density(grid, np.ones(grid.node_count)), x
+
+
 def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
                              seed=0):
     """Concentration of band-density extensions on dual cylinder-slab sets.
@@ -183,48 +203,34 @@ def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
     origin, and (b) that the L^q_omega L^inf_t norm of the hyperplane
     transform of the dual-set indicator follows the predicted log-log
     slope max(-n-m+2, -(n-1+m)+m/q) within 0.3.  n = 3.
+
+    g_m is the constant 1 on a zonal grid of its zones: |z| <= delta about
+    e_1 (m = 1), |z| >= (1 - delta^2)^(1/2) about e_3 (m = 2).  At x the
+    phase is a z + rho s cos(phi - phi_x), s = (1 - z^2)^(1/2); with A, rho
+    their largest |a|, rho, L the zone length and s spanning ds up to s_max,
+    a zone has 16 + ceil((A L + rho ds)/2) z nodes, 32 + 2 ceil(rho s_max) azimuths.
     """
     if m not in (1, 2):
         raise InvalidArgumentError("m must be 1 or 2")
     n = 3
-    n_points = 50
-    rng = np.random.default_rng(seed)
+    rng = experiment_rng(seed, "knapp_radon_lower_bounds")
     omega_grid = make_sphere_grid(32, 64)
     report = ExperimentReport(name="knapp_radon_lower_bounds", seed=seed,
                               params={"m": m, "q": q,
                                       "delta_list": list(delta_list)})
 
-    norms = []
-    medians = []
-    center_errs = []
-    mass_sq = []
+    norms, medians, center_errs, mass_sq = [], [], [], []
     rule = np.polynomial.legendre.leggauss(96)
     for delta in delta_list:
-        # phases need ~ half the dual-set diameter in polar nodes, and
-        # the sharp band edge needs cells well below the band width
-        n_polar = int(np.ceil(max(0.75 / delta ** 2, 25.0 / delta)))
-        grid = make_sphere_grid(max(16, n_polar), max(32, 2 * n_polar))
-        nodes = grid.nodes
-        band = np.linalg.norm(nodes[:, :m], axis=1) <= delta
-        g = Density(grid, band.astype(complex))
-        mass_sq.append(float(grid.integrate(band)) ** 2)
-
-        axis, radius, half_length = _knapp_set_geometry(m, delta)
-        perp1 = np.array([1.0, 0.0, 0.0]) if m == 1 else np.array([0.0, 1.0, 0.0])
-        perp2 = np.cross(axis, perp1)
-        # sample the inner half of the dual set (constants live at the edges)
-        r = 0.5 * radius * np.sqrt(rng.uniform(0, 1, n_points))
-        phi = rng.uniform(0, 2 * np.pi, n_points)
-        h = 0.5 * half_length * rng.uniform(-1, 1, n_points)
-        pts = (r * np.cos(phi))[:, None] * perp1 + \
-              (r * np.sin(phi))[:, None] * perp2 + h[:, None] * axis
+        g, pts = _knapp_band(m, delta, rng)
+        mass_sq.append(float(g.grid.integrate(g.values.real)) ** 2)
         vals = np.abs(extend(g, pts)) ** 2
         medians.append(float(np.median(vals)) / delta ** (2 * (n - 1)))
-        center = abs(extend(g, np.zeros((1, 3)))[0]) ** 2
-        if m == 1:
-            center_errs.append(abs(center - (4 * np.pi * delta) ** 2)
-                               / (4 * np.pi * delta) ** 2)
+        if m == 1:  # the extension at the origin is the band mass 4 pi delta
+            center = abs(extend(g, np.zeros(3))) ** 2 / (4 * np.pi * delta) ** 2
+            center_errs.append(abs(center - 1.0))
 
+        axis, radius, half_length = _knapp_set_geometry(m, delta)
         sups = np.array([
             _slab_cylinder_section_area(om @ axis, radius, half_length, rule)
             for om in omega_grid.nodes])

@@ -176,7 +176,7 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
     lhs = 0.0
     for om, w in zip(*lines):
         prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
-        lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
+        lhs += w * frac_laplacian(prof, eps).lp_norm(2) ** q
 
     t_integral = _ba_square_integral(g, eps, n_s, n_slice)
 

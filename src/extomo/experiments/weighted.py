@@ -116,7 +116,7 @@ def _sw_operator(w, omega, half_width, truncation):
     of the weight's line transform in direction omega (129 offsets, 512
     samples per line)."""
     prof = xray_profile(w, omega, half_width, 129, truncation, 512)
-    return frac_laplacian(prof, 0.25, taper=True).lp_norm(2)
+    return frac_laplacian(prof, 0.25).lp_norm(2)
 
 
 def _symmetric_cap_pair(grid):
@@ -265,11 +265,11 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         prof = xray_profile(field, np.array([0.0, 1.0]),
                             half_width=3.0 * R, samples_per_axis=n_v,
                             truncation=3.0 * R, n_samples=2 * int(6.0 * R))
-        half = frac_laplacian(prof, 0.25, taper=True)
+        half = frac_laplacian(prof, 0.25)
         C2.append(2.0 * np.pi * half.lp_norm(2) / (np.log(R) * norm_sq))
         alpha = 0.5 * (1.0 - 1.0 / q_probe)
         qprime = q_probe / (q_probe - 1.0)
-        probe = frac_laplacian(prof, alpha, taper=True)
+        probe = frac_laplacian(prof, alpha)
         Cq.append(2.0 * np.pi * probe.lp_norm(qprime) / norm_sq)
     report.raw_data["R"] = list(R_list)
     report.raw_data["C2"] = C2

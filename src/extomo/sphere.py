@@ -21,6 +21,7 @@ __all__ = [
     "CapSpec",
     "make_circle_grid",
     "make_sphere_grid",
+    "make_zonal_grid",
     "perp_basis",
     "poisson_kernel_circle",
     "poisson_mollify_circle",
@@ -72,7 +73,8 @@ class SphereGrid:
     nodes : (K, n) ndarray
         Unit vectors.
     weights : (K,) ndarray
-        Positive quadrature weights summing to the total surface measure.
+        Positive quadrature weights summing to the measure of the grid's
+        zones: the whole sphere for ``make_sphere_grid`` and ``make_circle_grid``.
     exactness_degree : int
         Spherical polynomials up to this degree integrate exactly.
     """
@@ -188,27 +190,32 @@ def make_circle_grid(N):
                       exactness_degree=N - 1, angles=theta)
 
 
-def make_sphere_grid(N_polar, N_azimuthal):
-    """Gauss-Legendre (polar cosine) x equispaced (azimuth) grid on S^2.
+def make_zonal_grid(axis, zones, n_z, n_phi):
+    """Gauss-Legendre in z = xi.axis on each zone (lo, hi) x n_phi azimuths in
+    the ``perp_basis(axis)`` frame, at the z weight times 2 pi / n_phi: dsigma
+    is dz dphi about any axis (Archimedes' hat-box theorem).  Exactness degree
+    min(2*n_z - 1, n_phi - 1)."""
+    axis = _as_unit(axis, "axis")
+    if n_z < 4 or n_phi < 8 or not all(-1.0 <= lo < hi <= 1.0 for lo, hi in zones):
+        raise InvalidArgumentError("a zonal grid needs n_z >= 4, n_phi >= 8 and "
+                                   "zones -1 <= lo < hi <= 1")
+    mu, wmu = np.polynomial.legendre.leggauss(n_z)
+    z = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * mu for lo, hi in zones])
+    wz = np.concatenate([0.5 * (hi - lo) * wmu for lo, hi in zones])
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    s = np.sqrt(1.0 - z ** 2)[:, None]
+    e1, e2 = perp_basis(axis)
+    nodes = z[:, None, None] * axis + (s * np.cos(phi))[..., None] * e1
+    nodes += (s * np.sin(phi))[..., None] * e2
+    return SphereGrid(dim=3, nodes=nodes.reshape(-1, 3),
+                      weights=np.repeat(wz * (2.0 * np.pi / n_phi), n_phi),
+                      exactness_degree=min(2 * n_z - 1, n_phi - 1))
 
-    Exactness degree min(2*N_polar - 1, N_azimuthal - 1).
-    """
-    if N_polar < 4 or N_azimuthal < 8:
-        raise InvalidArgumentError("sphere grid needs N_polar >= 4 and N_azimuthal >= 8")
-    mu, wmu = np.polynomial.legendre.leggauss(N_polar)  # mu = cos(polar)
-    phi = 2.0 * np.pi * np.arange(N_azimuthal) / N_azimuthal
-    wphi = 2.0 * np.pi / N_azimuthal
-    sin_polar = np.sqrt(1.0 - mu ** 2)
-    nodes = np.empty((N_polar * N_azimuthal, 3))
-    weights = np.empty(N_polar * N_azimuthal)
-    for i in range(N_polar):
-        sl = slice(i * N_azimuthal, (i + 1) * N_azimuthal)
-        nodes[sl, 0] = sin_polar[i] * np.cos(phi)
-        nodes[sl, 1] = sin_polar[i] * np.sin(phi)
-        nodes[sl, 2] = mu[i]
-        weights[sl] = wmu[i] * wphi
-    return SphereGrid(dim=3, nodes=nodes, weights=weights,
-                      exactness_degree=min(2 * N_polar - 1, N_azimuthal - 1))
+
+def make_sphere_grid(N_polar, N_azimuthal):
+    """Gauss-Legendre (polar cosine) x equispaced (azimuth) grid on S^2: the
+    zonal grid of the one zone [-1, 1] about e_3."""
+    return make_zonal_grid(np.eye(3)[2], [(-1.0, 1.0)], N_polar, N_azimuthal)
 
 
 def poisson_kernel_circle(r, theta):

@@ -224,44 +224,31 @@ def _taper_window(M):
     return w
 
 
-def frac_laplacian(profile, alpha, taper=False, boundary_tol=1e-6):
+def _laplacian_power(vals, spacing, alpha):
+    """(-Delta_v)^alpha of periodic samples: the FFT multiplier |eta|^(2 alpha),
+    zero at eta = 0."""
+    eta1 = 2.0 * np.pi * np.fft.fftfreq(vals.shape[0], d=spacing)
+    eta2 = functools.reduce(np.add.outer, [eta1 ** 2] * vals.ndim)
+    mult = np.power(eta2, alpha, out=np.zeros_like(eta2), where=eta2 > 0)
+    return np.fft.ifftn(np.fft.fftn(vals) * mult)
+
+
+def frac_laplacian(profile, alpha):
     """Fractional Laplacian (-Delta_v)^alpha as the Fourier multiplier |eta|^(2 alpha).
 
-    The profile is treated as periodic; ``taper`` applies a raised-cosine
-    window on the outer 10 percent before transforming.  The zero
-    frequency is annihilated for alpha > 0; for alpha < 0 the input must
-    be mean-zero (the multiplier is non-integrable at zero frequency).
+    The profile is tapered by a raised-cosine window on the outer 10
+    percent and then treated as periodic.  The zero frequency is
+    annihilated for alpha > 0; for alpha < 0 the tapered input must be
+    mean-zero (the multiplier is non-integrable at zero frequency).
     """
     vals = np.asarray(profile.values, dtype=complex)
-    M = profile.points_per_axis
     peak = np.abs(vals).max()
-    if peak > 0 and not taper:
-        if vals.ndim == 1:
-            boundary = max(abs(vals[0]), abs(vals[-1]))
-        else:
-            boundary = max(np.abs(vals[0]).max(), np.abs(vals[-1]).max(),
-                           np.abs(vals[:, 0]).max(), np.abs(vals[:, -1]).max())
-        if boundary > boundary_tol * peak:
-            raise PreconditionError(
-                "profile does not decay at the grid boundary; pass taper=True")
-    if taper:
-        vals = _per_axis(vals, _taper_window(M))
-    if alpha < 0:
-        mean = np.abs(vals.mean())
-        if peak > 0 and mean > 1e-8 * peak:
-            raise PreconditionError("alpha < 0 requires a mean-zero profile")
-    eta1 = 2.0 * np.pi * np.fft.fftfreq(M, d=profile.spacing)
-    if vals.ndim == 1:
-        eta2 = eta1 ** 2
-    else:
-        eta2 = eta1[:, None] ** 2 + eta1[None, :] ** 2
-    mult = np.zeros_like(eta2)
-    nz = eta2 > 0
-    mult[nz] = eta2[nz] ** alpha
-    out = np.fft.ifftn(np.fft.fftn(vals) * mult)
-    if np.isrealobj(profile.values):
-        out = out.real
-    return SampledField(profile.half_width, out)
+    vals = _per_axis(vals, _taper_window(profile.points_per_axis))
+    if alpha < 0 and peak > 0 and np.abs(vals.mean()) > 1e-8 * peak:
+        raise PreconditionError("alpha < 0 requires a mean-zero profile")
+    out = _laplacian_power(vals, profile.spacing, alpha)
+    return SampledField(profile.half_width,
+                        out.real if np.isrealobj(profile.values) else out)
 
 
 def xray_isometry_ratio(f, f_l2, sphere_grid):
@@ -276,7 +263,7 @@ def xray_isometry_ratio(f, f_l2, sphere_grid):
     total = 0.0
     for node, weight in zip(*sphere_grid.line_directions()):
         prof = xray_profile(f, node, 24.0, 257, 24.0, 1024)
-        half = frac_laplacian(prof, 0.25, taper=True)
+        half = frac_laplacian(prof, 0.25)
         total += weight * half.lp_norm(2) ** 2
     return float(np.sqrt(total) / f_l2)
 

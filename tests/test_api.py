@@ -152,9 +152,6 @@ KEPT_KNOBS = {
         "refinement delta: re-run at twice the samples",
     "identities.sharp_constant_S2(n_slice)":
         "refinement delta: re-run at twice the samples",
-    "tomography.frac_laplacian(boundary_tol)":
-        "test seam: the multiplier tests need periodic inputs that do not "
-        "decay at the boundary",
     "extremal.extremize(init)": "test seam: a fixed starting density",
     "extremal.extremize(grid)": "test seam: a small grid",
     "tubes.randomized_tube_experiment(angles)": "test seam: fixed directions",
@@ -190,6 +187,12 @@ def test_nufft_is_called_only_inside_the_extension_layer():
     # _extend_square or extend; no experiment builds its phases by hand
     assert _callers("_nufft1") == {("extension", "_nufft_extend")}
     assert {module for module, _ in _callers("_nufft_extend")} == {"extension"}
+
+
+def test_sphere_grids_are_built_only_inside_the_sphere_layer():
+    # every quadrature grid comes from a sphere builder (circle, sphere or
+    # zonal); no experiment assembles nodes and weights by hand
+    assert {module for module, _ in _callers("SphereGrid")} == {"sphere"}
 
 
 def _top_level_defs(tree):

@@ -5,6 +5,8 @@ test_acceptance; here the concern is argument validation, degenerate
 inputs and the cheap invariants of each entry point.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from extomo.errors import (InvalidArgumentError, NonFiniteObjectiveError,
                            PreconditionError)
 from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 bt_bounds_sweep, extremize,
+                                knapp_radon_lower_bounds,
                                 lemma_X_reduction_check,
                                 randomized_tube_experiment,
                                 radon_growth_sweep, t_delta_log_law,
@@ -19,10 +22,11 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 verify_radon_identity, verify_reduce_lemma,
                                 verify_xray_identity,
                                 xray_multiscale_lower_bound)
+from extomo.experiments.growth import _knapp_band
 from extomo.experiments.reductions import (_ba_square_integral,
                                            _slice_xray_profile)
 from extomo.experiments.weighted import _gaussian_test_functions
-from extomo.extension import slice_rule
+from extomo.extension import extend, slice_rule
 from extomo.reports import experiment_rng
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, preset_density)
@@ -112,6 +116,62 @@ class TestGrowth:
         with pytest.raises(InvalidArgumentError):
             radon_growth_sweep(one, 2.0, R_list=(16,))
 
+    @staticmethod
+    def _knapp_oracle(m, delta, x):
+        """The extension of the band g_m at x as one 1-D quadrature: the
+        azimuth integral about the band's axis is 2 pi J0(rho s), and the
+        band is symmetric under xi -> -xi.  m = 1 runs over z = xi_1 in
+        [0, delta]; m = 2 over s = |(xi_1, xi_2)| in [0, delta], where
+        dz = s ds / z spares the oracle the cancellation in 1 - z^2."""
+        from scipy.integrate import quad
+        from scipy.special import j0
+        if m == 1:
+            a, rho = x[0], np.hypot(x[1], x[2])
+
+            def f(z):
+                return 4 * np.pi * j0(rho * np.sqrt(1 - z * z)) * np.cos(a * z)
+            scale = delta
+        else:
+            a, rho = x[2], np.hypot(x[0], x[1])
+
+            def f(s):
+                z = np.sqrt(1 - s * s)
+                return 4 * np.pi * j0(rho * s) * np.cos(a * z) * s / z
+            scale = delta ** 2
+        return quad(f, 0.0, delta, epsabs=1e-14 * scale, epsrel=1e-12,
+                    limit=200)[0]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_knapp_extension_matches_quadrature(self, m):
+        # at the experiment's own points: its default deltas drawn from its
+        # keyed stream, then delta = 0.01 from the same stream
+        rng = experiment_rng(0, "knapp_radon_lower_bounds")
+        defaults = inspect.signature(
+            knapp_radon_lower_bounds).parameters["delta_list"].default
+        for delta, tol in [*((d, 1e-12) for d in defaults), (0.01, 1e-10)]:
+            g, pts = _knapp_band(m, delta, rng)
+            vals = extend(g, pts)
+            ref = np.array([self._knapp_oracle(m, delta, x) for x in pts])
+            assert np.abs(vals - ref).max() <= tol * np.abs(ref).max(), delta
+
+    @pytest.mark.parametrize("delta", [0.2, 0.025, 0.01])
+    def test_knapp_band_mass(self, delta):
+        # |{|xi_1| <= delta}| = 4 pi delta; |{|(xi_1, xi_2)| <= delta}| =
+        # 4 pi (1 - (1 - delta^2)^(1/2)), written free of cancellation
+        for m, mass in [(1, 4 * np.pi * delta),
+                        (2, 4 * np.pi * delta ** 2 / (1 + np.sqrt(1 - delta ** 2)))]:
+            g, _ = _knapp_band(m, delta, np.random.default_rng(0))
+            assert g.grid.integrate(g.values).real == pytest.approx(
+                mass, rel=1e-10), m
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_knapp_defaults_pass(self, m):
+        rep = knapp_radon_lower_bounds(m)
+        assert rep.pass_, rep.summary()
+        if m == 1:
+            # the extension at the origin is the band mass 4 pi delta
+            assert rep.metrics["center_value_err"] <= 1e-12
+
 
 class TestReductions:
     def test_q_gt_1_needs_constant_density(self):
@@ -143,7 +203,7 @@ class TestReductions:
         t_integral = _ba_square_integral(g, eps, n_s, n_slice)
         for om, w in zip(omega_grid.nodes, omega_grid.weights):
             prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
-            lhs += w * frac_laplacian(prof, eps, taper=True).lp_norm(2) ** q
+            lhs += w * frac_laplacian(prof, eps).lp_norm(2) ** q
             if q != 2.0:
                 circle, w_u = slice_rule(om, 0.0, 32)
                 inner = sum(t_integral(u) * w_u for u in circle)

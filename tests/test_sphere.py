@@ -9,6 +9,7 @@ from extomo.errors import InvalidArgumentError
 from extomo.sphere import (PRESETS, CapSpec, Density, SphereGrid,
                            bump_cap_density, knapp_cap_density,
                            make_circle_grid, make_sphere_grid,
+                           make_zonal_grid, perp_basis,
                            poisson_mollify_circle, preset_density)
 
 
@@ -47,6 +48,62 @@ class TestGrids:
         assert grid.exactness_degree >= 6
         val = grid.integrate(np.prod(grid.nodes ** 2, axis=1))
         assert val == pytest.approx(4.0 * np.pi / 105.0, rel=1e-12)
+
+
+def _row_loop_sphere_grid(N_polar, N_azimuthal):
+    """make_sphere_grid as it was built before zonal grids, one row at a
+    time: (nodes, weights, exactness degree)."""
+    mu, wmu = np.polynomial.legendre.leggauss(N_polar)
+    phi = 2.0 * np.pi * np.arange(N_azimuthal) / N_azimuthal
+    wphi = 2.0 * np.pi / N_azimuthal
+    sin_polar = np.sqrt(1.0 - mu ** 2)
+    nodes = np.empty((N_polar * N_azimuthal, 3))
+    weights = np.empty(N_polar * N_azimuthal)
+    for i in range(N_polar):
+        sl = slice(i * N_azimuthal, (i + 1) * N_azimuthal)
+        nodes[sl, 0] = sin_polar[i] * np.cos(phi)
+        nodes[sl, 1] = sin_polar[i] * np.sin(phi)
+        nodes[sl, 2] = mu[i]
+        weights[sl] = wmu[i] * wphi
+    return nodes, weights, min(2 * N_polar - 1, N_azimuthal - 1)
+
+
+class TestZonalGrid:
+    @pytest.mark.parametrize("size", [(96, 192), (24, 48), (32, 64), (8, 16),
+                                      (5, 9), (4, 8)])
+    def test_sphere_grid_is_the_row_loop_bit_for_bit(self, size):
+        nodes, weights, degree = _row_loop_sphere_grid(*size)
+        grid = make_sphere_grid(*size)
+        assert grid.nodes.tobytes() == nodes.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
+        assert grid.exactness_degree == degree
+
+    def test_polynomial_exactness_on_zones(self):
+        # dsigma = dz dphi about any axis: z^7 cos^2(phi) + z^2 sin^6(phi),
+        # of degree 7 in z and in phi, integrates to
+        # pi (hi^8 - lo^8)/8 + (5 pi/8) (hi^3 - lo^3)/3 per zone
+        axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        zones = [(-0.9, -0.4), (0.1, 0.7)]
+        grid = make_zonal_grid(axis, zones, 4, 8)
+        assert grid.exactness_degree == 7
+        e1, e2 = perp_basis(axis)
+        z = grid.nodes @ axis
+        s = np.sqrt(1.0 - z ** 2)
+        cos, sin = grid.nodes @ e1 / s, grid.nodes @ e2 / s
+        assert np.allclose(cos ** 2 + sin ** 2, 1.0, atol=1e-14)
+        exact = sum(np.pi * (hi ** 8 - lo ** 8) / 8
+                    + 5 * np.pi * (hi ** 3 - lo ** 3) / 24 for lo, hi in zones)
+        val = grid.integrate(z ** 7 * cos ** 2 + z ** 2 * sin ** 6)
+        assert val == pytest.approx(exact, rel=1e-13)
+        assert grid.weights.sum() == pytest.approx(2 * np.pi * 1.1, rel=1e-14)
+
+    @pytest.mark.parametrize("zones, n_z, n_phi", [
+        ([(0.5, 0.2)], 4, 8), ([(-1.5, 0.0)], 4, 8),
+        ([(0.0, 0.5), (0.3, 0.3)], 4, 8), ([(0.0, 0.5)], 3, 8),
+        ([(0.0, 0.5)], 4, 7)])
+    def test_bad_zonal_grid_rejected(self, zones, n_z, n_phi):
+        with pytest.raises(InvalidArgumentError):
+            make_zonal_grid(np.array([0.0, 0.0, 1.0]), zones, n_z, n_phi)
 
 
 class TestDensity:
