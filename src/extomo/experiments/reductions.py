@@ -11,11 +11,11 @@ boxes against sphere Lorentz norms of the density.
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..extension import _extend_square, extend, slice_rule
+from ..extension import _slice_phase_tables, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng
 from ..sphere import make_sphere_grid, preset_density
 from ..spherical import BA_t, S_operator
-from ..tomography import SampledField, frac_laplacian, lorentz_norm, perp_basis
+from ..tomography import SampledField, frac_laplacian, lorentz_norm
 from .identities import _require_resolved
 
 __all__ = [
@@ -117,22 +117,19 @@ def lemma_X_reduction_check(g, q=1.0):
     return report
 
 
-def _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice):
-    """Line transform of |g dsigma hat|^2 on an offset grid, via slices.
-
-    For fixed direction, the line integral is 2 pi times the t-integral
-    of squared slice-measure extensions; each slice extension over the
-    whole n_v x n_v offset grid is one type-1 NUFFT of the ``slice_rule``
-    points of the circle (error below 1e-12 times their weighted sum |g|).
-    """
-    basis = perp_basis(omega)
+def _slice_xray_profiles(g, omegas, half_width, n_v, n_t, n_slice):
+    """Per direction, the line transform of |g dsigma hat|^2 on n_v^2 offsets:
+    2 pi times the t-integral of |slice extension|^2 (``_slice_phase_tables``)."""
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
-    prof = np.zeros((n_v, n_v))
-    for pts, w, wt in zip(*slice_rule(omega, t_nodes, n_slice), t_weights):
-        S = _extend_square(pts, g.evaluate(pts) * w, np.zeros(3), basis,
-                           half_width, n_v)
-        prof += wt * np.abs(S.values) ** 2
-    return SampledField(half_width, 2.0 * np.pi * prof)
+    E1, E2 = _slice_phase_tables(t_nodes, n_slice, half_width, n_v)
+    profiles = []
+    for omega in omegas:
+        pts, w = slice_rule(omega, t_nodes, n_slice)
+        c = g.evaluate(pts.reshape(-1, 3)).reshape(n_t, n_slice) * w[:, None]
+        S = (E1 * c[:, None, :]) @ E2
+        prof = np.tensordot(t_weights, S.real ** 2 + S.imag ** 2, axes=1)
+        profiles.append(SampledField(half_width, 2.0 * np.pi * prof))
+    return profiles
 
 
 def _ba_square_integral(g, eps, n_s, n_slice):
@@ -173,10 +170,9 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
     if omega_grid is None:
         omega_grid = make_sphere_grid(8, 16)
     lines = omega_grid.line_directions()
-    lhs = 0.0
-    for om, w in zip(*lines):
-        prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
-        lhs += w * frac_laplacian(prof, eps).lp_norm(2) ** q
+    profiles = _slice_xray_profiles(g, lines[0], 12.0, n_v, n_t, n_slice)
+    lhs = sum(w * frac_laplacian(prof, eps).lp_norm(2) ** q
+              for prof, w in zip(profiles, lines[1]))
 
     t_integral = _ba_square_integral(g, eps, n_s, n_slice)
 
@@ -190,9 +186,7 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
         for om, w in zip(*lines):
             # the great circle perp to omega is the t = 0 slice
             circle, w_u = slice_rule(om, 0.0, 32)
-            inner = 0.0
-            for u_vec in circle:
-                inner += t_integral(u_vec) * w_u
+            inner = sum(t_integral(u_vec) * w_u for u_vec in circle)
             rhs += w * inner ** (q / 2.0)
 
     report = ExperimentReport(name="reduce_lemma",

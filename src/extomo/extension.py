@@ -14,7 +14,8 @@ points (the samples of a line, as ``xray`` passes them), the n = 2 boxes
 of ``extend_field`` and the uniform hyperplane patches of
 ``extend_plane_field`` (n = 2 and 3); those two grids come back as a
 ``tomography.SampledField``.  Every other point set takes the direct
-sum, one exp(i x.xi) per (point, node) pair.
+sum, one exp(i x.xi) per (point, node) pair.  The offset grids of slice
+line profiles take ``_slice_phase_tables``, the same for every omega.
 """
 
 import functools
@@ -117,15 +118,16 @@ def _nufft1(coeff, thetas, n_modes):
     return modes * functools.reduce(np.multiply.outer, [deconv] * len(axes))
 
 
-def _nonzero(nodes, coeff):
-    """The nodes and coefficients where coeff != 0."""
+def _nonzero(g):
+    """The nodes of g and the coefficients w_j g_j where w_j g_j != 0."""
+    coeff = g.grid.weights * g.values
     keep = coeff != 0
-    return nodes[keep], coeff[keep]
+    return g.grid.nodes[keep], coeff[keep]
 
 
 def _direct_sum(g, pts):
     """sum_j w_j g_j exp(i x.xi_j) at each row of pts, one phase per w_j g_j != 0."""
-    nodes, coeff = _nonzero(g.grid.nodes, g.grid.weights * g.values)
+    nodes, coeff = _nonzero(g)
     # keep each phase matrix block at ~256 MB
     chunk = max(1, 2 ** 24 // max(coeff.size, 1))
     out = np.empty(pts.shape[0], dtype=complex)
@@ -149,10 +151,10 @@ def _uniform_step(pts):
     return d if np.abs(pts - model).max() <= tol else None
 
 
-def _nufft_extend(nodes, coeff, center, steps, n_modes):
-    """sum_j coeff_j exp(i x.xi_j) over coeff_j != 0, on the uniform grid
+def _nufft_extend(g, center, steps, n_modes):
+    """sum_j w_j g_j exp(i x.xi_j) over w_j g_j != 0, on the uniform grid
     x = center + sum_d (a_d - n_modes // 2) steps[d]."""
-    nodes, coeff = _nonzero(nodes, coeff)
+    nodes, coeff = _nonzero(g)
     if coeff.size == 0:
         return np.zeros((n_modes,) * len(steps), dtype=complex)
     coeff = coeff * np.exp(1j * (nodes @ center))
@@ -187,19 +189,18 @@ def extend(g, x):
         out = _direct_sum(g, pts)
     else:
         M = pts.shape[0]
-        out = _nufft_extend(g.grid.nodes, g.grid.weights * g.values,
-                            pts[0] + (M // 2) * d, [d], M)
+        out = _nufft_extend(g, pts[0] + (M // 2) * d, [d], M)
     return out[0] if single else out
 
 
-def _extend_square(nodes, coeff, center, axes, half_width, points_per_axis):
-    """One NUFFT: sum_j coeff_j exp(i x.xi_j) at center + sum_d u_d axes[d], u in [-L, L]."""
+def _extend_square(g, center, axes, half_width, points_per_axis):
+    """One NUFFT: the extension of g at center + sum_d u_d axes[d], u in [-L, L]."""
     M = int(points_per_axis)
     if M < 2:
         raise InvalidArgumentError("points_per_axis must be >= 2")
     du = 2.0 * half_width / (M - 1)
     mid = -half_width + (M // 2) * du
-    values = _nufft_extend(nodes, coeff, center + mid * np.sum(axes, axis=0),
+    values = _nufft_extend(g, center + mid * np.sum(axes, axis=0),
                            [du * e for e in axes], M)
     return SampledField(float(half_width), values)
 
@@ -213,8 +214,7 @@ def extend_field(g, half_width, points_per_axis):
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("extend_field requires dim 2")
-    return _extend_square(g.grid.nodes, g.grid.weights * g.values, np.zeros(2),
-                          np.eye(2), half_width, points_per_axis)
+    return _extend_square(g, np.zeros(2), np.eye(2), half_width, points_per_axis)
 
 
 def extend_plane_field(g, omega, t, truncation, n_samples):
@@ -230,8 +230,7 @@ def extend_plane_field(g, omega, t, truncation, n_samples):
     omega = _as_unit(omega, "omega")
     if omega.size != g.grid.dim:
         raise InvalidArgumentError(f"omega must have dimension {g.grid.dim}")
-    return _extend_square(g.grid.nodes, g.grid.weights * g.values, t * omega,
-                          perp_basis(omega), truncation, n_samples)
+    return _extend_square(g, t * omega, perp_basis(omega), truncation, n_samples)
 
 
 def slice_rule(omega, t, n_slice):
@@ -256,7 +255,9 @@ def slice_rule(omega, t, n_slice):
         phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
         circle = np.cos(phi)[:, None] * e[0] + np.sin(phi)[:, None] * e[1]
         weight = np.full(t.shape[:-2], 2.0 * np.pi / n_slice)
-    return t * omega + root * circle, weight
+    pts = root * circle
+    pts += t * omega
+    return pts, weight
 
 
 def extend_slice(g, spec, v, n_slice=256):
@@ -272,6 +273,19 @@ def extend_slice(g, spec, v, n_slice=256):
     pts, weight = slice_rule(spec.omega, spec.t, n_slice)
     gv = g.evaluate(pts.reshape(-1, g.grid.dim)).reshape(pts.shape[:-1])
     return np.add.reduce(gv * np.exp(1j * pts @ v), axis=-1) * weight
+
+
+def _slice_phase_tables(t, n_slice, half_width, n_v):
+    """exp(i x.xi) = exp(i r_t u cos phi_j) exp(i r_t v sin phi_j) at x = u e1
+    + v e2 (``perp_basis`` frame) for every omega's ``slice_rule`` circles,
+    as E1 (n_t, n_v, n_slice), E2 (n_t, n_slice, n_v); slice values c extend
+    to ``(E1 * c[:, None, :]) @ E2``.  32 n_t n_v n_slice bytes: 3.2 MB at
+    (24, 33, 128); 101 MB at (24, 129, 1024), against a 14 MB NUFFT peak."""
+    r = np.sqrt(1.0 - t * t)[:, None, None]
+    u = np.linspace(-half_width, half_width, n_v)
+    phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
+    return (np.exp(1j * r * (u[:, None] * np.cos(phi))),
+            np.exp(1j * r * (np.sin(phi)[:, None] * u)))
 
 
 def sigma_hat_closed_form(n, r):

@@ -27,8 +27,8 @@ __all__ = [
     "phi_zero",
 ]
 
-# complex entries per block of rows in bt_delta_circle_grid (2 MB)
-_BT_BLOCK = 2 ** 17
+# bytes per block of rows of the product in bt_delta_circle_grid
+_BT_BLOCK = 2 ** 21
 
 
 def funk_At(f, omega, t, n_slice=256):
@@ -67,9 +67,7 @@ def T_delta(f, omega, delta, support_margin=1e-8):
     else:
         kern = 1.0 / (dots + delta)
     val = f.grid.integrate(f.values * kern)
-    if np.isrealobj(f.values) or np.all(f.values.imag == 0):
-        return float(val.real)
-    return complex(val)
+    return complex(val) if np.any(f.values.imag) else float(val.real)
 
 
 def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
@@ -157,6 +155,7 @@ def bt_delta_circle_grid(g1, g2, delta):
     Exploits the n = 2 angle structure: for omega at grid angle phi_k and
     xi at theta_j, the reflected argument -R_omega(xi) sits at the grid
     angle 2 phi_k - theta_j, and the kernel depends only on theta_j - phi_k.
+    BT_delta is even in omega, so rows k + N/2 of an even N copy rows k.
     Matches :func:`BT_delta` evaluated node-by-node.
     """
     if delta <= 0:
@@ -167,18 +166,21 @@ def bt_delta_circle_grid(g1, g2, delta):
     N = grid.node_count
     a = grid.weights * g1.values
     b = np.conj(g2.values)
-    # index m = j - k mod N; cast to complex once rather than in every block
-    kern = (1.0 / (np.abs(np.cos(grid.angles)) + delta)).astype(complex)
+    if not (np.any(a.imag) or np.any(b.imag)):
+        a, b = a.real, b.real
+    # index m = j - k mod N; cast to the product's type once, not per block
+    kern = (1.0 / (np.abs(np.cos(grid.angles)) + delta)).astype(a.dtype)
     # out[k] = sum_m kern[m] a[(k + m) % N] b[(k - m) % N]; both factors
     # are strided views, A[k, m] = a[(k + m) % N] and B[k, m] = b[(k - m) % N]
-    A = sliding_window_view(np.concatenate([a, a[:-1]]), N)
-    B = sliding_window_view(np.concatenate([b[1:], b]), N)[:, ::-1]
-    out = np.empty(N, dtype=complex)
-    step = max(1, _BT_BLOCK // N)
-    for start in range(0, N, step):
+    half = N // 2 if N % 2 == 0 else N
+    A = sliding_window_view(np.concatenate([a, a[:-1]]), N)[:half]
+    B = sliding_window_view(np.concatenate([b[1:], b]), N)[:half, ::-1]
+    out = np.empty(half, dtype=complex)
+    step = max(1, _BT_BLOCK // (N * a.itemsize))
+    for start in range(0, half, step):
         rows = slice(start, start + step)
         out[rows] = (A[rows] * B[rows]) @ kern
-    return out
+    return np.tile(out, N // half)
 
 
 def rotcurv(phi, x, y):

@@ -184,9 +184,11 @@ def _callers(name):
 
 def test_nufft_is_called_only_inside_the_extension_layer():
     # a uniform grid of the extension reaches the NUFFT through
-    # _extend_square or extend; no experiment builds its phases by hand
+    # _extend_square or extend, and the phase tables of the slice line
+    # profiles are built there too; no experiment builds its phases by hand
     assert _callers("_nufft1") == {("extension", "_nufft_extend")}
     assert {module for module, _ in _callers("_nufft_extend")} == {"extension"}
+    assert {module for module, _ in _callers("_extend_square")} == {"extension"}
 
 
 def test_sphere_grids_are_built_only_inside_the_sphere_layer():

@@ -24,7 +24,7 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 xray_multiscale_lower_bound)
 from extomo.experiments.growth import _knapp_band
 from extomo.experiments.reductions import (_ba_square_integral,
-                                           _slice_xray_profile)
+                                           _slice_xray_profiles)
 from extomo.experiments.weighted import _gaussian_test_functions
 from extomo.extension import extend, slice_rule
 from extomo.reports import experiment_rng
@@ -201,8 +201,9 @@ class TestReductions:
                                   n_v=n_v, n_t=n_t, n_slice=n_slice, n_s=n_s)
         lhs = rhs = 0.0
         t_integral = _ba_square_integral(g, eps, n_s, n_slice)
-        for om, w in zip(omega_grid.nodes, omega_grid.weights):
-            prof = _slice_xray_profile(g, om, 12.0, n_v, n_t, n_slice)
+        profs = _slice_xray_profiles(g, omega_grid.nodes, 12.0, n_v, n_t,
+                                     n_slice)
+        for om, w, prof in zip(omega_grid.nodes, omega_grid.weights, profs):
             lhs += w * frac_laplacian(prof, eps).lp_norm(2) ** q
             if q != 2.0:
                 circle, w_u = slice_rule(om, 0.0, 32)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
-from extomo.experiments.reductions import _slice_xray_profile
+from extomo.experiments.reductions import _slice_xray_profiles
 from extomo.extension import (SliceMeasureSpec, _direct_sum, _next_fast_len,
                               _nufft1, _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
@@ -263,17 +263,37 @@ class TestFastPaths:
            seed=st.integers(0, 2 ** 32 - 1))
     @example(n_v=33, half_width=12.0, n_t=24, n_slice=128, seed=0)
     @example(n_v=32, half_width=12.0, n_t=4, n_slice=128, seed=1)
+    @example(n_v=65, half_width=12.0, n_t=24, n_slice=256, seed=2)
     def test_slice_profile_matches_dense(self, n_v, half_width, n_t, n_slice, seed):
         rng = np.random.default_rng(seed)
         g = _random_density(3, rng)
         omega = rng.standard_normal(3)
         omega /= np.linalg.norm(omega)
-        prof = _slice_xray_profile(g, omega, half_width, n_v, n_t, n_slice)
+        prof, = _slice_xray_profiles(g, [omega], half_width, n_v, n_t, n_slice)
         ref = _dense_slice_profile(g, omega, half_width, n_v, n_t, n_slice)
         # each slice sum errs by at most 1e-12 of C = 2 pi max |g|; squared,
         # weighted by t-weights summing to 2 and scaled by 2 pi
         C = 2.0 * np.pi * np.abs(g.values).max()
         assert np.abs(prof.values - ref).max() <= 1e-11 * 4.0 * np.pi * C ** 2
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_dir=st.integers(1, 5), n_v=st.integers(2, 20),
+           n_t=st.integers(1, 6), n_slice=st.integers(3, 64),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slice_profiles_match_one_direction_each(self, n_dir, n_v, n_t,
+                                                     n_slice, seed):
+        # the phase tables are shared across directions; each profile is
+        # the one that direction gives alone, bit for bit
+        rng = np.random.default_rng(seed)
+        g = _random_density(3, rng)
+        omegas = rng.standard_normal((n_dir, 3))
+        omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+        profs = _slice_xray_profiles(g, omegas, 12.0, n_v, n_t, n_slice)
+        assert len(profs) == n_dir
+        for omega, prof in zip(omegas, profs):
+            alone, = _slice_xray_profiles(g, [omega], 12.0, n_v, n_t, n_slice)
+            assert prof.half_width == alone.half_width
+            np.testing.assert_array_equal(prof.values, alone.values)
 
 
 class TestSampledField:

@@ -207,6 +207,64 @@ class TestBilinear:
         direct = np.array([BT_delta(g1, g2, node, delta) for node in grid.nodes])
         assert np.abs(fast - direct).max() <= 1e-12 * np.abs(fast).max()
 
+    @staticmethod
+    def _bt_family(N, family, delta):
+        """The input pair of ``bt_bounds_sweep``'s families on N nodes."""
+        grid = make_circle_grid(N)
+        if family == "constant":
+            return (Density(grid, np.ones(N)),) * 2
+        if family == "cap":
+            return tuple(Density(grid, (np.abs((grid.angles - c + np.pi)
+                                               % (2 * np.pi) - np.pi)
+                                        <= delta).astype(complex))
+                         for c in (0.7, 2.3))
+        rng = np.random.default_rng(N)
+        return tuple(Density(grid, sum(c * np.exp(1j * k * grid.angles)
+                                       for k, c in enumerate(
+                                           rng.standard_normal(5)
+                                           + 1j * rng.standard_normal(5))))
+                     for _ in range(2))
+
+    # at N = 4096 a block holds 64 rows of the real path, 32 of the
+    # complex one, so the half sweep takes several blocks
+    @pytest.mark.parametrize("N", [4, 64, 700, 4096])
+    @pytest.mark.parametrize("family", ["constant", "cap", "random"])
+    def test_bt_grid_even_n_copies_the_antipodal_row(self, N, family):
+        # BT_delta is even in omega and node k + N/2 is -omega_k
+        fast = bt_delta_circle_grid(*self._bt_family(N, family, 0.01), 0.01)
+        np.testing.assert_array_equal(fast[N // 2:], fast[:N // 2])
+
+    @pytest.mark.parametrize("N, family", [(255, "constant"), (255, "cap"),
+                                           (255, "random"), (256, "random"),
+                                           (701, "random")])
+    def test_bt_grid_family_matches_every_node(self, N, family):
+        # odd N has no antipodal node, so every row is summed; "random" is
+        # a genuinely complex pair and takes the complex path
+        g1, g2 = self._bt_family(N, family, 0.05)
+        fast = bt_delta_circle_grid(g1, g2, 0.05)
+        direct = np.array([BT_delta(g1, g2, node, 0.05)
+                           for node in g1.grid.nodes])
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(fast).max()
+
+    @pytest.mark.parametrize("N, delta", [(1024, 0.1), (4096, 1e-3),
+                                          (4097, 1e-3)])
+    @pytest.mark.parametrize("family", ["constant", "cap"])
+    def test_bt_grid_real_inputs_match_complex_kernel_sum(self, N, delta,
+                                                          family):
+        # real values stored as complex take the real path; the complex
+        # sliding sum over every row, written out, is the reference
+        g1, g2 = self._bt_family(N, family, delta)
+        a = g1.grid.weights * g1.values
+        b = np.conj(g2.values)
+        kern = (1.0 / (np.abs(np.cos(g1.grid.angles)) + delta)).astype(complex)
+        m = np.arange(N)
+        ref = np.empty(N, dtype=complex)
+        for start in range(0, N, 256):
+            k = np.arange(start, min(start + 256, N))[:, None]
+            ref[k[:, 0]] = (a[(k + m) % N] * b[(k - m) % N]) @ kern
+        fast = bt_delta_circle_grid(g1, g2, delta)
+        assert np.abs(fast - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_cauchy_schwarz_diagonal(self, circle_grid, rng):
         # |BT_delta(g, h)| <= BT(g,g)^(1/2) BT(h,h)^(1/2) for densities
         # symmetric under theta -> -theta (so the reflected factor in the
