@@ -171,10 +171,12 @@ def _run_x_reduction(seed, q=1.0, preset=None):
     return X.lemma_X_reduction_check(g, q=q)
 
 
-def _run_reduce_lemma(seed, family=1, preset="cap", **kw):
+def _run_reduce_lemma(seed, family=1, preset=None, **kw):
     if family:
+        if preset is not None:
+            raise UsageError("preset-needs-family-0 (the family sets its own)")
         return X.reduce_lemma_family(seed=seed, **kw)
-    g = _preset_density(make_sphere_grid(24, 48), preset, seed)
+    g = _preset_density(make_sphere_grid(24, 48), preset or "cap", seed)
     return X.verify_reduce_lemma(g, **kw)
 
 

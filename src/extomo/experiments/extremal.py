@@ -35,31 +35,23 @@ def _parse_functional(functional_id):
     return name, args
 
 
-def _nearest_node_matrix(grid, pts, weights):
-    """Row-stochastic-in-weights matrix M with (M g)_i = sum of the given
-    quadrature weights times g at the grid node nearest each point."""
-    idx = np.argmax(pts @ grid.nodes.T, axis=1)
-    M = np.zeros((1, grid.node_count))
-    np.add.at(M[0], idx, weights)
-    return M
-
-
 def _xray_sup_functional(grid, q):
     """L^q_omega norm of the origin line integral of |g dsigma hat|^2.
 
     At the line offset zero the slice extension degenerates to the plain
     slice integral of g, so the whole functional is a quadratic form: one
     row of the compiled matrix per (direction, slice), over a 4 x 8
-    direction grid and 16 slices of 64 points.
+    direction grid and 16 slices of 64 points.  A row adds the slice weight
+    at the node nearest each slice point.
     """
     n_t, n_slice = 16, 64
     omega_grid = make_sphere_grid(4, 8)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
-    rows = []
-    for om in omega_grid.nodes:
-        for pts, w in zip(*slice_rule(om, t_nodes, n_slice)):
-            rows.append(_nearest_node_matrix(grid, pts, np.full(n_slice, w))[0])
-    A = np.array(rows).reshape(omega_grid.node_count, n_t, grid.node_count)
+    pts, w = zip(*(slice_rule(om, t_nodes, n_slice) for om in omega_grid.nodes))
+    idx = grid.nearest_node(np.reshape(pts, (-1, grid.dim))).reshape(-1, n_slice)
+    A = np.zeros((idx.shape[0], grid.node_count))
+    np.add.at(A, (np.arange(idx.shape[0])[:, None], idx), np.reshape(w, (-1, 1)))
+    A = A.reshape(omega_grid.node_count, n_t, grid.node_count)
     p_norm_weights = grid.weights
 
     def objective(x):

@@ -41,10 +41,9 @@ def funk_At(f, omega, t, n_slice=256):
     """
     spec = SliceMeasureSpec(_as_unit(omega, "omega"), t)
     val = extend_slice(f, spec, np.zeros(spec.omega.size), n_slice=n_slice)
-    real = np.isrealobj(f.values) or np.all(f.values.imag == 0)
-    if np.ndim(t) == 0:
-        return float(val.real) if real else complex(val)
-    return val.real if real else val
+    if np.all(f.values.imag == 0):
+        val = val.real
+    return val if np.ndim(t) else val.item()
 
 
 def T_delta(f, omega, delta, support_margin=1e-8):
@@ -86,12 +85,11 @@ def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
     u = 0.5 * U * (u + 1.0)
     wu = 0.5 * U * wu
     theta = delta * np.expm1(u)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        t = sign * np.sin(theta)
-        jac = np.cos(theta) * delta * np.exp(u) / (np.sin(theta) + delta)
-        vals = funk_At(f, omega, t, n_slice=n_slice)
-        total += np.add.reduce(wu * vals * jac)
+    t = np.sin(theta)
+    jac = np.cos(theta) * delta * np.exp(u) / (t + delta)
+    # the offsets +t, then -t, in one call; the Jacobian is even in t
+    vals = funk_At(f, omega, np.concatenate([t, -t]), n_slice=n_slice)
+    total = sum(np.add.reduce(wu * half * jac) for half in vals.reshape(2, n_u))
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 
@@ -133,8 +131,11 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
     else:
         # -R_omega turns each slice by half: point k meets point k + m/2
         vb = va if g2 is g1 else g2.evaluate(pts.reshape(-1, n)).reshape(shape)
-        vb = np.conj(np.roll(vb, m // 2, axis=-1))
-    out = np.add.reduce(va * vb, axis=-1) * weight
+        del pts
+        # conjugate and multiply in the rolled copy: va may alias caller data
+        vb = np.roll(vb, m // 2, axis=-1)
+        np.conj(vb, out=vb)
+    out = np.add.reduce(np.multiply(va, vb, out=vb), axis=-1) * weight
     return complex(out) if np.ndim(t) == 0 else out
 
 

@@ -144,14 +144,6 @@ def test_benchmark_counters_accept_library_signatures(monkeypatch):
 
 # optional parameters that no scanned caller passes, each kept for a reason
 KEPT_KNOBS = {
-    "identities.verify_mollified_radon(n_slice)":
-        "refinement delta: re-run at twice the samples",
-    "identities.sharp_constant_S2(truncation)":
-        "refinement delta: re-run at twice the samples",
-    "identities.sharp_constant_S2(n_t)":
-        "refinement delta: re-run at twice the samples",
-    "identities.sharp_constant_S2(n_slice)":
-        "refinement delta: re-run at twice the samples",
     "extremal.extremize(init)": "test seam: a fixed starting density",
     "extremal.extremize(grid)": "test seam: a small grid",
     "tubes.randomized_tube_experiment(angles)": "test seam: fixed directions",
@@ -189,6 +181,20 @@ def test_nufft_is_called_only_inside_the_extension_layer():
     assert _callers("_nufft1") == {("extension", "_nufft_extend")}
     assert {module for module, _ in _callers("_nufft_extend")} == {"extension"}
     assert {module for module, _ in _callers("_extend_square")} == {"extension"}
+
+
+def test_nearest_nodes_are_looked_up_only_inside_the_sphere_layer():
+    # one nearest-node rule: an argmax over a grid's nodes is
+    # SphereGrid.nearest_node, which bounds the product it forms
+    found = set()
+    for path in (ROOT / "src" / "extomo").rglob("*.py"):
+        for call, _ in _calls(ast.parse(path.read_text(), str(path))):
+            if "argmax" in (getattr(call.func, "id", None),
+                            getattr(call.func, "attr", None)) and any(
+                    getattr(node, "attr", None) == "nodes"
+                    for arg in call.args for node in ast.walk(arg)):
+                found.add(path.stem)
+    assert found == {"sphere"}
 
 
 def test_sphere_grids_are_built_only_inside_the_sphere_layer():

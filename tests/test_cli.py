@@ -66,6 +66,13 @@ class TestUsage:
         assert run(["verify", "xray-identity", "--preset", "nope"]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_reduce_lemma_preset_needs_family_0(self, capsys):
+        # the family runs its own five densities and never reads a preset
+        assert run(["verify", "reduce-lemma", "--preset", "band"]) == 2
+        assert "preset-needs-family-0" in capsys.readouterr().err
+        assert run(["verify", "reduce-lemma", "--family", "0",
+                    "--preset", "band"]) == 0
+
     def test_funk_needs_n3(self, capsys):
         assert run(["transform", "dump", "--transform", "funk",
                     "--n", "2"]) == 2

@@ -22,6 +22,7 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 verify_radon_identity, verify_reduce_lemma,
                                 verify_xray_identity,
                                 xray_multiscale_lower_bound)
+from extomo.experiments.extremal import _xray_sup_functional
 from extomo.experiments.growth import _knapp_band
 from extomo.experiments.reductions import (_ba_square_integral,
                                            _slice_xray_profiles)
@@ -279,6 +280,22 @@ class TestExtremal:
     def test_unknown_functional(self):
         with pytest.raises(InvalidArgumentError):
             build_functional("no_such_thing(1,2)")
+
+    def test_xray_sup_matrix_is_the_row_by_row_build(self):
+        # one lookup and one np.add.at for all 512 (direction, slice) rows
+        # against one dense argmax and one np.add.at per row
+        grid = make_sphere_grid(8, 16)
+        A = inspect.getclosurevars(
+            _xray_sup_functional(grid, np.inf)).nonlocals["A"]
+        t_nodes = np.polynomial.legendre.leggauss(16)[0]
+        rows = []
+        for om in make_sphere_grid(4, 8).nodes:
+            for pts, w in zip(*slice_rule(om, t_nodes, 64)):
+                row = np.zeros(grid.node_count)
+                np.add.at(row, np.argmax(pts @ grid.nodes.T, axis=1),
+                          np.full(64, w))
+                rows.append(row)
+        np.testing.assert_array_equal(A.reshape(len(rows), -1), rows)
 
     def test_unparseable_functional(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,10 +1,14 @@
 """Grids, densities, caps and mollifiers on the sphere."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extomo import sphere
 from extomo.errors import InvalidArgumentError
 from extomo.sphere import (PRESETS, CapSpec, Density, SphereGrid,
                            bump_cap_density, knapp_cap_density,
@@ -118,6 +122,20 @@ class TestDensity:
         theta = circle_grid.angles[3] + 0.3 * (2 * np.pi / circle_grid.node_count)
         out = g.evaluate(np.array([np.cos(theta), np.sin(theta)]))
         assert out[0] == pytest.approx(3.0)
+
+    def test_off_node_lookup_is_blocked(self):
+        # 2048 points x 18432 nodes would be a 302 MB product in one go
+        grid = make_sphere_grid(96, 192)
+        g = Density(grid, np.arange(grid.node_count, dtype=float))
+        pts = np.random.default_rng(3).standard_normal((2048, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            g.evaluate(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_norms(self, one_circle):
         assert one_circle.norm(1) == pytest.approx(2.0 * np.pi)
@@ -278,3 +296,67 @@ class TestLineDirections:
         got_nodes, got_weights = grid.line_directions()
         assert np.array_equal(got_nodes, nodes[:2])
         assert np.array_equal(got_weights, [5.0, 2.0])
+
+
+_NEAREST_GRIDS = {
+    "circle": make_circle_grid(37),
+    "sphere": make_sphere_grid(12, 24),
+    "zonal": make_zonal_grid(np.array([0.6, 0.0, 0.8]),
+                             [(-0.3, 0.1), (0.9, 1.0)], 6, 16),
+}
+
+
+class TestNearestNode:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(_NEAREST_GRIDS)),
+           seed=st.integers(0, 2 ** 32 - 1), M=st.integers(0, 300),
+           block_rows=st.integers(1, 40))
+    def test_equals_the_dense_argmax(self, name, seed, M, block_rows):
+        # random points, the nodes themselves, midpoints of neighbouring
+        # nodes and the poles, in blocks of block_rows rows (at least 2)
+        grid = _NEAREST_GRIDS[name]
+        K, n = grid.node_count, grid.dim
+        rng = np.random.default_rng(seed)
+        i = rng.integers(K, size=M)
+        pole = np.eye(n)[-1] * rng.choice([-1.0, 1.0], size=(M, 1))
+        candidates = np.stack([rng.standard_normal((M, n)), grid.nodes[i],
+                               grid.nodes[i] + grid.nodes[(i + 1) % K], pole])
+        pts = candidates[rng.integers(4, size=M), np.arange(M)]
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        with mock.patch.object(sphere, "_NEAREST_BLOCK", block_rows * K):
+            idx = grid.nearest_node(pts)
+        assert idx.shape == (M,)
+        np.testing.assert_array_equal(
+            idx, np.argmax(pts @ grid.nodes.T, axis=1))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_tie_goes_to_the_first_node(self, sign):
+        # every node of the ring nearest a pole has the same z, and the
+        # pole's dot product with each is that z exactly
+        grid = _NEAREST_GRIDS["sphere"]
+        pts = np.tile([0.0, 0.0, sign], (5, 1))
+        dots = pts[0] @ grid.nodes.T
+        ring = np.flatnonzero(dots == dots.max())
+        assert ring.size == 24
+        with mock.patch.object(sphere, "_NEAREST_BLOCK", 2 * grid.node_count):
+            np.testing.assert_array_equal(grid.nearest_node(pts), ring[0])
+
+    @pytest.mark.parametrize("name", sorted(_NEAREST_GRIDS))
+    def test_no_row_is_looked_up_alone(self, name):
+        # a lone row takes BLAS's matrix-vector path, which rounds the dot
+        # products otherwise; midpoints of neighbouring nodes are near ties,
+        # so the prefixes of odd length must still match the dense argmax
+        grid = _NEAREST_GRIDS[name]
+        i = np.arange(grid.node_count)
+        mid = grid.nodes[i] + grid.nodes[(i + 1) % grid.node_count]
+        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+        dense = np.argmax(mid @ grid.nodes.T, axis=1)
+        with mock.patch.object(sphere, "_NEAREST_BLOCK", 2 * grid.node_count):
+            for M in range(2, grid.node_count + 1):
+                np.testing.assert_array_equal(grid.nearest_node(mid[:M]),
+                                              dense[:M])
+
+    def test_grid_nodes_are_their_own_nearest(self):
+        grid = _NEAREST_GRIDS["zonal"]
+        np.testing.assert_array_equal(grid.nearest_node(grid.nodes),
+                                      np.arange(grid.node_count))
