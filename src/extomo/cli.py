@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from inspect import signature
 
 import numpy as np
 
@@ -148,22 +149,6 @@ def _run_mollified_radon(seed, n=2, preset="constant", **kw):
     return X.verify_mollified_radon(g, omega, **kw)
 
 
-def _run_sharp_constant(seed):
-    return X.sharp_constant_S2()
-
-
-def _run_isometry(seed, **kw):
-    return X.isometry_constancy(seed=seed, **kw)
-
-
-def _run_wstein(seed, **kw):
-    return X.verify_wstein(**kw)
-
-
-def _run_wmiztak(seed, **kw):
-    return X.verify_wmiztak(seed=seed, **kw)
-
-
 def _run_x_reduction(seed, q=1.0, preset=None):
     # q > 1 is defined for the constant density only
     preset = preset or ("constant" if q > 1 else "cap")
@@ -197,10 +182,6 @@ def _run_radon_growth(seed, q=2.0, R_list=(16, 32, 64, 128, 256, 512, 1024),
     return report
 
 
-def _run_outside_range(seed, **kw):
-    return X.radon_outside_range_probe(**kw)
-
-
 def _run_bt_bounds(seed, family="constant", **kw):
     fit_half, fit_one = X.bt_bounds_sweep(family=family, seed=seed, **kw)
     report = fit_columns(
@@ -210,10 +191,6 @@ def _run_bt_bounds(seed, family="constant", **kw):
     report.record("slope_half_norm", fit_half.slope)
     report.record("r_squared_half_norm", fit_half.r_squared)
     return report
-
-
-def _run_multiscale(seed, **kw):
-    return X.xray_multiscale_lower_bound(**kw)
 
 
 def _run_necessity(seed, **kw):
@@ -229,14 +206,6 @@ def _run_power_weight(seed, p=2.0, q=4.0, r=2.0, preset="constant", **kw):
     return X.power_weight_ratio(g, p, q, r, closed_form=closed_form, **kw)
 
 
-def _run_knapp(seed, m=1, **kw):
-    return X.knapp_radon_lower_bounds(m, seed=seed, **kw)
-
-
-def _run_tubes(seed, **kw):
-    return X.randomized_tube_experiment(seed=seed, **kw)
-
-
 def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):
     # commas inside functional ids hit the list-valued parser
     density, report = X.extremize(_format_value(functional), seed=seed, **kw)
@@ -248,48 +217,60 @@ def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):
     return report
 
 
-def _run_transform(seed, transform="xray", n=2, preset="cap", half_width=8.0,
-                   samples=None, truncation=40.0, t_extent=2.0, t_pitch=0.25):
+def _dump_xray(g, omega, half_width=8.0, samples=65, truncation=40.0):
+    def line_field(pts):
+        # one extend call per line: a uniform line takes the NUFFT
+        return np.concatenate([np.abs(extend(g, x)) ** 2 for x in
+                               np.split(pts, len(pts) // 1024)])
+
+    prof = xray_profile(line_field, omega, half_width=half_width,
+                        samples_per_axis=samples, truncation=truncation,
+                        n_samples=1024)
+    ax = prof.axis()
+    mid = prof.values if omega.size == 2 else prof.values[:, len(ax) // 2]
+    return ax, mid, np.max(prof.values)
+
+
+def _dump_radon(g, omega, samples=1024, truncation=40.0, t_extent=2.0,
+                t_pitch=0.25):
+    t_grid = np.arange(-t_extent, t_extent + 1e-12, t_pitch)
+    vals = [extend_plane_field(g, omega, float(t), truncation, samples)
+            .integrate(lambda v: np.abs(v) ** 2) for t in t_grid]
+    return t_grid, vals, np.max(vals)
+
+
+def _dump_funk(g):
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    vals = [np.real(funk_At(g, np.array([np.cos(a), np.sin(a), 0.0]), 0.0))
+            for a in angles]
+    return angles, vals, np.max(vals)
+
+
+def _require_read(dump, kw):
+    unread = sorted(set(kw) - set(signature(dump).parameters))
+    if unread:
+        raise UsageError(f"unknown-parameter {unread} for transform "
+                         f"{dump.__name__.removeprefix('_dump_')}")
+
+
+def _run_transform(seed, transform="xray", n=2, preset="cap", **kw):
     g, omega = _default_input(n, preset, seed)
-    report = ExperimentReport(name=f"transform_{transform}",
-                              params={"n": n, "transform": transform,
-                                      "preset": preset})
-
     if transform == "xray":
-        def line_field(pts):
-            # one extend call per line: a uniform line takes the NUFFT
-            return np.concatenate([np.abs(extend(g, x)) ** 2 for x in
-                                   np.split(pts, len(pts) // 1024)])
-
-        prof = xray_profile(line_field, omega, half_width=half_width,
-                            samples_per_axis=65 if samples is None else samples,
-                            truncation=truncation, n_samples=1024)
-        ax = prof.axis()
-        mid = prof.values if n == 2 else prof.values[:, len(ax) // 2]
-        report.raw_data["abscissa"] = [float(v) for v in ax]
-        report.raw_data["ordinate"] = [float(v) for v in mid]
-        report.record("max_value", float(np.max(prof.values)))
+        _require_read(_dump_xray, kw)
+        ax, vals, top = _dump_xray(g, omega, **kw)
     elif transform == "radon":
-        t_grid = np.arange(-t_extent, t_extent + 1e-12, t_pitch)
-        vals = [extend_plane_field(g, omega, float(t), truncation,
-                                   1024 if samples is None else samples)
-                .integrate(lambda v: np.abs(v) ** 2) for t in t_grid]
-        report.raw_data["abscissa"] = [float(t) for t in t_grid]
-        report.raw_data["ordinate"] = [float(v) for v in vals]
-        report.record("max_value", float(np.max(vals)))
-    elif transform == "funk":
-        angles = 2.0 * np.pi * np.arange(64) / 64
-        if n == 2:
-            raise UsageError("funk transform requires n = 3")
-        vals = []
-        for ang in angles:
-            om = np.array([np.cos(ang), np.sin(ang), 0.0])
-            vals.append(float(np.real(funk_At(g, om, 0.0))))
-        report.raw_data["abscissa"] = [float(a) for a in angles]
-        report.raw_data["ordinate"] = vals
-        report.record("max_value", float(np.max(vals)))
+        _require_read(_dump_radon, kw)
+        ax, vals, top = _dump_radon(g, omega, **kw)
+    elif transform == "funk" and n == 3:
+        _require_read(_dump_funk, kw)
+        ax, vals, top = _dump_funk(g)
     else:
-        raise UsageError(f"unknown-transform {transform!r}")
+        raise UsageError(f"unknown-transform {transform!r} for n = {n}")
+    report = ExperimentReport(name=f"transform_{transform}", params={
+        "n": n, "transform": transform, "preset": preset})
+    report.raw_data["abscissa"] = [float(v) for v in ax]
+    report.raw_data["ordinate"] = [float(v) for v in vals]
+    report.record("max_value", top)
     return report
 
 
@@ -305,13 +286,13 @@ REGISTRY = {
     "mollified-radon": ("verify", _run_mollified_radon,
                         {"n", "preset", "R_list"},
                         "ball-truncated hyperplane transform bound"),
-    "sharp-constant": ("verify", _run_sharp_constant, set(),
+    "sharp-constant": ("verify", X.sharp_constant_S2, set(),
                        "sharp line-bound constant on the 2-sphere, two paths"),
-    "isometry": ("verify", _run_isometry, {"n_funcs"},
+    "isometry": ("verify", X.isometry_constancy, {"n_funcs"},
                  "half-derivative line-transform isometry constancy"),
-    "wstein": ("verify", _run_wstein, {"R_list", "C_max"},
+    "wstein": ("verify", X.verify_wstein, {"R_list", "C_max"},
                "weighted bound with direction-wise square function data"),
-    "wmiztak": ("verify", _run_wmiztak, {"R_list", "q_probe", "C_max"},
+    "wmiztak": ("verify", X.verify_wmiztak, {"R_list", "q_probe", "C_max"},
                 "weighted log-growth bound and its falsification probe"),
     "x-reduction": ("verify", _run_x_reduction, {"q", "preset"},
                     "sup-line norm vs power-weighted Lorentz norm"),
@@ -322,20 +303,22 @@ REGISTRY = {
                 "log law of the equator-singular integral"),
     "radon-growth": ("sweep", _run_radon_growth, {"q", "R_list", "preset"},
                      "log growth of the truncated hyperplane norm"),
-    "outside-range": ("sweep", _run_outside_range, {"R_list"},
+    "outside-range": ("sweep", X.radon_outside_range_probe, {"R_list"},
                       "power growth outside the admissible exponent range"),
     "bt-bounds": ("sweep", _run_bt_bounds, {"delta_list", "family"},
                   "bilinear operator quasinorm growth in log(1/delta)"),
-    "multiscale": ("sweep", _run_multiscale, {"delta_list"},
+    "multiscale": ("sweep", X.xray_multiscale_lower_bound, {"delta_list"},
                    "square-root-log lower bound for the line transform"),
     "necessity": ("sweep", _run_necessity, {"delta_list", "eps"},
                   "band-density scaling behind the derivative loss"),
     "power-weight": ("sweep", _run_power_weight,
                      {"p", "q", "r", "L_list", "preset"},
                      "power-weighted Lorentz ratio on doubling boxes"),
-    "lower-bounds": ("knapp", _run_knapp, {"m", "delta_list", "q"},
+    "lower-bounds": ("knapp", X.knapp_radon_lower_bounds,
+                     {"m", "delta_list", "q"},
                      "cylinder-slab lower bound scalings"),
-    "randomized": ("tubes", _run_tubes, {"R", "n_trials", "cap_scale"},
+    "randomized": ("tubes", X.randomized_tube_experiment,
+                   {"R", "n_trials", "cap_scale"},
                    "wavepacket tube family with Khintchine averaging"),
     "run": ("extremize", _run_extremize,
             {"functional", "steps", "step_size"},
@@ -346,7 +329,7 @@ REGISTRY = {
              "evaluate a transform of the squared extension to CSV"),
 }
 
-GROUPS = ("verify", "sweep", "knapp", "tubes", "extremize", "transform")
+GROUPS = tuple(dict.fromkeys(v[0] for v in REGISTRY.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +449,8 @@ def _build_config(name, tokens):
 
 def _execute(config):
     group, runner, _, _ = REGISTRY[config.experiment]
-    report = runner(config.seed, **config.params)
+    kw = {"seed": config.seed} if "seed" in signature(runner).parameters else {}
+    report = runner(**config.params, **kw)
     report.params.setdefault("seed", config.seed)
     for key, (lo, hi) in config.tolerance_overrides.items():
         report.tolerances[key] = (lo, hi)

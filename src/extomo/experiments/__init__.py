@@ -1,4 +1,4 @@
-"""Named, reproducible experiments.
+"""Named, reproducible experiments, each named once, in its module's __all__.
 
 Each returns an ExperimentReport with its own checks, except
 ``t_delta_log_law`` (fit, report), ``necessity_band_example`` (report,
@@ -7,43 +7,14 @@ bt-bounds``) and ``extremize`` (density, report); the other names are
 building blocks.
 """
 
-from .identities import (verify_xray_identity, verify_radon_identity,
-                         verify_mollified_radon, sharp_constant_S2)
-from .growth import (t_delta_log_law, radon_growth_sweep,
-                     radon_outside_range_probe, knapp_radon_lower_bounds,
-                     xray_multiscale_lower_bound, bt_bounds_sweep,
-                     necessity_band_example)
-from .weighted import (gamma_R_weight, isometry_constancy, verify_wstein,
-                       verify_wmiztak)
-from .reductions import (lemma_X_reduction_check, verify_reduce_lemma,
-                         reduce_lemma_family, power_weight_ratio)
-from .tubes import (tube_direction_angles, cap_wavepacket_extension,
-                    randomized_tube_experiment)
-from .extremal import build_functional, extremize
+from .identities import *  # noqa: F401,F403
+from .growth import *  # noqa: F401,F403
+from .weighted import *  # noqa: F401,F403
+from .reductions import *  # noqa: F401,F403
+from .tubes import *  # noqa: F401,F403
+from .extremal import *  # noqa: F401,F403
 
-__all__ = [
-    "verify_xray_identity",
-    "verify_radon_identity",
-    "verify_mollified_radon",
-    "sharp_constant_S2",
-    "t_delta_log_law",
-    "radon_growth_sweep",
-    "radon_outside_range_probe",
-    "knapp_radon_lower_bounds",
-    "xray_multiscale_lower_bound",
-    "bt_bounds_sweep",
-    "necessity_band_example",
-    "gamma_R_weight",
-    "isometry_constancy",
-    "verify_wstein",
-    "verify_wmiztak",
-    "lemma_X_reduction_check",
-    "verify_reduce_lemma",
-    "reduce_lemma_family",
-    "power_weight_ratio",
-    "tube_direction_angles",
-    "cap_wavepacket_extension",
-    "randomized_tube_experiment",
-    "build_functional",
-    "extremize",
-]
+from . import identities, growth, weighted, reductions, tubes, extremal
+
+__all__ = [*identities.__all__, *growth.__all__, *weighted.__all__,
+           *reductions.__all__, *tubes.__all__, *extremal.__all__]

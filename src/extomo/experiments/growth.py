@@ -193,7 +193,7 @@ def _knapp_band(m, delta, rng):
     return Density(grid, np.ones(grid.node_count)), x
 
 
-def knapp_radon_lower_bounds(m, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
+def knapp_radon_lower_bounds(m=1, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
                              seed=0):
     """Concentration of band-density extensions on dual cylinder-slab sets.
 

@@ -88,11 +88,10 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     integral of |g|^2 (the constant belongs to the e^{i x.xi} phase
     convention used throughout this package).
 
-    For n = 3 the hyperplane patch must stay inside the range where the
-    quadrature grid resolves the phases (corner radius truncation*sqrt(2)
-    below roughly twice the polar node count), so the default truncation
-    is modest; the integrand concentrates at small radius anyway because
-    the stationary direction leaves the cap support.
+    A grid whose exactness degree is below the patch corner radius
+    hypot(truncation sqrt(n - 1), max |t|) raises PreconditionError, so
+    the n = 3 default truncation is modest: the integrand concentrates at
+    small radius anyway, as the stationary direction leaves the cap support.
 
     Each offset costs one type-1 NUFFT over the hyperplane patch of
     ``extend_plane_field``: n_samples^2 points for n = 3, n_samples for
@@ -106,6 +105,8 @@ def verify_radon_identity(g, omega, t_list=(0.5, 1.0, 2.0), truncation=None,
     if np.any(live) and (g.grid.nodes[live] @ omega).min() < margin:
         raise PreconditionError(
             f"density must be supported in the spherical cap {{xi.omega >= {margin}}}")
+    _require_resolved(g.grid, np.hypot(truncation * np.sqrt(n - 1),
+                                       max(abs(t) for t in t_list)))
     if n_samples is None:
         n_samples = int(2 * truncation / 0.25) + 1
 
@@ -144,7 +145,8 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256)):
     ``R_list`` needs two distinct radii.
     The right-hand side carries the same (2 pi)^(n-1) convention constant
     as the exact identity, so the ratios are O(1).  Hyperplanes are
-    sampled at spacing 0.25, slices at 256 points.
+    sampled at spacing 0.25, slices at 256 points.  A grid whose exactness
+    degree is below max(R_list) raises PreconditionError.
     """
     omega = _as_unit(omega, "omega")
     n = omega.size
@@ -158,6 +160,7 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256)):
     if len(set(R_list)) < 2:
         raise InvalidArgumentError("a stability check needs at least two "
                                    f"distinct R, got R_list = {list(R_list)}")
+    _require_resolved(g.grid, max(R_list))
     ratios = []
     for R in R_list:
         rhs = (2.0 * np.pi) ** (n - 1) * t_delta_via_slices(

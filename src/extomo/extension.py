@@ -40,7 +40,7 @@ __all__ = [
 # Gaussian kernel needs exp(-2 pi m / 3) <= eps, so m cells on each side
 _NUFFT_EPS = 1e-12
 _NUFFT_HALF_WIDTH = int(np.ceil(-1.5 * np.log(_NUFFT_EPS) / np.pi))
-# entries per block of the spreading matrix (16 MB of float64)
+# entries per block of a spreading or phase matrix (16 MB of float64)
 _SPREAD_BLOCK = 2 ** 21
 # uniform-line test: deviation from x0 + k d allowed, in ulps of max |x|
 _LINE_ULPS = 8
@@ -128,8 +128,7 @@ def _nonzero(g):
 def _direct_sum(g, pts):
     """sum_j w_j g_j exp(i x.xi_j) at each row of pts, one phase per w_j g_j != 0."""
     nodes, coeff = _nonzero(g)
-    # keep each phase matrix block at ~256 MB
-    chunk = max(1, 2 ** 24 // max(coeff.size, 1))
+    chunk = max(1, _SPREAD_BLOCK // max(coeff.size, 1))
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
@@ -172,7 +171,7 @@ def extend(g, x):
     A batch of M >= 2 uniformly spaced collinear points, x_k = x_0 + k d
     to within a few ulps of max |x|, is evaluated by a type-1 NUFFT whose
     error is below 1e-12 times sum |w_j g_j|; any other input
-    takes the direct sum, in phase blocks of about 256 MB.
+    takes the direct sum, in phase blocks of about 32 MB.
 
     Returns
     -------

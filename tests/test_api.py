@@ -293,16 +293,19 @@ def _unreached_knobs():
                 [_knob_keys(kw.value, assigned, scope)
                  for kw in call.keywords if kw.arg is None]))
 
-    # the CLI calls each REGISTRY runner as runner(seed, **params), where
-    # params holds only keys of the entry's set: read each entry as a call
-    # with that literal key set
+    # the CLI calls each REGISTRY runner as runner(**params), where params
+    # holds only keys of the entry's set, plus seed when the runner takes
+    # one: read each entry as a call with that literal key set
     for node in ast.walk(trees[ROOT / "src" / "extomo" / "cli.py"]):
         if (isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "REGISTRY"):
             for entry in node.value.values:
                 _, runner, keys, _ = entry.elts
-                calls.setdefault(runner.id, []).append((1, {
-                    key.value for key in getattr(keys, "elts", [])}, []))
+                name = getattr(runner, "id", None) or runner.attr
+                keys = {key.value for key in getattr(keys, "elts", [])}
+                if "seed" in named.get(name, ()):
+                    keys.add("seed")
+                calls.setdefault(name, []).append((0, keys, []))
 
     # the keys that reach each function's own **kwargs, to a fixed point
     forwarded = {}
@@ -348,3 +351,30 @@ def test_every_optional_parameter_is_reached():
     assert not dead, f"optional parameters never passed: {dead}"
     stale = sorted(set(KEPT_KNOBS) - set(unreached))
     assert not stale, f"kept knobs that are now passed or gone: {stale}"
+
+
+def _forwards_only(fn):
+    """Whether a def's body is one ``return X.f(...)`` whose arguments are
+    its own parameters, passed through unchanged."""
+    body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and getattr(call.func.value, "id", None) == "X"):
+        return False
+    a = fn.args
+    own = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    own |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+    values = [v.value if isinstance(v, ast.Starred) else v for v in call.args]
+    values += [kw.value for kw in call.keywords]
+    return all(isinstance(v, ast.Name) and v.id in own for v in values)
+
+
+def test_cli_adapters_do_more_than_forward():
+    # an adapter that only passes its arguments on to an experiment is a
+    # second name for it: the REGISTRY entry names the experiment itself
+    tree = ast.parse((ROOT / "src" / "extomo" / "cli.py").read_text())
+    forwarding = [name for name, fn, _ in _top_level_defs(tree)
+                  if name.startswith("_run_") and _forwards_only(fn)]
+    assert not forwarding, f"adapters that only forward: {forwarding}"

@@ -9,7 +9,7 @@ import pytest
 
 from extomo import cli
 from extomo.cli import run
-from extomo.experiments import (radon_growth_sweep,
+from extomo.experiments import (isometry_constancy, radon_growth_sweep,
                                 radon_outside_range_probe,
                                 xray_multiscale_lower_bound)
 from extomo.extension import extend, sigma_hat_closed_form
@@ -77,6 +77,16 @@ class TestUsage:
         assert run(["transform", "dump", "--transform", "funk",
                     "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("transform, key", [
+        ("funk", "samples"), ("funk", "half_width"), ("funk", "truncation"),
+        ("funk", "t_extent"), ("funk", "t_pitch"), ("xray", "t_extent"),
+        ("xray", "t_pitch"), ("radon", "half_width")])
+    def test_dump_rejects_a_key_its_transform_does_not_read(
+            self, transform, key, capsys):
+        assert run(["transform", "dump", "--transform", transform, "--n", "3",
+                    f"--{key}", "9"]) == 2
+        assert f"unknown-parameter ['{key}']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sweep", ["radon-growth", "outside-range"])
     def test_line_sweep_needs_R_at_least_1875(self, sweep, capsys):
         # a line of B_R at spacing 0.25 has int(8 R) + 1 < 16 samples
@@ -133,6 +143,13 @@ class TestUsage:
         assert run(["sweep", "power-weight", "--preset", "cap"]) == 2
         err = capsys.readouterr().err
         assert "PreconditionError" in err and "31" in err and "63.75" in err
+
+    def test_mollified_radon_n3_grid_must_resolve_largest_R(self, capsys):
+        # the 96 x 192 grid has exactness degree 191; the R = 256 patch is
+        # masked to the disc of radius 256
+        assert run(["verify", "mollified-radon", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "PreconditionError" in err and "191" in err and "256" in err
 
 
 class TestRunDirectory:
@@ -211,6 +228,23 @@ class TestDeterminism:
         a = json.loads((in_tmp / "a" / "report.json").read_text())
         b = json.loads((in_tmp / "b" / "report.json").read_text())
         assert a["metrics"]["khintchine_ratio"] != b["metrics"]["khintchine_ratio"]
+
+
+class TestSeed:
+    def test_seed_is_recorded_for_an_experiment_without_one(self, in_tmp,
+                                                             capsys):
+        out = in_tmp / "sharp"
+        assert run(["verify", "sharp-constant", "--seed", "5",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["params"]["seed"] == 5
+
+    def test_seed_reaches_an_experiment_that_takes_one(self, in_tmp, capsys):
+        out = in_tmp / "isometry"
+        assert run(["verify", "isometry", "--seed", "5", "--n_funcs", "2",
+                    "--out", str(out)]) in (0, 1)
+        saved = ExperimentReport.from_json((out / "report.json").read_text())
+        assert saved.metrics == isometry_constancy(n_funcs=2, seed=5).metrics
 
 
 class TestTransformDump:

@@ -56,8 +56,18 @@ class TestIdentities:
         grid = make_circle_grid(64)
         # equator-touching support violates the hemisphere margin
         one = Density(grid, np.ones(grid.node_count))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="spherical cap"):
             verify_radon_identity(one, np.array([1.0, 0.0]))
+
+    def test_radon_identity_grid_must_resolve_patch_corner(self):
+        # the n = 3 patch corner is at hypot(60 sqrt 2, 2) = 84.9: degree 79
+        # cannot resolve it (rel_err reads 0.079 there), degree 87 can
+        omega = np.array([0.0, 0.0, 1.0])
+        coarse = bump_cap_density(make_sphere_grid(40, 80), omega, 0.7)
+        with pytest.raises(PreconditionError, match="degree 79.*radius 84.8"):
+            verify_radon_identity(coarse, omega)
+        fine = bump_cap_density(make_sphere_grid(44, 88), omega, 0.7)
+        assert verify_radon_identity(fine, omega).pass_
 
     def test_mollified_radon_small_R_rejected(self):
         grid = make_circle_grid(64)

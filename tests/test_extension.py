@@ -66,11 +66,11 @@ class TestExtend:
             extend(one_sphere, np.zeros((4, 2)))
 
     def test_chunked_matches_unchunked(self, rng):
-        # 910 rows per phase block on this grid: several blocks and a
+        # 113 rows per phase block on this grid: two full blocks and a
         # partial last one, each row against its own one-point sum
         grid = make_sphere_grid(96, 192)
         g = Density(grid, rng.standard_normal(grid.node_count))
-        pts = rng.uniform(-5, 5, (2000, 3))
+        pts = rng.uniform(-5, 5, (300, 3))
         single = np.array([extend(g, x) for x in pts])
         assert np.allclose(extend(g, pts), single, rtol=1e-13, atol=0)
 
