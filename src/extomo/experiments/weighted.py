@@ -15,7 +15,8 @@ from ..reports import ExperimentReport, experiment_rng, fit_log_growth
 from ..sphere import (Density, bump_cap_density, make_circle_grid,
                       poisson_mollify_circle, preset_density)
 from ..spherical import bt_delta_circle_grid
-from ..tomography import frac_laplacian, xray_isometry_ratio, xray_profile
+from ..tomography import (frac_laplacian, radial_xray_profile,
+                          xray_isometry_ratio, xray_profile)
 
 __all__ = [
     "gamma_R_weight",
@@ -28,17 +29,17 @@ __all__ = [
 def gamma_R_weight(R):
     """Smooth radial bump adapted to the ball of radius R.
 
-    Returns x -> psi(|x|/R)^3 where psi(r) = (2 J_1(r/2) / (r/2))^2 is
-    the autocorrelation profile of a ball indicator: nonnegative,
-    psi(0) = 1, and with Fourier transform supported in the unit ball,
-    so the cube keeps Fourier support in a ball of radius 3/R.
+    Returns r -> psi(r/R)^3 on radii r = |x| (an array of any shape), where
+    psi(r) = (2 J_1(r/2) / (r/2))^2 is the autocorrelation profile of a ball
+    indicator: nonnegative, psi(0) = 1, and with Fourier transform supported
+    in the unit ball, so the cube keeps Fourier support in a ball of radius 3/R.
     """
     if R <= 0:
         raise InvalidArgumentError("R must be positive")
     from scipy.special import j1
 
-    def weight(pts):
-        r = np.linalg.norm(np.atleast_2d(pts), axis=1) / R
+    def weight(radii):
+        r = np.asarray(radii, dtype=float) / R
         z = np.where(r > 0, r / 2.0, 1e-300)
         psi = np.where(r > 0, (2.0 * j1(z) / z) ** 2, 1.0)
         return psi ** 3
@@ -222,6 +223,9 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         order (1/2)(1 - 1/q) and L^(q')_v norm is *expected to grow*
         like a power of R; the fitted log-log slope must be >= 0.1.
     """
+    if min(R_list) <= 1 or q_probe <= 2:
+        raise InvalidArgumentError("need R > 1 (C2 divides by log R) and q_probe > 2: "
+                                   f"got R_list = {list(R_list)}, q_probe = {q_probe}")
     rng = experiment_rng(seed, "wmiztak")
     report = ExperimentReport(name="wmiztak", seed=seed,
                               params={"R_list": list(R_list),
@@ -254,17 +258,16 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
     for R in R_list:
         gamma = gamma_R_weight(float(R))
 
-        def field(pts):
-            r = np.linalg.norm(pts, axis=1)
-            return gamma(pts) * sigma_hat_closed_form(2, r) ** 2
+        def field(r):
+            return gamma(r) * sigma_hat_closed_form(2, r) ** 2
 
         # the field oscillates at frequencies up to 2 (twice the sphere
         # radius), so both the offset grid and the line samples must keep
         # an R-independent spacing well below pi/2
         n_v = 2 * int(6.0 * R) + 1
-        prof = xray_profile(field, np.array([0.0, 1.0]),
-                            half_width=3.0 * R, samples_per_axis=n_v,
-                            truncation=3.0 * R, n_samples=2 * int(6.0 * R))
+        prof = radial_xray_profile(field, half_width=3.0 * R,
+                                   samples_per_axis=n_v, truncation=3.0 * R,
+                                   n_samples=2 * int(6.0 * R))
         half = frac_laplacian(prof, 0.25)
         C2.append(2.0 * np.pi * half.lp_norm(2) / (np.log(R) * norm_sq))
         alpha = 0.5 * (1.0 - 1.0 / q_probe)

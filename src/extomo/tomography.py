@@ -6,7 +6,8 @@ trapezoid rule, ``SampledField.integrate``.
 
 Fields enter as vectorized callables mapping an (M, n) array of points,
 not always C-contiguous, to an (M,) array of values; ``xray_profile``
-calls a field once per block of lines.  Improper integrals over R are
+calls a field once per block of lines, ``radial_xray_profile`` a radial
+F(|x|) once per block of radii.  Improper integrals over R are
 truncated at an explicit parameter, chosen by the caller so the tail is
 negligible at its tolerance (compact support or known decay).
 """
@@ -28,6 +29,7 @@ __all__ = [
     "xray",
     "radon",
     "xray_profile",
+    "radial_xray_profile",
     "frac_laplacian",
     "xray_isometry_ratio",
     "lorentz_norm",
@@ -202,6 +204,7 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
     offsets = functools.reduce(np.add, [a.reshape(-1, 1) * e for a, e in zip(
         np.meshgrid(*[u] * len(basis), indexing="ij"), basis)])
     along = omega[:, None, None] * s
+    w = _trapezoid_weights(n_samples) * (2.0 * truncation / (n_samples - 1))
     rows = max(_XRAY_BLOCK // n_samples, 1)
     buf = np.empty((omega.size, rows, n_samples))
     prof = np.empty(len(offsets))
@@ -209,8 +212,27 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
         block = offsets[r0:r0 + rows].T
         pts = np.add(block[:, :, None], along, out=buf[:, :block.shape[1]])
         vals = np.asarray(f(pts.reshape(omega.size, -1).T)).real
-        prof[r0:r0 + rows] = np.trapezoid(vals.reshape(-1, n_samples), s, axis=1)
+        prof[r0:r0 + rows] = np.add.reduce(vals.reshape(-1, n_samples) * w, axis=1)
     return SampledField(half_width, prof.reshape((samples_per_axis,) * len(basis)))
+
+
+def radial_xray_profile(F, half_width, samples_per_axis, truncation, n_samples):
+    """``xray_profile`` (n = 2) of x -> F(|x|), which is that of every direction.
+
+    F is evaluated once per orbit {(+-u, +-s)}: on radii hypot(u, s), u, s >= 0,
+    at most _XRAY_BLOCK (or one half line) per call.  A half line takes twice
+    its trapezoid weights, a middle s = 0 once; u < 0 is the mirror image.
+    """
+    h = n_samples // 2
+    u = np.linspace(-half_width, half_width, samples_per_axis)[samples_per_axis // 2:]
+    s = np.linspace(-truncation, truncation, n_samples)[h:]
+    w = _trapezoid_weights(n_samples)[h:] * (4.0 * truncation / (n_samples - 1))
+    w[0] /= 1 + n_samples % 2
+    rows = max(_XRAY_BLOCK // s.size, 1)
+    half = np.concatenate([np.add.reduce(F(np.hypot(u[r0:r0 + rows, None], s)) * w,
+                                         axis=1) for r0 in range(0, u.size, rows)])
+    return SampledField(half_width, np.concatenate(
+        [half[samples_per_axis % 2:][::-1], half]))
 
 
 def _taper_window(M):

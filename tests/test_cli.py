@@ -108,6 +108,16 @@ class TestUsage:
             assert "R_list = [16]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
+        ("--R_list", "1,16"), ("--R_list", "0.5,16"), ("--q_probe", "1"),
+        ("--q_probe", "2")])
+    def test_wmiztak_needs_R_above_1_and_q_probe_above_2(self, flag, value,
+                                                         capsys):
+        # C2 divides by log R (0 at R = 1, negative below), and part (c)
+        # is the probe q > 2
+        assert run(["verify", "wmiztak", flag, value]) == 2
+        assert "need R > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
         ("--seed", "abc"), ("--seed", "1.5"), ("--tol.slope", "a,b"),
         ("--tol.slope", "a"), ("--tol.slope", "nan"),
         ("--tol.slope", "0,nan")])

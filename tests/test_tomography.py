@@ -1,17 +1,22 @@
 """Line and hyperplane transforms, the fractional Laplacian, Lorentz norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
-from extomo.sphere import make_circle_grid
+from extomo.experiments.weighted import gamma_R_weight
+from extomo.extension import sigma_hat_closed_form
+from extomo.sphere import _trapezoid_weights, make_circle_grid
 from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, SampledField,
                                TubeFamily, _laplacian_power, frac_laplacian,
                                kakeya_dual_functional, lorentz_norm,
-                               perp_basis, radon, tube_sum_field, xray,
-                               xray_isometry_ratio, xray_profile)
+                               perp_basis, radial_xray_profile, radon,
+                               tube_sum_field, xray, xray_isometry_ratio,
+                               xray_profile)
 
 
 def gaussian_2d(pts):
@@ -120,8 +125,15 @@ class TestFracLaplacian:
         assert np.dot(La, b) == pytest.approx(np.dot(a, Lb), rel=1e-10)
 
 
+def _line_rule(truncation, n_samples):
+    """The trapezoid weights, spacing included, that xray_profile sums a
+    line with."""
+    return _trapezoid_weights(n_samples) * (2.0 * truncation / (n_samples - 1))
+
+
 def _one_shot_profile(f, omega, half_width, M, truncation, n_samples):
-    """xray_profile as one C-ordered (lines * n_samples, n) evaluation of f."""
+    """xray_profile as one C-ordered (lines * n_samples, n) evaluation of f,
+    each line summed with the trapezoid weights."""
     n = omega.size
     omega = omega / np.linalg.norm(omega)
     basis = perp_basis(omega)
@@ -133,7 +145,8 @@ def _one_shot_profile(f, omega, half_width, M, truncation, n_samples):
         offsets = offsets + grid[1].reshape(-1, 1) * basis[1]
     pts = offsets[:, None, :] + s[None, :, None] * omega[None, None, :]
     vals = np.asarray(f(pts.reshape(-1, n))).real.reshape(-1, n_samples)
-    return np.trapezoid(vals, s, axis=1).reshape((M,) * (n - 1))
+    w = _line_rule(truncation, n_samples)
+    return np.add.reduce(vals * w, axis=1).reshape((M,) * (n - 1))
 
 
 @st.composite
@@ -218,6 +231,85 @@ class TestXrayProfile:
         prof = xray_profile(gaussian_2d, np.array([1.0, 0.0]), 10.0, 401, 10.0)
         expected = np.sqrt(np.pi * np.sqrt(np.pi / 2.0))
         assert prof.lp_norm(2) == pytest.approx(expected, rel=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_samples=st.integers(2, 3000), truncation=st.floats(0.5, 100.0),
+           seed=st.integers(0, 99))
+    def test_line_rule_is_the_trapezoid_rule(self, n_samples, truncation, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((4, n_samples)) + 0.5
+        s = np.linspace(-truncation, truncation, n_samples)
+        w = _line_rule(truncation, n_samples)
+        direct = np.trapezoid(vals, s, axis=1)
+        ruled = np.add.reduce(vals * w, axis=1)
+        # relative to the line's L^1 mass, which bounds either sum
+        assert np.all(np.abs(ruled - direct) <= 1e-14 * (np.abs(vals) @ w))
+
+
+def _wmiztak_field(R):
+    """verify_wmiztak's radial field gamma_R (2 pi J_0)^2 as a function of r."""
+    gamma = gamma_R_weight(R)
+    return lambda r: gamma(r) * sigma_hat_closed_form(2, r) ** 2
+
+
+RADIAL_FIELDS = {"gauss": lambda r: np.exp(-(r / 3.0) ** 2),
+                 "wmiztak R=2": _wmiztak_field(2.0),
+                 "wmiztak R=4": _wmiztak_field(4.0)}
+
+
+class TestRadialXrayProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(2, 400), n_samples=st.integers(16, 600),
+           field=st.sampled_from(sorted(RADIAL_FIELDS)), seed=st.integers(0, 99))
+    @example(M=601, n_samples=600, field="wmiztak R=4", seed=0)  # 3 blocks
+    @example(M=600, n_samples=601, field="wmiztak R=4", seed=1)
+    def test_matches_xray_profile(self, M, n_samples, field, seed):
+        # the oracle samples the whole offset grid in a random direction
+        F = RADIAL_FIELDS[field]
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal(2)
+        omega /= np.linalg.norm(omega)
+        width = rng.uniform(4.0, 16.0, 2)
+        radial = radial_xray_profile(F, width[0], M, width[1], n_samples)
+        direct = xray_profile(lambda p: F(np.hypot(p[:, 0], p[:, 1])), omega,
+                              width[0], M, width[1], n_samples)
+        assert radial.half_width == direct.half_width
+        np.testing.assert_allclose(radial.values, direct.values, rtol=0,
+                                   atol=1e-13 * np.abs(direct.values).max())
+
+    @pytest.mark.parametrize("M", [64, 65])
+    @pytest.mark.parametrize("n_samples", [96, 97])
+    def test_profile_is_even(self, M, n_samples):
+        prof = radial_xray_profile(_wmiztak_field(2.0), 6.0, M, 6.0, n_samples)
+        assert prof.values.shape == (M,)
+        np.testing.assert_array_equal(prof.values, prof.values[::-1])
+
+    @pytest.mark.parametrize("M, n_samples", [
+        (64, 96), (65, 97), (601, 600), (600, 601),
+        (3, 2 * _XRAY_BLOCK + 1), (2, 2 * _XRAY_BLOCK + 2)])
+    def test_each_orbit_is_evaluated_once_in_bounded_blocks(self, M, n_samples):
+        sizes = []
+
+        def recording(r):
+            assert r.size <= max(_XRAY_BLOCK, n_samples // 2 + 1)
+            sizes.append(r.size)
+            return np.exp(-r ** 2)
+
+        radial_xray_profile(recording, 2.0, M, 4.0, n_samples)
+        assert sum(sizes) == (M - M // 2) * (n_samples - n_samples // 2)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # verify_wmiztak's sizes at R = 256: an unblocked quadrant would
+        # hold 2.36M radii, 18 MB per temporary
+        F = _wmiztak_field(256.0)
+        F(np.ones(4))  # load scipy outside the measurement
+        tracemalloc.start()
+        try:
+            radial_xray_profile(F, 768.0, 3073, 768.0, 3072)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 def _isometry_ratio_full_sweep(f, f_l2, grid):
