@@ -57,6 +57,24 @@ def _ball_quadrature_2d(g, weight, R):
     return float(field.integrate(lambda values: np.abs(values) ** 2 * w))
 
 
+_GAUSS_TAIL = 40.0  # cut below e^-40 ~ 4.2e-18 of the peak; the L^2 tail is e^-80
+
+
+def _gaussian(Q, b):
+    """x -> exp(-(x - b).Q(x - b)) for n = 2, set to 0 below exponent
+    -_GAUSS_TAIL; ``support`` is the ball |x - b|^2 <= _GAUSS_TAIL / min eig Q."""
+    def f(pts, q00=Q[0, 0], q01=2.0 * Q[0, 1], q11=Q[1, 1]):
+        d0, d1 = pts[:, 0] - b[0], pts[:, 1] - b[1]
+        e = -(d0 * (q00 * d0 + q01 * d1) + q11 * (d1 * d1))
+        return np.exp(e, out=np.zeros_like(e), where=e > -_GAUSS_TAIL)
+
+    # 1 / min eig Q = max eig Q / det Q; eigvalsh would add 0.6 MB of peak RSS
+    top = (Q[0, 0] + Q[1, 1]) / 2.0 + np.hypot((Q[0, 0] - Q[1, 1]) / 2.0, Q[0, 1])
+    det = Q[0, 0] * Q[1, 1] - Q[0, 1] ** 2
+    f.support = (b, float(np.sqrt(_GAUSS_TAIL * top / det)))
+    return f
+
+
 def _gaussian_test_functions(n_funcs, rng):
     """Anisotropic shifted Gaussians with closed-form L^2 norms (n = 2)."""
     funcs = []
@@ -68,16 +86,9 @@ def _gaussian_test_functions(n_funcs, rng):
         rot = np.array([[c, -s], [s, c]])
         # |diag(a) rot (x - b)|^2 = d.Q d, Q = rot^T diag(a^2) rot, d = x - b
         Q = rot.T @ (a[:, None] ** 2 * rot)
-
-        def f(pts, b=b, q00=Q[0, 0], q01=2.0 * Q[0, 1], q11=Q[1, 1]):
-            d0, d1 = pts[:, 0] - b[0], pts[:, 1] - b[1]
-            e = -(d0 * (q00 * d0 + q01 * d1) + q11 * (d1 * d1))
-            # exp is slow where it underflows, and below -746 it is 0 exactly
-            return np.exp(e, out=np.zeros_like(e), where=e > -746.0)
-
         # ||f||_2^2 = prod_i sqrt(pi/2)/a_i; rotation and shift drop out
         l2sq = (np.sqrt(np.pi / 2.0) / a[0]) * (np.sqrt(np.pi / 2.0) / a[1])
-        funcs.append((f, float(np.sqrt(l2sq))))
+        funcs.append((_gaussian(Q, b), float(np.sqrt(l2sq))))
     return funcs
 
 
@@ -136,14 +147,8 @@ def default_wstein_family():
     one = preset_density(grid, "constant", None)
     caps = _symmetric_cap_pair(grid)
 
-    def w_gauss(pts):
-        pts = np.atleast_2d(pts)
-        return np.exp(-np.sum(pts ** 2, axis=1) / 16.0)
-
-    def w_tube(pts):
-        pts = np.atleast_2d(pts)
-        return np.exp(-pts[:, 1] ** 2 / 2.0 - (pts[:, 0] / 20.0) ** 2)
-
+    w_gauss = _gaussian(np.eye(2) / 16.0, np.zeros(2))
+    w_tube = _gaussian(np.diag([1.0 / 400.0, 0.5]), np.zeros(2))
     return [("constant/gauss", one, w_gauss),
             ("cap-pair/gauss", caps, w_gauss),
             ("cap-pair/tube", caps, w_tube)]

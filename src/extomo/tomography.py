@@ -7,9 +7,11 @@ trapezoid rule, ``SampledField.integrate``.
 Fields enter as vectorized callables mapping an (M, n) array of points,
 not always C-contiguous, to an (M,) array of values; ``xray_profile``
 calls a field once per block of lines, ``radial_xray_profile`` a radial
-F(|x|) once per block of radii.  Improper integrals over R are
-truncated at an explicit parameter, chosen by the caller so the tail is
-negligible at its tolerance (compact support or known decay).
+F(|x|) once per block of radii.  A field may declare ``support = (center,
+radius)``, a closed ball outside which it is exactly 0; ``xray_profile``
+then samples it only in the ball's bounding box.  Improper integrals over
+R are truncated at an explicit parameter, chosen by the caller so the tail
+is negligible at its tolerance (compact support or known decay).
 """
 
 import functools
@@ -195,25 +197,42 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
     whole lines, of at most _XRAY_BLOCK points or one line.  A one-line
     block (each block once n_samples >= _XRAY_BLOCK) is a uniform line, on
     which an ``extend`` field takes its NUFFT path (error below 1e-12).
+
+    A field with ``support = (center, radius)`` is sampled only in the ball's
+    bounding box in the (``perp_basis(omega)``, omega) frame, with the full
+    grid's trapezoid weights; the other entries are 0, and a box that misses
+    the grid never calls ``f``.
     """
     omega = _as_unit(omega, "omega")
     basis = perp_basis(omega)
     u = np.linspace(-half_width, half_width, samples_per_axis)
     s = np.linspace(-truncation, truncation, n_samples)
-    # line offsets u1 e1 (+ u2 e2), row-major over the offset grid
-    offsets = functools.reduce(np.add, [a.reshape(-1, 1) * e for a, e in zip(
-        np.meshgrid(*[u] * len(basis), indexing="ij"), basis)])
-    along = omega[:, None, None] * s
     w = _trapezoid_weights(n_samples) * (2.0 * truncation / (n_samples - 1))
-    rows = max(_XRAY_BLOCK // n_samples, 1)
-    buf = np.empty((omega.size, rows, n_samples))
-    prof = np.empty(len(offsets))
+    box = [slice(None)] * omega.size  # index ranges: offset axes, then s
+    if getattr(f, "support", None) is not None:
+        center, radius = f.support
+        box = [slice(np.searchsorted(a, m - radius),
+                     np.searchsorted(a, m + radius, "right")) for a, m in
+               zip([u] * len(basis) + [s], np.vstack([basis, omega]) @ center)]
+        if any(k.start >= k.stop for k in box):
+            box = [slice(0, 0)] * omega.size
+    s, w = s[box[-1]], w[box[-1]]
+    grid = np.meshgrid(*[u[k] for k in box[:-1]], indexing="ij")
+    # line offsets u1 e1 (+ u2 e2), row-major over the offset grid
+    offsets = functools.reduce(np.add, [a.reshape(-1, 1) * e
+                                        for a, e in zip(grid, basis)])
+    along = omega[:, None, None] * s
+    rows = max(_XRAY_BLOCK // max(s.size, 1), 1)
+    buf = np.empty((omega.size, rows, s.size))
+    lines = np.empty(len(offsets))
     for r0 in range(0, len(offsets), rows):
         block = offsets[r0:r0 + rows].T
         pts = np.add(block[:, :, None], along, out=buf[:, :block.shape[1]])
         vals = np.asarray(f(pts.reshape(omega.size, -1).T)).real
-        prof[r0:r0 + rows] = np.add.reduce(vals.reshape(-1, n_samples) * w, axis=1)
-    return SampledField(half_width, prof.reshape((samples_per_axis,) * len(basis)))
+        lines[r0:r0 + rows] = np.add.reduce(vals.reshape(-1, s.size) * w, axis=1)
+    prof = np.zeros((samples_per_axis,) * len(basis))
+    prof[tuple(box[:-1])] = lines.reshape(grid[0].shape)
+    return SampledField(half_width, prof)
 
 
 def radial_xray_profile(F, half_width, samples_per_axis, truncation, n_samples):
@@ -280,7 +299,8 @@ def xray_isometry_ratio(f, f_l2, sphere_grid):
     independent quadrature).  omega and -omega give the same lines, so the
     direction integral runs over ``sphere_grid.line_directions()``.  Each
     direction's profile has 257 offsets per axis in [-24, 24] and 1024
-    samples per line truncated at 24, tapered before the half derivative.
+    samples per line truncated at 24, tapered before the half derivative;
+    f is sampled only inside a declared ``support`` (see ``xray_profile``).
     """
     total = 0.0
     for node, weight in zip(*sphere_grid.line_directions()):

@@ -26,13 +26,14 @@ from extomo.experiments.extremal import _xray_sup_functional
 from extomo.experiments.growth import _knapp_band
 from extomo.experiments.reductions import (_ba_square_integral,
                                            _slice_xray_profiles)
-from extomo.experiments.weighted import _gaussian_test_functions
+from extomo.experiments.weighted import (_gaussian_test_functions,
+                                         default_wstein_family)
 from extomo.extension import extend, slice_rule
 from extomo.reports import experiment_rng
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, preset_density)
 from extomo.spherical import S_operator
-from extomo.tomography import frac_laplacian
+from extomo.tomography import SampledField, frac_laplacian
 
 
 class TestIdentities:
@@ -249,6 +250,29 @@ class TestWeighted:
             y = (pts - b) @ np.array([[c, -s], [s, c]]).T
             rotated = np.exp(-(a[0] * y[:, 0]) ** 2 - (a[1] * y[:, 1]) ** 2)
             np.testing.assert_allclose(f(pts), rotated, rtol=0, atol=1e-14)
+
+    def test_declared_supports_are_true(self):
+        fields = [f for f, _ in _gaussian_test_functions(
+            10, experiment_rng(0, "isometry_constancy"))]
+        fields += [w for _, _, w in default_wstein_family()]
+        rng = np.random.default_rng(5)
+        angle = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        ring = np.column_stack([np.cos(angle), np.sin(angle)])
+        for f in fields:
+            center, radius = f.support
+            # just outside the ball, and anywhere beyond it
+            for scale in (1.0 + 1e-12, 1.0 + rng.uniform(0.0, 3.0, (4096, 1))):
+                assert not f(center + radius * scale * ring).any()
+
+    def test_truncated_gaussians_keep_closed_form_l2(self):
+        for f, l2 in _gaussian_test_functions(
+                10, experiment_rng(0, "isometry_constancy")):
+            center, radius = f.support
+            ax = np.linspace(-radius, radius, 513)
+            xx, yy = np.meshgrid(ax, ax, indexing="ij")
+            vals = f(np.column_stack([xx.ravel(), yy.ravel()]) + center)
+            quad = SampledField(radius, vals.reshape(xx.shape)).lp_norm(2)
+            assert quad == pytest.approx(l2, rel=1e-12)
 
 
 class TestTubes:

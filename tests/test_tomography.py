@@ -8,8 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
-from extomo.experiments.weighted import gamma_R_weight
+from extomo.experiments.weighted import (_gaussian_test_functions,
+                                         gamma_R_weight)
 from extomo.extension import sigma_hat_closed_form
+from extomo.reports import experiment_rng
 from extomo.sphere import _trapezoid_weights, make_circle_grid
 from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, SampledField,
                                TubeFamily, _laplacian_power, frac_laplacian,
@@ -246,6 +248,56 @@ class TestXrayProfile:
         assert np.all(np.abs(ruled - direct) <= 1e-14 * (np.abs(vals) @ w))
 
 
+def _bump(center, radius):
+    """(radius^2 - |x - center|^2)_+^2: continuous, 0 outside the closed ball."""
+    return lambda pts: np.maximum(
+        radius ** 2 - np.sum((pts - center) ** 2, axis=1), 0.0) ** 2
+
+
+class TestDeclaredSupport:
+    H, T = 1.5, 4.0  # the window: offsets in [-H, H]^(n-1), s in [-T, T]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_profile_shapes(), place=st.sampled_from(
+        ["inside", "straddling", "outside"]), seed=st.integers(0, 999))
+    def test_crop_matches_direct_path(self, shape, place, seed):
+        n, M, n_samples = shape
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal(n)
+        omega /= np.linalg.norm(omega)
+        frame = np.vstack([perp_basis(omega), omega])
+        lim = np.array([self.H] * (n - 1) + [self.T])
+        radius = rng.uniform(0.1, 1.0)
+        # the center's coordinates in the (perp_basis, omega) frame
+        coords = rng.uniform(-1.0, 1.0, n) * (lim - radius)
+        axis, side = rng.integers(n), rng.choice([-1.0, 1.0])
+        if place == "straddling":
+            coords[axis] = side * (lim[axis] + rng.uniform(-radius, radius))
+        elif place == "outside":
+            coords[axis] = side * (lim[axis] + radius + rng.uniform(0.01, 1.0))
+        center = coords @ frame
+        bump = _bump(center, radius)
+        seen = []
+
+        def supported(pts):
+            seen.append(np.abs((pts - center) @ frame.T).max())
+            return bump(pts)
+
+        supported.support = (center, radius)
+        cropped = xray_profile(supported, omega, self.H, M, self.T,
+                               n_samples).values
+        direct = xray_profile(bump, omega, self.H, M, self.T, n_samples).values
+        assert np.all(np.abs(cropped - direct) <= 1e-14 * np.abs(direct).max())
+        # lines whose offsets leave the box are exactly 0
+        u = np.linspace(-self.H, self.H, M)
+        gaps = [np.abs(a - c) for a, c in zip(np.meshgrid(
+            *[u] * (n - 1), indexing="ij"), coords[:-1])]
+        assert np.all(cropped[np.maximum.reduce(gaps) > radius] == 0.0)
+        assert max(seen, default=0.0) <= radius * (1.0 + 1e-12)
+        if place == "outside":
+            assert not seen and not cropped.any()
+
+
 def _wmiztak_field(R):
     """verify_wmiztak's radial field gamma_R (2 pi J_0)^2 as a function of r."""
     gamma = gamma_R_weight(R)
@@ -338,6 +390,14 @@ class TestIsometryRatio:
             assert paired == full
         else:
             assert paired == pytest.approx(full, rel=1e-12)
+
+    def test_declared_support_matches_direct_path(self):
+        f, l2 = _gaussian_test_functions(1, experiment_rng(3, "isometry"))[0]
+        grid = make_circle_grid(8)
+        assert f.support is not None
+        cropped = xray_isometry_ratio(f, l2, grid)
+        full = _isometry_ratio_full_sweep(lambda pts: f(pts), l2, grid)
+        assert cropped == pytest.approx(full, rel=1e-12)
 
 
 class TestLorentzNorm:
