@@ -132,12 +132,17 @@ def _slice_xray_profiles(g, omegas, half_width, n_v, n_t, n_slice):
     return profiles
 
 
-def _ba_square_integral(g, eps, n_s, n_slice):
-    """u -> integral over t in (0, 1) of |BA_t(g,g)(u)|^2 t^(2 eps - 1), by
-    n_s-point Gauss-Legendre in s = t^(2 eps), which removes the singularity."""
+def _s_rule(eps, n_s):
+    """(t_nodes, s_weights): n_s-point Gauss-Legendre in s = t^(2 eps), so the
+    integral of f(t) t^(2 eps - 1) over (0, 1) is sum(s_weights f) / (2 eps)."""
     s_nodes, s_weights = np.polynomial.legendre.leggauss(n_s)
-    t_nodes = (0.5 * (s_nodes + 1.0)) ** (1.0 / (2.0 * eps))
-    s_weights = 0.5 * s_weights
+    return (0.5 * (s_nodes + 1.0)) ** (1.0 / (2.0 * eps)), 0.5 * s_weights
+
+
+def _ba_square_integral(g, eps, n_s, n_slice):
+    """u -> integral over t in (0, 1) of |BA_t(g,g)(u)|^2 t^(2 eps - 1) by
+    ``_s_rule``: the substitution s = t^(2 eps) removes the singularity."""
+    t_nodes, s_weights = _s_rule(eps, n_s)
 
     def integral(u_vec):
         ba = BA_t(g, g, u_vec, t_nodes, n_slice=n_slice)

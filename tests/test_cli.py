@@ -9,8 +9,8 @@ import pytest
 
 from extomo import cli
 from extomo.cli import run
-from extomo.experiments import (isometry_constancy, radon_growth_sweep,
-                                radon_outside_range_probe,
+from extomo.experiments import (isometry_constancy, necessity_band_example,
+                                radon_growth_sweep, radon_outside_range_probe,
                                 xray_multiscale_lower_bound)
 from extomo.extension import extend, sigma_hat_closed_form
 from extomo.reports import ExperimentReport
@@ -301,7 +301,8 @@ def _radon_growth_at_cli_defaults():
 
 LIBRARY_SWEEPS = {"radon-growth": _radon_growth_at_cli_defaults,
                   "outside-range": radon_outside_range_probe,
-                  "multiscale": xray_multiscale_lower_bound}
+                  "multiscale": xray_multiscale_lower_bound,
+                  "necessity": lambda: necessity_band_example()[0]}
 
 
 class TestLibraryVerdicts:

@@ -9,6 +9,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extomo.errors import (InvalidArgumentError, NonFiniteObjectiveError,
                            PreconditionError)
@@ -16,6 +18,7 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 bt_bounds_sweep, extremize,
                                 knapp_radon_lower_bounds,
                                 lemma_X_reduction_check,
+                                necessity_band_example,
                                 randomized_tube_experiment,
                                 radon_growth_sweep, t_delta_log_law,
                                 tube_direction_angles, verify_mollified_radon,
@@ -23,12 +26,13 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 verify_xray_identity,
                                 xray_multiscale_lower_bound)
 from extomo.experiments.extremal import _xray_sup_functional
-from extomo.experiments.growth import _knapp_band
-from extomo.experiments.reductions import (_ba_square_integral,
+from extomo.experiments.growth import (_band_square_integrals, _knapp_band,
+                                      _polar_band_density, _polar_radius)
+from extomo.experiments.reductions import (_ba_square_integral, _s_rule,
                                            _slice_xray_profiles)
 from extomo.experiments.weighted import (_gaussian_test_functions,
                                          default_wstein_family)
-from extomo.extension import extend, slice_rule
+from extomo.extension import SliceMeasureSpec, extend, slice_rule
 from extomo.reports import experiment_rng
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, preset_density)
@@ -183,6 +187,46 @@ class TestGrowth:
         if m == 1:
             # the extension at the origin is the band mass 4 pi delta
             assert rep.metrics["center_value_err"] <= 1e-12
+
+
+class TestNecessity:
+    def test_defaults_pinned(self):
+        # the values of the per-delta BA_t pipeline, pinned by repr
+        rep, _ = necessity_band_example(seed=0)
+        assert repr(rep.metrics) == repr({
+            "fitted_exponent": 1.7508664634580144, "target_exponent": 1.75,
+            "exponent_gap": 0.0008664634580144437,
+            "plateau_exponent_gap": 0.020929261495526097,
+            "band_measure_ratio": 3.6815538909255388})
+        assert repr(rep.raw_data["Q"]) == repr([
+            0.5341098758397775, 0.14946836861316212, 0.04460379121274149,
+            0.013989817056761236])
+        assert rep.pass_, rep.summary()
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(0.0, np.pi / 2), delta=st.floats(0.01, 0.5),
+           half=st.integers(1, 256), n_s=st.integers(1, 24),
+           eps=st.floats(0.05, 0.5), tie=st.integers(0, 2 ** 20))
+    def test_band_counts_are_ba_t(self, theta, delta, half, n_s, eps, tie):
+        # bit for bit against BA_t of the band density; the second delta is
+        # max(h_k, h_(k+m/2)) at one point BA_t evaluates, a tie on "<="
+        n_slice = 2 * half
+        u = np.array([np.sin(theta), 0.0, np.cos(theta)])
+        t_nodes, _ = _s_rule(eps, n_s)
+        pts, _ = slice_rule(SliceMeasureSpec(u, t_nodes).omega, t_nodes, n_slice)
+        h = _polar_radius(pts)
+        rho = np.maximum(h, np.roll(h, half, axis=-1))
+        deltas = (delta, float(rho.flat[tie % rho.size]))
+        grid = make_sphere_grid(4, 8)
+        oracle = [_ba_square_integral(_polar_band_density(grid, d), eps, n_s,
+                                      n_slice)(u) for d in deltas]
+        F = _band_square_integrals(deltas, [theta], eps, n_s, n_slice)
+        assert np.array_equal(F[:, 0], oracle)
+
+    def test_odd_slice_count_rejected(self):
+        # the count form pairs point k with k + m/2; an odd slice has no pair
+        with pytest.raises(InvalidArgumentError, match="even"):
+            necessity_band_example(n_slice=511)
 
 
 class TestReductions:
