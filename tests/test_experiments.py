@@ -39,6 +39,9 @@ from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
 from extomo.spherical import S_operator
 from extomo.tomography import SampledField, frac_laplacian
 
+OMEGA_3 = np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98)
+OMEGA_2 = np.array([0.6, 0.8])
+
 
 class TestIdentities:
     def test_zero_density_xray(self):
@@ -79,6 +82,43 @@ class TestIdentities:
         g = bump_cap_density(grid, np.array([1.0, 0.0]), 0.5)
         with pytest.raises(PreconditionError):
             verify_mollified_radon(g, np.array([1.0, 0.0]), R_list=(2,))
+
+    def test_radon_defaults_pinned(self):
+        # pinned by repr: the pruned NUFFT gives the full-grid values bit for bit
+        rep = verify_radon_identity(
+            bump_cap_density(make_sphere_grid(96, 192), OMEGA_3, 0.7), OMEGA_3)
+        assert repr(rep.metrics) == repr({
+            "rhs": 17.43325163053159, "rel_err_t0.5": 3.270544581961504e-06,
+            "rel_err_t1": 3.2785005080443402e-06,
+            "rel_err_t2": 3.310405403540054e-06,
+            "t_spread": 3.9860952580912804e-08})
+        assert repr(rep.raw_data["lhs"]) == repr([
+            17.433194614304924, 17.433194475607262, 17.43319391940119])
+        rep = verify_radon_identity(
+            bump_cap_density(make_circle_grid(512), OMEGA_2, 0.7), OMEGA_2)
+        assert repr(rep.metrics) == repr({
+            "rhs": 4.453868704051444, "rel_err_t0.5": 3.725314363965228e-12,
+            "rel_err_t1": 3.727308536848888e-12,
+            "rel_err_t2": 3.7352852283835286e-12,
+            "t_spread": 9.970864418262769e-15})
+        assert repr(rep.raw_data["lhs"]) == repr([
+            4.453868704068036, 4.453868704068045, 4.45386870406808])
+
+    def test_xray_defaults_pinned(self):
+        # pinned by repr for one positive and one signed density: the line
+        # samples go through the 1-D NUFFT, whose path is unchanged
+        grid = make_sphere_grid(96, 192)
+        positive = preset_density(grid, "smooth", np.random.default_rng(0))
+        assert repr(verify_xray_identity(positive, OMEGA_3).metrics) == repr({
+            "lhs": 551.8235717508779, "rhs": 553.539858197714,
+            "rel_err": 0.0031005652464199864, "lhs_sup": 551.8235717508779,
+            "rhs_sup": 553.539858197714, "rel_err_sup": 0.0031005652464199864})
+        signed = Density(grid, grid.nodes[:, 0] + 0.2,
+                         evaluator=lambda pts: pts[:, 0] + 0.2)
+        assert repr(verify_xray_identity(signed, OMEGA_3).metrics) == repr({
+            "lhs": 34.85754164421895, "rhs": 35.03076483717133,
+            "rel_err": 0.004944887551201189, "lhs_sup": 139.9812031715498,
+            "rhs_sup": 140.1526715793367, "rel_err_sup": 0.001223440166032369})
 
 
 class TestGrowth:

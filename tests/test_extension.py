@@ -1,5 +1,7 @@
 """The extension operator, sampled fields and slice measures."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profiles
 from extomo.extension import (SliceMeasureSpec, _direct_sum, _next_fast_len,
-                              _nufft1, _uniform_step, extend, extend_field,
-                              extend_plane_field, extend_slice,
+                              _nufft1, _spread, _uniform_step, extend,
+                              extend_field, extend_plane_field, extend_slice,
                               sigma_hat_closed_form, slice_rule)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
@@ -141,6 +143,17 @@ def _uniform_line(n, M, spacing, offset, rng):
     return x0 + np.arange(M)[:, None] * d
 
 
+def _full_grid_nufft1(coeff, thetas, n_modes):
+    """``_nufft1`` with the whole nf^d fine grid stored and ``np.fft.ifftn``."""
+    nf, tau, window, cells = _spread(coeff, thetas, n_modes)
+    fine = np.zeros((nf,) * len(cells), dtype=complex)
+    np.add.at(fine, np.ix_(*[c % nf for c in cells]), window)
+    k = np.arange(n_modes) - n_modes // 2
+    modes = np.fft.ifftn(fine)[np.ix_(*[k % nf] * len(cells))]
+    deconv = np.sqrt(np.pi / tau) * np.exp(k.astype(float) ** 2 * tau)
+    return modes * functools.reduce(np.multiply.outer, [deconv] * len(cells))
+
+
 class TestFastPaths:
     """The NUFFT paths against the direct sum, the oracle."""
 
@@ -149,6 +162,25 @@ class TestFastPaths:
         from scipy.fft import next_fast_len
         assert all(_next_fast_len(n) == next_fast_len(n)
                    for n in range(1, 20001))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n_modes=st.integers(2, 600),
+           step=st.floats(1e-3, np.pi), J=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(dim=2, n_modes=481, step=0.25, J=200, seed=0)
+    @example(dim=2, n_modes=257, step=0.25, J=128, seed=1)
+    @example(dim=2, n_modes=2, step=np.pi, J=1, seed=2)
+    @example(dim=1, n_modes=600, step=np.pi, J=200, seed=3)
+    def test_nufft1_matches_full_grid(self, dim, n_modes, step, J, seed):
+        # the pruned transform is the full-grid one bit for bit; at steps
+        # near pi the window is wider than nf and its rows fold
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((J, 3))
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
+        coeff = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+        thetas = [step * xi[:, d] for d in range(dim)]
+        assert np.array_equal(_nufft1(coeff, thetas, n_modes),
+                              _full_grid_nufft1(coeff, thetas, n_modes))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 3]), M=st.integers(2, 3000),
