@@ -8,8 +8,9 @@ coarea weight included, is ``slice_rule``.
 The quadrature sum over nodes is evaluated one of two ways, chosen by the
 shape of the point set alone; either way the nodes where w_j g_j = 0 are
 dropped first.  Every uniform grid goes through one type-1 non-uniform
-FFT (Gaussian gridding at 2x oversampling, Greengard & Lee 2004, whose
-fine grid is transformed only on its live rows and returned modes, a
+FFT (Gaussian gridding at 2x oversampling, Greengard & Lee 2004, each
+node's kernel evaluated on its 2m + 1 nearest fine-grid cells per axis,
+and the fine grid transformed only on its live rows and returned modes, a
 pruned FFT, Markel 1971) with error below 1e-12 times sum |w_j g_j|:
 uniformly spaced collinear points (the samples of a line, as ``xray``
 passes them), the n = 2 boxes of ``extend_field`` and the uniform
@@ -38,8 +39,9 @@ __all__ = [
     "sigma_hat_closed_form",
 ]
 
-# type-1 NUFFT accuracy, relative to sum |w_j g_j|; at 2x oversampling the
-# Gaussian kernel needs exp(-2 pi m / 3) <= eps, so m cells on each side
+# type-1 NUFFT accuracy, relative to sum |w_j g_j|: at 2x oversampling, m cells on
+# each side make the aliasing exp(-2 pi m / 3) <= eps; a cell past the 2m + 1 kept
+# per node is >= (m + 1/2) h away, where exp(-pi (m+1/2)^2 (R-1/2) / (R m)) = 4e-16
 _NUFFT_EPS = 1e-12
 _NUFFT_HALF_WIDTH = int(np.ceil(-1.5 * np.log(_NUFFT_EPS) / np.pi))
 # entries per block of a spreading or phase matrix (16 MB of float64)
@@ -78,7 +80,8 @@ def _next_fast_len(n):
 
 
 def _spread(coeff, thetas, n_modes):
-    """``_nufft1``'s Gaussian gridding: nf, tau, the window, its grid cells per axis."""
+    """``_nufft1``'s Gaussian gridding: nf, tau, the window, its grid cells per
+    axis.  Each node's Gaussian is evaluated on its 2m + 1 nearest cells only."""
     m = _NUFFT_HALF_WIDTH
     nf = _next_fast_len(max(2 * n_modes, 2 * m))
     ratio = nf / n_modes
@@ -92,12 +95,18 @@ def _spread(coeff, thetas, n_modes):
         lo = int(np.floor(theta.min() / h)) - m
         hi = int(np.ceil(theta.max() / h)) + m
         axes.append((theta, np.arange(lo, hi + 1)))
+    band = np.arange(-m, m + 1)
     step = max(1, _SPREAD_BLOCK // max(cells.size for _, cells in axes))
     window = 0.0
     for start in range(0, coeff.size, step):
         block = slice(start, start + step)
-        kern = [np.exp(-(h * cells[None, :] - theta[block, None]) ** 2 / (4.0 * tau))
-                for theta, cells in axes]
+        kern = []
+        for theta, cells in axes:
+            near = np.rint(theta[block, None] / h) + band
+            at = near - cells[0] + cells.size * np.arange(near.shape[0])[:, None]
+            kern.append(np.zeros((near.shape[0], cells.size)))
+            kern[-1].reshape(-1)[at.astype(int)] = np.exp(
+                -(h * near - theta[block, None]) ** 2 / (4.0 * tau))
         rhs = coeff[block, None] * (kern[1] if len(kern) == 2 else 1.0)
         # real kernel times complex values, as one real product on (re, im) pairs
         window = window + (kern[0].T @ rhs.view(float)).view(complex)

@@ -84,16 +84,17 @@ class TestIdentities:
             verify_mollified_radon(g, np.array([1.0, 0.0]), R_list=(2,))
 
     def test_radon_defaults_pinned(self):
-        # pinned by repr: the pruned NUFFT gives the full-grid values bit for bit
+        # pinned by repr: the pruned NUFFT gives the full-grid values bit for
+        # bit; the n = 3 values are those of the 2m + 1 cell kernel band
         rep = verify_radon_identity(
             bump_cap_density(make_sphere_grid(96, 192), OMEGA_3, 0.7), OMEGA_3)
         assert repr(rep.metrics) == repr({
-            "rhs": 17.43325163053159, "rel_err_t0.5": 3.270544581961504e-06,
-            "rel_err_t1": 3.2785005080443402e-06,
+            "rhs": 17.43325163053159, "rel_err_t0.5": 3.2705445821652934e-06,
+            "rel_err_t1": 3.2785005082481296e-06,
             "rel_err_t2": 3.310405403540054e-06,
-            "t_spread": 3.9860952580912804e-08})
+            "t_spread": 3.986095237712264e-08})
         assert repr(rep.raw_data["lhs"]) == repr([
-            17.433194614304924, 17.433194475607262, 17.43319391940119])
+            17.43319461430492, 17.43319447560726, 17.43319391940119])
         rep = verify_radon_identity(
             bump_cap_density(make_circle_grid(512), OMEGA_2, 0.7), OMEGA_2)
         assert repr(rep.metrics) == repr({

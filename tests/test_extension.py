@@ -1,6 +1,7 @@
 """The extension operator, sampled fields and slice measures."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profiles
-from extomo.extension import (SliceMeasureSpec, _direct_sum, _next_fast_len,
-                              _nufft1, _spread, _uniform_step, extend,
-                              extend_field, extend_plane_field, extend_slice,
+from extomo.extension import (_NUFFT_HALF_WIDTH, _SPREAD_BLOCK, SliceMeasureSpec,
+                              _direct_sum, _next_fast_len, _nufft1, _spread,
+                              _uniform_step, extend, extend_field,
+                              extend_plane_field, extend_slice,
                               sigma_hat_closed_form, slice_rule)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
                            make_sphere_grid, perp_basis)
@@ -154,6 +156,30 @@ def _full_grid_nufft1(coeff, thetas, n_modes):
     return modes * functools.reduce(np.multiply.outer, [deconv] * len(cells))
 
 
+def _dense_spread(coeff, thetas, n_modes):
+    """``_spread`` with each node's Gaussian evaluated on every window cell."""
+    m = _NUFFT_HALF_WIDTH
+    nf = _next_fast_len(max(2 * n_modes, 2 * m))
+    ratio = nf / n_modes
+    tau = np.pi * m / (n_modes ** 2 * ratio * (ratio - 0.5))
+    h = 2.0 * np.pi / nf
+    axes = []
+    for theta in thetas:
+        theta = theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
+        lo = int(np.floor(theta.min() / h)) - m
+        hi = int(np.ceil(theta.max() / h)) + m
+        axes.append((theta, np.arange(lo, hi + 1)))
+    step = max(1, _SPREAD_BLOCK // max(cells.size for _, cells in axes))
+    window = 0.0
+    for start in range(0, coeff.size, step):
+        block = slice(start, start + step)
+        kern = [np.exp(-(h * cells[None, :] - theta[block, None]) ** 2 / (4.0 * tau))
+                for theta, cells in axes]
+        rhs = coeff[block, None] * (kern[1] if len(kern) == 2 else 1.0)
+        window = window + (kern[0].T @ rhs.view(float)).view(complex)
+    return nf, tau, window.reshape([c.size for _, c in axes]), [c for _, c in axes]
+
+
 class TestFastPaths:
     """The NUFFT paths against the direct sum, the oracle."""
 
@@ -181,6 +207,44 @@ class TestFastPaths:
         thetas = [step * xi[:, d] for d in range(dim)]
         assert np.array_equal(_nufft1(coeff, thetas, n_modes),
                               _full_grid_nufft1(coeff, thetas, n_modes))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_modes", [481, 2401])
+    def test_spread_band_is_2m_plus_1_nearest_cells(self, dim, n_modes, rng):
+        # one node's kernel is non-zero on exactly rint(theta / h) + (-m ... m)
+        # per axis, and exactly 0 on the rest of the window
+        m = _NUFFT_HALF_WIDTH
+        for _ in range(20):
+            thetas = [rng.uniform(-np.pi, np.pi, 1) for _ in range(dim)]
+            nf, _, window, cells = _spread(np.ones(1, dtype=complex), thetas, n_modes)
+            live = np.nonzero(window)
+            assert live[0].size == (2 * m + 1) ** dim
+            for theta, c, idx in zip(thetas, cells, live):
+                band = np.rint(theta[0] / (2.0 * np.pi / nf)) + np.arange(-m, m + 1)
+                np.testing.assert_array_equal(np.unique(c[idx]), band)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n_modes=st.integers(2, 600),
+           step=st.floats(1e-3, np.pi), J=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(dim=1, n_modes=600, step=np.pi, J=200, seed=0)
+    @example(dim=2, n_modes=481, step=0.25, J=200, seed=1)
+    @example(dim=2, n_modes=2, step=np.pi, J=1, seed=2)
+    def test_nufft1_matches_dense_kernel(self, dim, n_modes, step, J, seed):
+        # the band drops only kernel values below 4.3e-16 of the peak
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((J, 3))
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
+        coeff = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+        thetas = [step * xi[:, d] for d in range(dim)]
+        mass = np.abs(coeff).sum()
+        window = _spread(coeff, thetas, n_modes)[2]
+        assert np.abs(window - _dense_spread(coeff, thetas, n_modes)[2]).max() \
+            <= 1e-14 * mass
+        modes = _nufft1(coeff, thetas, n_modes)
+        with mock.patch("extomo.extension._spread", _dense_spread):
+            dense = _nufft1(coeff, thetas, n_modes)
+        assert np.abs(modes - dense).max() <= 1e-13 * mass
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 3]), M=st.integers(2, 3000),
