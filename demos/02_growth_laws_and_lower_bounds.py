@@ -13,7 +13,6 @@ import numpy as np
 
 from extomo.experiments import (radon_growth_sweep, radon_outside_range_probe,
                                 t_delta_log_law)
-from extomo.extension import sigma_hat_closed_form
 from extomo.sphere import Density, make_circle_grid
 
 print(__doc__)
@@ -31,10 +30,7 @@ print("\nball-truncated sup-over-offsets line norm for g = 1 (n = 2):")
 R_list = (16, 32, 64, 128, 256, 512, 1024)
 grid = make_circle_grid(256)
 one = Density(grid, np.ones(grid.node_count))
-rep = radon_growth_sweep(
-    one, 2.0, R_list,
-    closed_form=lambda pts: sigma_hat_closed_form(
-        2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
+rep = radon_growth_sweep(one, 2.0, R_list)
 for R, v in zip(R_list, rep.raw_data["ordinate"]):
     print(f"  R = {R:5d}:  norm {v:8.4f}   norm/log R {v / np.log(R):.4f}")
 print(f"  log-fit r^2 = {rep.metrics['r_squared']:.4f}, max/min of norm/log R"

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
                      PreconditionError)
-from .extension import extend, extend_plane_field, sigma_hat_closed_form
+from .extension import extend, extend_plane_field
 from .reports import ExperimentReport, experiment_rng, fit_columns
 from .sphere import make_circle_grid, make_sphere_grid, preset_density
 from .spherical import funk_At
@@ -172,12 +172,7 @@ def _run_t_delta(seed, **kw):
 def _run_radon_growth(seed, q=2.0, R_list=(16, 32, 64, 128, 256, 512, 1024),
                       preset="constant"):
     grid = make_circle_grid(max(64, int(np.ceil(2.5 * max(R_list)))))
-    g = _preset_density(grid, preset, seed)
-    closed_form = None
-    if preset == "constant":
-        def closed_form(pts):
-            return sigma_hat_closed_form(2, np.linalg.norm(pts, axis=1))
-    report = X.radon_growth_sweep(g, q, R_list, closed_form=closed_form)
+    report = X.radon_growth_sweep(_preset_density(grid, preset, seed), q, R_list)
     report.params["preset"] = preset
     return report
 
@@ -199,11 +194,7 @@ def _run_necessity(seed, **kw):
 
 def _run_power_weight(seed, p=2.0, q=4.0, r=2.0, preset="constant", **kw):
     g = _preset_density(make_sphere_grid(16, 32), preset, seed)
-    closed_form = None
-    if preset == "constant":
-        def closed_form(r_grid):
-            return sigma_hat_closed_form(3, r_grid)
-    return X.power_weight_ratio(g, p, q, r, closed_form=closed_form, **kw)
+    return X.power_weight_ratio(g, p, q, r, **kw)
 
 
 def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):

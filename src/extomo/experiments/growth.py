@@ -10,7 +10,7 @@ lower-bound measurements with log-log slope fits.
 import numpy as np
 
 from ..errors import InvalidArgumentError, PreconditionError
-from ..extension import extend, slice_rule
+from ..extension import _constant_extension, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng, fit_columns, fit_log_growth
 from ..sphere import (_as_unit, CapSpec, Density, knapp_cap_density, make_circle_grid,
                       make_sphere_grid, make_zonal_grid, perp_basis, preset_density)
@@ -67,44 +67,40 @@ def _lattice_sup_line_integral(field, omega, R, t_lattice):
                         for t in t_lattice])
 
 
-def radon_growth_sweep(g, q, R_list, closed_form=None):
+def radon_growth_sweep(g, q, R_list):
     """Fit of the ball-truncated hyperplane norm against log R (n = 2).
 
     For each R, computes the L^q_omega (quadrature over 8 directions) of
     the supremum over the offsets t = -2, -1.5, ..., 2 of the line
-    integral of 1_{B_R} |g dsigma hat|^2.  ``closed_form``, when
-    supplied, is a callable pts -> extension values used instead of grid
-    quadrature (for densities with a known extension this sidesteps the
-    grid's phase-resolution limit).  The report fits the norm against
-    log R and checks r^2 >= 0.9 and the log band: max/min of norm / log R
-    at most 2.
+    integral of 1_{B_R} |g dsigma hat|^2.  A constant g = c on a full
+    circle takes its exact extension |c| sigma-hat, on any number of
+    nodes; every other g takes grid quadrature, which needs >= 2.5 R
+    nodes to resolve the phases.  The report fits the norm against log R
+    and checks r^2 >= 0.9 and the log band: max/min of norm / log R at
+    most 2.
     """
     if g.grid.dim != 2:
         raise InvalidArgumentError("radon_growth_sweep is n = 2 only")
-    R_max = max(R_list)
-    if closed_form is None and g.grid.node_count < 2.5 * R_max:
+    profile = _constant_extension(g)
+    if profile is not None:
+        def field(pts):
+            return profile(np.linalg.norm(pts, axis=1)) ** 2
+    elif g.grid.node_count < 2.5 * max(R_list):
         raise PreconditionError(
             f"grid with {g.grid.node_count} nodes cannot resolve phases out to "
-            f"R = {R_max}; need >= 2.5 R nodes or a closed_form evaluator")
-    omegas = make_circle_grid(8)
-    t_lattice = np.arange(-2.0, 2.25, 0.5)
-
-    if closed_form is None:
-        def field(pts):
-            return np.abs(extend(g, pts)) ** 2
+            f"R = {max(R_list)}; need >= 2.5 R nodes")
     else:
         def field(pts):
-            return np.abs(closed_form(pts)) ** 2
+            return np.abs(extend(g, pts)) ** 2
+    omegas = make_circle_grid(8)
+    t_lattice = np.arange(-2.0, 2.25, 0.5)
 
     norms = []
     for R in R_list:
         sups = np.array([
             _lattice_sup_line_integral(field, om, float(R), t_lattice)
             for om in omegas.nodes])
-        if np.isinf(q):
-            norms.append(float(sups.max()))
-        else:
-            norms.append(float(omegas.integrate(sups ** q) ** (1.0 / q)))
+        norms.append(float(Density(omegas, sups).norm(q)))
     log_R = np.log(np.asarray(R_list, dtype=float))
     report = fit_columns(
         ExperimentReport(name="radon_growth_sweep",
@@ -234,7 +230,7 @@ def knapp_radon_lower_bounds(m=1, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
         sups = np.array([
             _slab_cylinder_section_area(om @ axis, radius, half_length, rule)
             for om in omega_grid.nodes])
-        norms.append(float(omega_grid.integrate(sups ** q) ** (1.0 / q)))
+        norms.append(float(Density(omega_grid, sups).norm(q)))
 
     fit = fit_log_growth(np.log(np.asarray(delta_list)), np.log(norms))
     # the larger of the two lower-bound values delta^e as delta -> 0 is
@@ -303,7 +299,7 @@ def bt_bounds_sweep(delta_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
     """
     if family not in ("constant", "cap", "random"):
         raise InvalidArgumentError(f"unknown family {family!r}")
-    rng = np.random.default_rng(seed)
+    rng = experiment_rng(seed, "bt_bounds_sweep")
     # "random" sweeps one pair of functions, sampled on each delta's grid
     coefs = [rng.standard_normal(5) + 1j * rng.standard_normal(5)
              for _ in range(2)]
@@ -394,7 +390,7 @@ def necessity_band_example(delta_list=(0.2, 0.1, 0.05, 0.025), eps=0.25,
     BA_(delta/2)(g,g)(equator) ~ delta.  Returns (report, fit); the
     report carries the fit's plot columns.  ``n_slice`` must be even.
     """
-    rng = np.random.default_rng(seed)
+    rng = experiment_rng(seed, "necessity_band_example")
     report = ExperimentReport(name="necessity_band_example", seed=seed,
                               params={"delta_list": list(delta_list),
                                       "eps": eps})

@@ -10,7 +10,7 @@ entirely on the sphere through slice transforms.
 import numpy as np
 
 from ..errors import InvalidArgumentError, PreconditionError
-from ..extension import extend, extend_plane_field
+from ..extension import extend, extend_plane_field, sigma_hat_closed_form
 from ..reports import ExperimentReport
 from ..spherical import S_operator, T_delta, t_delta_via_slices
 from ..sphere import (_as_unit, bump_cap_density, make_sphere_grid,
@@ -186,18 +186,16 @@ def sharp_constant_S2():
 
     Computes X(|sigma hat|^2)(omega, 0) / ||1||_2^2 by (a) direct line
     quadrature of the closed-form extension of the full surface measure
-    and (b) the slice-transform formula, and compares them.  A cap
-    density of radius 0.5 is evaluated as well: its ratio must fall
-    strictly below the constant-density ratio (constants are extremal).
-    The literature value 2 pi^2 is recorded in the notes for comparison;
-    both computational paths here give 4 pi^2.
+    (``sigma_hat_closed_form``) and (b) the slice-transform formula, and
+    compares them.  A cap density of radius 0.5 is evaluated as well: its
+    ratio must fall strictly below the constant-density ratio (constants
+    are extremal).  The literature value 2 pi^2 is recorded in the notes
+    for comparison; both computational paths here give 4 pi^2.
     """
     truncation, n_t = 2000.0, 128
     spacing = 0.05
     s = np.arange(-truncation, truncation + spacing / 2, spacing)
-    s = np.where(s == 0.0, 1e-30, s)
-    integrand = (4.0 * np.pi * np.sin(s) / s) ** 2
-    direct = float(np.trapezoid(integrand, dx=spacing))
+    direct = float(np.trapezoid(sigma_hat_closed_form(3, s) ** 2, dx=spacing))
     norm_sq = 4.0 * np.pi  # ||1||_2^2 on the 2-sphere
     ratio_direct = direct / norm_sq
 

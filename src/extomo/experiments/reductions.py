@@ -11,7 +11,7 @@ boxes against sphere Lorentz norms of the density.
 import numpy as np
 
 from ..errors import InvalidArgumentError
-from ..extension import _slice_phase_tables, extend, slice_rule
+from ..extension import _constant_extension, _slice_phase_tables, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng
 from ..sphere import make_sphere_grid, preset_density
 from ..spherical import BA_t, S_operator
@@ -75,10 +75,10 @@ def lemma_X_reduction_check(g, q=1.0):
     through the origin is counted once for each of its two directions --
     and the experiment asserts LHS = 2 RHS within 5 percent, with the RHS
     computed truncation-free through the pair kernel 1/|xi - eta|.  For
-    q > 1 only the one-sided bound is checked, against the radial profile
-    sampled at spacing 0.05 out to radius 2000.  The line integrals use
-    48 slices of 256 points over one direction of each antipodal pair of a
-    12 x 24 grid: the symmetric t nodes make S even in omega.
+    q > 1 and g = c on the whole sphere, the one-sided bound is checked
+    against |c| sigma-hat sampled at spacing 0.05 out to radius 2000.  The
+    line integrals use 48 slices of 256 points over one direction of each
+    antipodal pair of a 12 x 24 grid; symmetric t nodes make S even in omega.
     """
     if g.grid.dim != 3:
         raise InvalidArgumentError("n = 3 only")
@@ -101,13 +101,12 @@ def lemma_X_reduction_check(g, q=1.0):
         return report
 
     # q > 1: radial Lorentz side, available in closed form for constant g
-    if not np.allclose(g.values, g.values[0]):
+    profile = _constant_extension(g)
+    if profile is None:
         raise InvalidArgumentError(
-            "q > 1 check is implemented for constant densities")
-    amp = abs(g.values[0])
+            "q > 1 check needs a constant density on the whole sphere")
     r_grid = np.arange(0.05, 2000.0, 0.05)
-    radial = amp * 4.0 * np.pi * np.abs(np.sin(r_grid)) / r_grid \
-        * r_grid ** (0.5 - 3.0 / (2.0 * q))
+    radial = profile(r_grid) * r_grid ** (0.5 - 3.0 / (2.0 * q))
     rhs = _radial_lorentz_norm(radial, r_grid, 2.0 * q, 2.0) ** 2
     report.record("rhs", rhs)
     # beyond the factor 2 from the direction double-count, the q > 1
@@ -239,7 +238,7 @@ def _triangle_coords(p, q, n=3):
     return P, inside
 
 
-def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), closed_form=None):
+def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64)):
     """Stabilization of the power-weighted Lorentz quasinorm on doubling boxes.
 
     Computes the L^{q,r} quasinorm of g dsigma hat times <x>^(-gamma)
@@ -250,12 +249,14 @@ def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), closed_form=None):
     percent.  Points outside the admissible triangle are allowed but
     flagged as probes.
 
-    ``closed_form`` replaces the extension with a radial profile r -> value;
-    without it the grid must resolve the phases out to the largest radius.
+    A constant g = c takes its exact, radial extension |c| sigma-hat on any
+    full-sphere grid; every other g, a constant on a zonal band included,
+    needs a grid that resolves the phases out to the largest radius.
     """
     if len(L_list) < 2:
         raise InvalidArgumentError(f"cauchy_flat needs two L, got {L_list}")
-    if closed_form is None:
+    profile = _constant_extension(g)
+    if profile is None:
         _require_resolved(g.grid, np.arange(0.25, max(L_list), 0.25)[-1])
     n = 3
     gamma = (n + 1.0) / (2.0 * q) - (n - 1.0) / (2.0 * (p / (p - 1.0)))
@@ -271,8 +272,8 @@ def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64), closed_form=None):
     ratios = []
     for L in L_list:
         r_grid = np.arange(0.25, L, 0.25)
-        if closed_form is not None:
-            vals = np.abs(closed_form(r_grid)) * (1 + r_grid ** 2) ** (-gamma / 2)
+        if profile is not None:
+            vals = profile(r_grid) * (1 + r_grid ** 2) ** (-gamma / 2)
             norm = _radial_lorentz_norm(vals, r_grid, q, r)
         else:
             pts = (r_grid[:, None, None] * omega_grid.nodes[None, :, :])

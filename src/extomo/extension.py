@@ -319,3 +319,15 @@ def sigma_hat_closed_form(n, r):
         return 2.0 * np.pi * np.abs(j0(r))
     safe = np.where(r == 0, 1.0, r)
     return np.where(r == 0, 4.0 * np.pi, 4.0 * np.pi * np.abs(np.sin(r)) / safe)
+
+
+def _constant_extension(g):
+    """r -> |g dsigma hat(x)| at |x| = r, exactly |c| sigma-hat, when g is
+    one c at every node of a grid whose weights sum to the whole sphere's
+    measure; None otherwise, for a constant on a zonal band too."""
+    c = g.values[0]
+    sphere = 2.0 * np.pi if g.grid.dim == 2 else 4.0 * np.pi
+    if np.any(g.values != c) or not np.isclose(
+            g.grid.weights.sum(), sphere, rtol=1e-10, atol=0.0):
+        return None
+    return lambda r: abs(c) * sigma_hat_closed_form(g.grid.dim, r)

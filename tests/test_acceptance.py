@@ -17,7 +17,6 @@ from extomo.experiments import (isometry_constancy, lemma_X_reduction_check,
                                 t_delta_log_law, verify_radon_identity,
                                 verify_wmiztak, verify_wstein,
                                 verify_xray_identity)
-from extomo.extension import sigma_hat_closed_form
 from extomo.reports import experiment_rng
 from extomo.sphere import Density, bump_cap_density, make_circle_grid, \
     make_sphere_grid, preset_density
@@ -79,10 +78,7 @@ def test_criterion_05_radon_growth():
     R_list = (16, 32, 64, 128, 256, 512, 1024)
     grid = make_circle_grid(2560)
     one = preset_density(grid, "constant", None)
-    rep = radon_growth_sweep(
-        one, 2.0, R_list,
-        closed_form=lambda pts: sigma_hat_closed_form(
-            2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
+    rep = radon_growth_sweep(one, 2.0, R_list)
     assert rep.metrics["r_squared"] >= 0.9, rep.summary()
     band = (np.asarray(rep.raw_data["ordinate"])
             / np.log(np.asarray(R_list, dtype=float)))
@@ -141,9 +137,7 @@ def test_criterion_10_appendix_ratios():
     """10. box-sweep Lorentz ratios Cauchy-flat within 10%; q=1 equality within 5%"""
     grid = make_sphere_grid(16, 32)
     one = preset_density(grid, "constant", None)
-    sweep = power_weight_ratio(
-        one, 2.0, 4.0, 2.0, L_list=(8, 16, 32, 64),
-        closed_form=lambda r: sigma_hat_closed_form(3, r))
+    sweep = power_weight_ratio(one, 2.0, 4.0, 2.0, L_list=(8, 16, 32, 64))
     assert sweep.metrics["cauchy_flat"] <= 0.1, sweep.summary()
 
     cap = bump_cap_density(make_sphere_grid(24, 48),

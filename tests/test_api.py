@@ -203,6 +203,12 @@ def test_sphere_grids_are_built_only_inside_the_sphere_layer():
     assert {module for module, _ in _callers("SphereGrid")} == {"sphere"}
 
 
+def test_seeded_draws_go_through_the_keyed_generator():
+    # every seeded draw comes from experiment_rng, keyed by (seed, name), so
+    # two experiments sharing a seed never share a stream
+    assert _callers("default_rng") == set()
+
+
 def _top_level_defs(tree):
     """(qualified name, def, is method) of each top-level function and
     method."""

@@ -12,7 +12,7 @@ from extomo.cli import run
 from extomo.experiments import (isometry_constancy, necessity_band_example,
                                 radon_growth_sweep, radon_outside_range_probe,
                                 xray_multiscale_lower_bound)
-from extomo.extension import extend, sigma_hat_closed_form
+from extomo.extension import extend
 from extomo.reports import ExperimentReport
 from extomo.sphere import make_circle_grid, perp_basis, preset_density
 from extomo.tomography import SampledField
@@ -292,11 +292,8 @@ class TestTransformDump:
 
 def _radon_growth_at_cli_defaults():
     grid = make_circle_grid(2560)
-    return radon_growth_sweep(
-        preset_density(grid, "constant", None), 2.0,
-        (16, 32, 64, 128, 256, 512, 1024),
-        closed_form=lambda pts: sigma_hat_closed_form(
-            2, np.linalg.norm(np.atleast_2d(pts), axis=1)))
+    return radon_growth_sweep(preset_density(grid, "constant", None), 2.0,
+                              (16, 32, 64, 128, 256, 512, 1024))
 
 
 LIBRARY_SWEEPS = {"radon-growth": _radon_growth_at_cli_defaults,

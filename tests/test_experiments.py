@@ -123,11 +123,18 @@ class TestIdentities:
 
 
 class TestGrowth:
-    def test_coarse_grid_needs_closed_form(self):
-        grid = make_circle_grid(64)
-        one = Density(grid, np.ones(grid.node_count))
+    def test_coarse_grid_rejects_non_constant_density(self):
+        cap = preset_density(make_circle_grid(64), "cap", None)
         with pytest.raises(PreconditionError):
-            radon_growth_sweep(one, 2.0, R_list=(16, 64, 256))
+            radon_growth_sweep(cap, 2.0, R_list=(16, 64, 256))
+
+    def test_constant_density_needs_no_fine_grid(self):
+        # a constant density takes its exact extension, whatever its grid
+        R_list = (16, 32, 64, 128, 256, 512, 1024)
+        coarse, fine = (radon_growth_sweep(
+            preset_density(make_circle_grid(N), "constant", None), 2.0, R_list)
+            for N in (64, 2560))
+        assert coarse.to_json() == fine.to_json()
 
     def test_t_delta_log_law_small(self):
         fit, rep = t_delta_log_law(delta_list=(1e-1, 1e-2, 1e-3), n_u=96)
@@ -238,7 +245,7 @@ class TestNecessity:
             "fitted_exponent": 1.7508664634580144, "target_exponent": 1.75,
             "exponent_gap": 0.0008664634580144437,
             "plateau_exponent_gap": 0.020929261495526097,
-            "band_measure_ratio": 3.6815538909255388})
+            "band_measure_ratio": 4.295146206079795})
         assert repr(rep.raw_data["Q"]) == repr([
             0.5341098758397775, 0.14946836861316212, 0.04460379121274149,
             0.013989817056761236])

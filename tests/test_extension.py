@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from extomo.errors import InvalidArgumentError
 from extomo.experiments.reductions import _slice_xray_profiles
 from extomo.extension import (_NUFFT_HALF_WIDTH, _SPREAD_BLOCK, SliceMeasureSpec,
-                              _direct_sum, _next_fast_len, _nufft1, _spread,
-                              _uniform_step, extend, extend_field,
+                              _constant_extension, _direct_sum, _next_fast_len,
+                              _nufft1, _spread, _uniform_step, extend, extend_field,
                               extend_plane_field, extend_slice,
                               sigma_hat_closed_form, slice_rule)
 from extomo.sphere import (Density, bump_cap_density, make_circle_grid,
-                           make_sphere_grid, perp_basis)
+                           make_sphere_grid, make_zonal_grid, perp_basis)
 from extomo.tomography import SampledField
 
 
@@ -39,6 +39,24 @@ class TestExtend:
         pts = np.column_stack([np.zeros_like(r), r, np.zeros_like(r)])
         vals = np.abs(extend(one_sphere, pts))
         assert np.allclose(vals, sigma_hat_closed_form(3, r), rtol=1e-8)
+
+    @pytest.mark.parametrize("grid", [make_circle_grid(64), make_sphere_grid(8, 16)],
+                             ids=["circle", "sphere"])
+    def test_constant_extension_only_for_constant_values(self, grid):
+        # a constant c extends to |c| sigma-hat exactly; one node off by an
+        # ulp makes the density non-constant
+        c = 0.6 - 0.8j
+        r = np.array([0.0, 0.7, 2.4, 5.5, 11.0])
+        profile = _constant_extension(Density(grid, np.full(grid.node_count, c)))
+        assert np.array_equal(profile(r), abs(c) * sigma_hat_closed_form(grid.dim, r))
+        values = np.full(grid.node_count, c)
+        values[grid.node_count // 3] = np.nextafter(c.real, 1.0) + 1j * c.imag
+        assert _constant_extension(Density(grid, values)) is None
+
+    def test_constant_extension_needs_the_whole_sphere(self):
+        # a constant on a zonal band is not the full surface measure
+        band = make_zonal_grid(np.eye(3)[0], [(-0.1, 0.1)], 4, 8)
+        assert _constant_extension(Density(band, np.ones(band.node_count))) is None
 
     def test_linearity(self, sphere_grid, rng):
         a = Density(sphere_grid, rng.standard_normal(sphere_grid.node_count))
