@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (InvalidArgumentError, NonFiniteObjectiveError,
                      PreconditionError)
-from .sphere import (CapSpec, Density, SphereGrid, bump_cap_density,
+from .sphere import (Density, SphereGrid, bump_cap_density,
                      knapp_cap_density, make_circle_grid, make_sphere_grid)
 from .extension import extend, sigma_hat_closed_form
 from .tomography import SampledField
@@ -22,7 +22,6 @@ __all__ = [
     "InvalidArgumentError",
     "NonFiniteObjectiveError",
     "PreconditionError",
-    "CapSpec",
     "Density",
     "SphereGrid",
     "bump_cap_density",

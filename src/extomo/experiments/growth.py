@@ -12,8 +12,9 @@ import numpy as np
 from ..errors import InvalidArgumentError, PreconditionError
 from ..extension import _constant_extension, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng, fit_columns, fit_log_growth
-from ..sphere import (_as_unit, CapSpec, Density, knapp_cap_density, make_circle_grid,
-                      make_sphere_grid, make_zonal_grid, perp_basis, preset_density)
+from ..sphere import (_as_unit, _perp_frames, Density, knapp_cap_density,
+                      make_circle_grid, make_sphere_grid, make_zonal_grid,
+                      perp_basis, preset_density)
 from ..spherical import BA_t, bt_delta_circle_grid, t_delta_via_slices
 from ..tomography import Hyperplane, radon
 from .reductions import _s_rule
@@ -126,7 +127,7 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
         delta = 1.0 / np.sqrt(R)
         N = 1 << int(np.ceil(np.log2(4.0 * R)))
         grid = make_circle_grid(max(N, 256))
-        g = knapp_cap_density(grid, CapSpec(np.array([1.0, 0.0]), delta))
+        g = knapp_cap_density(grid, np.array([1.0, 0.0]), delta)
         omega = np.array([0.0, 1.0])
 
         def field(pts):
@@ -362,13 +363,8 @@ def _band_square_integrals(delta_list, theta, eps, n_s, n_slice):
 
 def _great_circle_heights(omegas, n_phi):
     """|xi_3| at n_phi equispaced angles of the great circle perp to each row
-    of omegas, from e1 = e_1 (e_2 if omega = +-e_1) off omega, e2 = omega x e1."""
-    e1 = np.eye(3)[0] - omegas[:, :1] * omegas
-    flat = np.linalg.norm(e1, axis=1) < 1e-8
-    e1[flat] = np.eye(3)[1] - omegas[flat, 1:2] * omegas[flat]
-    # row norms by np.linalg.norm's own dot, so each frame is bit-stable
-    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
-    e2 = np.cross(omegas, e1)
+    of omegas, in the ``perp_basis`` frame."""
+    e1, e2 = _perp_frames(omegas)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     heights = np.cos(phi) * e1[:, 2:]
     heights += np.sin(phi) * e2[:, 2:]

@@ -12,7 +12,8 @@ import numpy as np
 
 from ..errors import InvalidArgumentError
 from ..reports import ExperimentReport, experiment_rng
-from ..tomography import TubeFamily, kakeya_dual_functional, perp_basis
+from ..sphere import perp_basis
+from ..tomography import TubeFamily, kakeya_dual_functional
 
 __all__ = [
     "tube_direction_angles",

@@ -20,7 +20,6 @@ _NEAREST_BLOCK = 2 ** 21
 __all__ = [
     "SphereGrid",
     "Density",
-    "CapSpec",
     "make_circle_grid",
     "make_sphere_grid",
     "make_zonal_grid",
@@ -43,18 +42,27 @@ def _as_unit(v, name="vector"):
     return v / nrm
 
 
+def _perp_frames(omegas):
+    """(e1, e2) of omega-perp for each unit row of (K, 3) omegas: e1 is e_1
+    projected off omega (e_2 if omega = +-e_1), normalised, e2 = omega x e1.
+    The frame is continuous in omega away from +-e_1."""
+    e1 = np.eye(3)[0] - omegas[:, :1] * omegas
+    # row norms by np.linalg.norm's own dot, so each frame is bit-stable
+    sq = np.vecdot(e1, e1)
+    if (flat := sq < 1e-16).any():
+        e1[flat] = np.eye(3)[1] - omegas[flat, 1:2] * omegas[flat]
+        sq = np.vecdot(e1, e1)
+    e1 /= np.sqrt(sq)[:, None]
+    return e1, np.cross(omegas, e1)
+
+
 def perp_basis(omega):
-    """Deterministic orthonormal basis of the hyperplane orthogonal to omega."""
+    """Orthonormal basis of the hyperplane orthogonal to omega: (-w_2, w_1)
+    for n = 2, the ``_perp_frames`` rows for n = 3."""
     omega = _as_unit(omega, "omega")
-    n = omega.size
-    if n == 2:
+    if omega.size == 2:
         return np.array([[-omega[1], omega[0]]])
-    e1 = np.zeros(3)
-    e1[np.argmin(np.abs(omega))] = 1.0
-    e1 = e1 - (e1 @ omega) * omega
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(omega, e1)
-    return np.array([e1, e2])
+    return np.concatenate(_perp_frames(omega[None]))
 
 
 def _trapezoid_weights(M):
@@ -174,19 +182,6 @@ class Density:
                        evaluator=None if ev is None else lambda pts: fn(ev(pts)))
 
 
-@dataclass(frozen=True)
-class CapSpec:
-    """Geodesic cap: a unit center and a radius in (0, pi]."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_unit(self.center, "center"))
-        if not 0 < self.radius <= np.pi:
-            raise InvalidArgumentError("cap radius must lie in (0, pi]")
-
-
 def make_circle_grid(N):
     """Equispaced trapezoid-rule grid on S^1.
 
@@ -258,12 +253,13 @@ def poisson_mollify_circle(g, scale):
     return Density(g.grid, out)
 
 
-def knapp_cap_density(grid, cap):
-    """Indicator of a geodesic cap."""
-    if cap.radius >= np.pi / 2:
-        raise InvalidArgumentError("knapp cap radius must be < pi/2")
-    cosdist = np.clip(grid.nodes @ cap.center, -1.0, 1.0)
-    inside = np.arccos(cosdist) <= cap.radius
+def knapp_cap_density(grid, center, radius):
+    """Indicator of the geodesic cap of the given radius in (0, pi/2)."""
+    center = _as_unit(center, "center")
+    if not 0 < radius < np.pi / 2:
+        raise InvalidArgumentError("knapp cap radius must lie in (0, pi/2)")
+    cosdist = np.clip(grid.nodes @ center, -1.0, 1.0)
+    inside = np.arccos(cosdist) <= radius
     return Density(grid, inside)
 
 
@@ -312,7 +308,7 @@ def preset_density(grid, name, rng, k=None):
     if name == "cap":
         return bump_cap_density(grid, pole, 0.7)
     if name == "knapp":
-        return knapp_cap_density(grid, CapSpec(pole, 0.1))
+        return knapp_cap_density(grid, pole, 0.1)
     if name == "constant":
         def evaluator(pts):
             return np.ones(np.atleast_2d(pts).shape[0])

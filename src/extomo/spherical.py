@@ -110,19 +110,17 @@ def _tilde_after_reflection(g, omega, pts):
 def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
     """Bilinear slice form: slice integral of g1(xi) g2~(R_omega(xi)).
 
-    ``method`` "slice" evaluates g2 at the reflected points; "auto" (and
-    "closed", n = 2 only) reads them off the half-turn of an even slice,
-    from g1's values when g2 is g1.  The paths agree to round-off.  t may
-    be a 1-D array: the slices of all offsets are evaluated together and
-    an array comes back; a scalar t gives a complex.
+    ``method`` "slice" evaluates g2 at the reflected points; "auto" reads
+    them off the half-turn of an even slice, from g1's values when g2 is
+    g1.  The paths agree to round-off.  t may be a 1-D array: the slices
+    of all offsets are evaluated together and an array comes back; a
+    scalar t gives a complex.
     """
     spec = SliceMeasureSpec(omega, t)
     omega = spec.omega
     n = omega.size
-    if method not in ("auto", "slice", "closed"):
+    if method not in ("auto", "slice"):
         raise InvalidArgumentError(f"unknown method {method!r}")
-    if method == "closed" and n != 2:
-        raise InvalidArgumentError("closed form is n = 2 only")
     pts, weight = slice_rule(omega, t, n_slice)
     shape, m = pts.shape[:-1], pts.shape[-2]
     va = g1.evaluate(pts.reshape(-1, n)).reshape(shape)

@@ -27,7 +27,6 @@ __all__ = [
     "Hyperplane",
     "SampledField",
     "TubeFamily",
-    "perp_basis",
     "xray",
     "radon",
     "xray_profile",

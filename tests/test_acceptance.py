@@ -109,7 +109,7 @@ def test_criterion_07_bilinear_closed_form():
         th = rng.uniform(0.0, 2.0 * np.pi)
         omega = np.array([np.cos(th), np.sin(th)])
         t = rng.uniform(-0.95, 0.95)
-        closed = BA_t(g1, g2, omega, t, method="closed")
+        closed = BA_t(g1, g2, omega, t)
         generic = BA_t(g1, g2, omega, t, method="slice")
         assert abs(closed - generic) <= 1e-8 * max(1.0, abs(generic))
 

@@ -203,6 +203,12 @@ def test_sphere_grids_are_built_only_inside_the_sphere_layer():
     assert {module for module, _ in _callers("SphereGrid")} == {"sphere"}
 
 
+def test_perp_frames_are_built_only_inside_the_sphere_layer():
+    # one frame rule: every (e1, e2) of omega-perp is sphere._perp_frames,
+    # the one place that takes a cross product
+    assert _callers("cross") == {("sphere", "_perp_frames")}
+
+
 def test_seeded_draws_go_through_the_keyed_generator():
     # every seeded draw comes from experiment_rng, keyed by (seed, name), so
     # two experiments sharing a seed never share a stream

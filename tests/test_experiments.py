@@ -26,7 +26,8 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
                                 verify_xray_identity,
                                 xray_multiscale_lower_bound)
 from extomo.experiments.extremal import _xray_sup_functional
-from extomo.experiments.growth import (_band_square_integrals, _knapp_band,
+from extomo.experiments.growth import (_band_square_integrals,
+                                      _great_circle_heights, _knapp_band,
                                       _polar_band_density, _polar_radius)
 from extomo.experiments.reductions import (_ba_square_integral, _s_rule,
                                            _slice_xray_profiles)
@@ -270,6 +271,17 @@ class TestNecessity:
                                       n_slice)(u) for d in deltas]
         F = _band_square_integrals(deltas, [theta], eps, n_s, n_slice)
         assert np.array_equal(F[:, 0], oracle)
+
+    def test_great_circle_heights_are_slice_rule_heights(self, rng):
+        # necessity's great circles are the t = 0 slices in the one
+        # perp_basis frame, for grid nodes and for random directions
+        om = rng.standard_normal((20, 3))
+        rows = np.vstack([make_sphere_grid(16, 32).nodes,
+                          om / np.linalg.norm(om, axis=1)[:, None]])
+        heights = _great_circle_heights(rows, 64)
+        for row, h in zip(rows, heights):
+            pts, _ = slice_rule(row, 0.0, 64)
+            np.testing.assert_allclose(h, np.abs(pts[:, 2]), rtol=0, atol=1e-15)
 
     def test_odd_slice_count_rejected(self):
         # the count form pairs point k with k + m/2; an odd slice has no pair

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from extomo import sphere
 from extomo.errors import InvalidArgumentError
-from extomo.sphere import (PRESETS, CapSpec, Density, SphereGrid,
+from extomo.sphere import (PRESETS, Density, SphereGrid,
                            bump_cap_density, knapp_cap_density,
                            make_circle_grid, make_sphere_grid,
                            make_zonal_grid, perp_basis,
@@ -110,6 +110,25 @@ class TestZonalGrid:
             make_zonal_grid(np.array([0.0, 0.0, 1.0]), zones, n_z, n_phi)
 
 
+class TestPerpBasis:
+    def test_frame_is_continuous_through_a_coordinate_tie(self):
+        # |w_1| = |w_2| is the smallest |coordinate|; one ulp more on w_1
+        # must not turn the frame (an argmin rule turns it by 1.15)
+        omega = np.array([0.5, 0.5, np.sqrt(0.5)])
+        nudged = omega.copy()
+        nudged[0] = np.nextafter(0.5, 1.0)
+        assert np.abs(perp_basis(nudged) - perp_basis(omega)).max() <= 1e-15
+
+    @pytest.mark.parametrize("axis, frame", [
+        (0, [[0, 1, 0], [0, 0, 1]]), (1, [[1, 0, 0], [0, 0, -1]]),
+        (2, [[1, 0, 0], [0, 1, 0]])])
+    def test_axis_frames(self, axis, frame):
+        # e_1 projected off omega, e_2 for omega = +-e_1; e2 = omega x e1
+        omega = np.eye(3)[axis]
+        assert np.array_equal(perp_basis(omega), frame)
+        assert np.array_equal(perp_basis(-omega)[0], frame[0])
+
+
 class TestDensity:
     def test_shape_mismatch_rejected(self, circle_grid):
         with pytest.raises(InvalidArgumentError):
@@ -172,20 +191,19 @@ class TestCapDensities:
         # on the circle the cap |theta| <= delta has measure 2 delta
         grid = make_circle_grid(4096)
         delta = 0.3
-        g = knapp_cap_density(grid, CapSpec(np.array([1.0, 0.0]), delta))
+        g = knapp_cap_density(grid, np.array([1.0, 0.0]), delta)
         assert g.norm(1) == pytest.approx(2.0 * delta, rel=1e-2)
 
     def test_knapp_cap_mass_sphere(self):
         # geodesic cap of radius r on S^2 has measure 2 pi (1 - cos r)
         grid = make_sphere_grid(64, 128)
         r = 0.4
-        g = knapp_cap_density(grid, CapSpec(np.array([0.0, 0.0, 1.0]), r))
+        g = knapp_cap_density(grid, np.array([0.0, 0.0, 1.0]), r)
         assert g.norm(1) == pytest.approx(2 * np.pi * (1 - np.cos(r)), rel=1e-2)
 
     def test_knapp_wide_cap_rejected(self, sphere_grid):
         with pytest.raises(InvalidArgumentError):
-            knapp_cap_density(sphere_grid,
-                              CapSpec(np.array([0.0, 0.0, 1.0]), np.pi / 2))
+            knapp_cap_density(sphere_grid, np.array([0.0, 0.0, 1.0]), np.pi / 2)
 
     def test_bump_vanishes_outside_cap(self, sphere_grid):
         g = bump_cap_density(sphere_grid, np.array([0.0, 0.0, 1.0]), 0.3)

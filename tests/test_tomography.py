@@ -12,13 +12,12 @@ from extomo.experiments.weighted import (_gaussian_test_functions,
                                          gamma_R_weight)
 from extomo.extension import sigma_hat_closed_form
 from extomo.reports import experiment_rng
-from extomo.sphere import _trapezoid_weights, make_circle_grid
+from extomo.sphere import _trapezoid_weights, make_circle_grid, perp_basis
 from extomo.tomography import (_XRAY_BLOCK, Hyperplane, Line, SampledField,
                                TubeFamily, _laplacian_power, frac_laplacian,
                                kakeya_dual_functional, lorentz_norm,
-                               perp_basis, radial_xray_profile, radon,
-                               tube_sum_field, xray, xray_isometry_ratio,
-                               xray_profile)
+                               radial_xray_profile, radon, tube_sum_field,
+                               xray, xray_isometry_ratio, xray_profile)
 
 
 def gaussian_2d(pts):
