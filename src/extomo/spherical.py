@@ -155,6 +155,8 @@ def bt_delta_circle_grid(g1, g2, delta):
     xi at theta_j, the reflected argument -R_omega(xi) sits at the grid
     angle 2 phi_k - theta_j, and the kernel depends only on theta_j - phi_k.
     BT_delta is even in omega, so rows k + N/2 of an even N copy rows k.
+    When w g1 and conj(g2) are each exactly one value at every node, every
+    row is a0 b0 sum(kern), and the product is skipped.
     Matches :func:`BT_delta` evaluated node-by-node.
     """
     if delta <= 0:
@@ -169,6 +171,8 @@ def bt_delta_circle_grid(g1, g2, delta):
         a, b = a.real, b.real
     # index m = j - k mod N; cast to the product's type once, not per block
     kern = (1.0 / (np.abs(np.cos(grid.angles)) + delta)).astype(a.dtype)
+    if not (np.any(a != a[0]) or np.any(b != b[0])):
+        return np.full(N, a[0] * b[0] * np.add.reduce(kern), dtype=complex)
     # out[k] = sum_m kern[m] a[(k + m) % N] b[(k - m) % N]; both factors
     # are strided views, A[k, m] = a[(k + m) % N] and B[k, m] = b[(k - m) % N]
     half = N // 2 if N % 2 == 0 else N

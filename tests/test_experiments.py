@@ -146,6 +146,18 @@ class TestGrowth:
         with pytest.raises(InvalidArgumentError):
             bt_bounds_sweep(family="nope")
 
+    def test_bt_bounds_constant_family_defaults(self):
+        # the fit of the CLI default `sweep bt-bounds`; g1 = g2 = 1 is one
+        # kernel sum at every node, so it runs in milliseconds
+        fit_half, fit_one = bt_bounds_sweep()
+        pins = [(fit_one.slope, 3.999444756798484),
+                (fit_one.intercept, 2.8100082406985605),
+                (fit_one.r_squared, 0.9999960366989722),
+                (fit_half.slope, 0.4245783773859559),
+                (fit_half.r_squared, 0.9791274013162393)]
+        for got, want in pins:
+            assert got == pytest.approx(want, rel=1e-13)
+
     def test_bt_bounds_random_family_is_one_log_law(self):
         # one pair of functions over the whole sweep; fresh draws per delta
         # failed r^2 >= 0.9 at half of these seeds
@@ -303,11 +315,10 @@ class TestReductions:
             lemma_X_reduction_check(one, q=1.0)
 
     # the direct path: every omega of the grid, for the LHS and, at q != 2,
-    # for the great-circle RHS; the benchmark's tiny sizes.  At q != 2 the
-    # same circle point, rounded two ways, can take another perp_basis
-    # frame in BA_t, and 32 slice points differ by 3e-8 between frames
-    # (1e-14 at 64, round-off at 128), so that case runs at 128
-    @pytest.mark.parametrize("q, n_slice", [(2.0, 32), (3.0, 128)])
+    # for the great-circle RHS; the benchmark's tiny sizes.  The perp_basis
+    # frame is continuous in omega, so a circle point rounded two ways
+    # takes the same slice points to round-off, and both cases run at 32
+    @pytest.mark.parametrize("q, n_slice", [(2.0, 32), (3.0, 32)])
     def test_reduce_lemma_matches_full_direction_sweep(self, q, n_slice):
         grid = make_sphere_grid(8, 16)
         g = preset_density(grid, "smooth", np.random.default_rng(3))

@@ -209,10 +209,22 @@ class TestBilinear:
 
     @staticmethod
     def _bt_family(N, family, delta):
-        """The input pair of ``bt_bounds_sweep``'s families on N nodes."""
+        """The input pair of ``bt_bounds_sweep``'s families on N nodes, or
+        a complex pair that is constant, nearly or on one side only."""
         grid = make_circle_grid(N)
         if family == "constant":
             return (Density(grid, np.ones(N)),) * 2
+        # complex pairs take the complex path; a pair that is constant on
+        # one side only, or one ulp off at one node, takes the dense product
+        c1, c2 = np.full(N, 0.3 - 1.2j), np.full(N, -0.7 + 0.4j)
+        ulp = c2.copy()
+        ulp[N // 3] = complex(np.nextafter(-0.7, 0.0), 0.4)
+        pairs = {"complex_constant": (c1, c2),
+                 "constant_but_one_ulp": (c1, ulp),
+                 "only_g1_constant": (c1, c2 + np.cos(grid.angles)),
+                 "only_g2_constant": (c1 + np.cos(grid.angles), c2)}
+        if family in pairs:
+            return tuple(Density(grid, v) for v in pairs[family])
         if family == "cap":
             return tuple(Density(grid, (np.abs((grid.angles - c + np.pi)
                                                % (2 * np.pi) - np.pi)
@@ -228,18 +240,26 @@ class TestBilinear:
     # at N = 4096 a block holds 64 rows of the real path, 32 of the
     # complex one, so the half sweep takes several blocks
     @pytest.mark.parametrize("N", [4, 64, 700, 4096])
-    @pytest.mark.parametrize("family", ["constant", "cap", "random"])
+    @pytest.mark.parametrize("family", ["constant", "complex_constant", "cap",
+                                        "random"])
     def test_bt_grid_even_n_copies_the_antipodal_row(self, N, family):
         # BT_delta is even in omega and node k + N/2 is -omega_k
         fast = bt_delta_circle_grid(*self._bt_family(N, family, 0.01), 0.01)
         np.testing.assert_array_equal(fast[N // 2:], fast[:N // 2])
 
-    @pytest.mark.parametrize("N, family", [(255, "constant"), (255, "cap"),
+    @pytest.mark.parametrize("N, family", [(255, "constant"),
+                                           (255, "complex_constant"),
+                                           (255, "constant_but_one_ulp"),
+                                           (255, "only_g1_constant"),
+                                           (255, "only_g2_constant"),
+                                           (255, "cap"),
                                            (255, "random"), (256, "random"),
                                            (701, "random")])
     def test_bt_grid_family_matches_every_node(self, N, family):
         # odd N has no antipodal node, so every row is summed; "random" is
-        # a genuinely complex pair and takes the complex path
+        # a genuinely complex pair and takes the complex path.  A constant
+        # pair is one kernel sum; a pair constant on one side only, or one
+        # ulp off, takes the dense product
         g1, g2 = self._bt_family(N, family, 0.05)
         fast = bt_delta_circle_grid(g1, g2, 0.05)
         direct = np.array([BT_delta(g1, g2, node, 0.05)
