@@ -122,62 +122,51 @@ def _mt_radial_functional(grid):
     return objective
 
 
-def build_functional(functional_id, grid=None):
+def build_functional(functional_id):
     """Compile a functional id to (objective, grid, p) for ascent.
 
-    Supported ids: ``xray_sup_ratio(p,q)`` on the 2-sphere,
-    ``T_delta_norm(p,q,delta)`` and ``MT_radial_constant`` on the circle.
-    ``p`` is the exponent of the unit-norm constraint.
+    Supported ids: ``xray_sup_ratio(p,q)`` on the 8 x 16 grid of the
+    2-sphere, ``T_delta_norm(p,q,delta)`` on the 32-node circle and
+    ``MT_radial_constant`` on the 64-node circle.  ``p`` is the exponent
+    of the unit-norm constraint.
     """
     name, args = _parse_functional(functional_id)
     if name == "xray_sup_ratio":
         p, q = args if args else (2.0, np.inf)
         if p != 2.0:
             raise InvalidArgumentError("xray_sup_ratio requires p = 2")
-        if grid is None:
-            grid = make_sphere_grid(8, 16)
+        grid = make_sphere_grid(8, 16)
         return _xray_sup_functional(grid, q), grid, p
     if name == "T_delta_norm":
         if len(args) != 3:
             raise InvalidArgumentError("T_delta_norm takes (p, q, delta)")
         p, q, delta = args
-        if grid is None:
-            grid = make_circle_grid(32)
+        grid = make_circle_grid(32)
         return _t_delta_functional(grid, p, q, delta), grid, p
     if name == "MT_radial_constant":
-        if grid is None:
-            grid = make_circle_grid(64)
+        grid = make_circle_grid(64)
         return _mt_radial_functional(grid), grid, 2.0
     raise InvalidArgumentError(f"unknown functional {name!r}")
 
 
 def _normalize(x, weights, p):
-    norm = np.add.reduce(weights * np.abs(x) ** p) ** (1.0 / p)
-    if norm == 0:
-        raise InvalidArgumentError("cannot normalize the zero density")
-    return x / norm
+    return x / np.add.reduce(weights * np.abs(x) ** p) ** (1.0 / p)
 
 
-def extremize(functional_id, init=None, steps=40, step_size=0.5, seed=0,
-              grid=None):
+def extremize(functional_id, steps=40, step_size=0.5, seed=0):
     """Monotone projected gradient ascent of a Rayleigh-type functional.
 
-    Starts from ``init`` (or a random positive density), renormalizes to
-    unit L^p norm after every move, climbs along forward-difference
-    gradients of step 1e-5, and accepts a step only if the
-    objective increases, halving the step length until it does.  Returns
-    the best density and a report with the (nondecreasing) objective
-    trace.  A non-finite objective value aborts the search.
+    Starts from a seeded random positive density on the grid of
+    ``build_functional``, renormalizes to unit L^p norm after every move,
+    climbs along forward-difference gradients of step 1e-5, and accepts a
+    step only if the objective increases, halving the step length until it
+    does.  Returns the best density and a report with the (nondecreasing)
+    objective trace.  A non-finite objective value aborts the search.
     """
-    objective, grid, p = build_functional(functional_id, grid=grid)
-    if init is None:
-        rng = experiment_rng(seed, f"extremize:{functional_id}")
-        x = rng.uniform(0.5, 1.5, size=grid.node_count)
-    else:
-        if init.grid.node_count != grid.node_count:
-            raise InvalidArgumentError("init density lives on the wrong grid")
-        x = np.abs(np.asarray(init.values)).astype(float)
-    x = _normalize(x, grid.weights, p)
+    objective, grid, p = build_functional(functional_id)
+    rng = experiment_rng(seed, f"extremize:{functional_id}")
+    x = _normalize(rng.uniform(0.5, 1.5, size=grid.node_count),
+                   grid.weights, p)
 
     def checked(x):
         val = objective(x)

@@ -144,23 +144,24 @@ def radon_outside_range_probe(R_list=(16, 32, 64, 128, 256)):
         fit, checks=(("slope", 0.3, np.inf),))
 
 
-def _slab_cylinder_section_area(cos_alpha, radius, half_length, rule):
+def _slab_cylinder_section_area(cos_alpha, radius, half_length):
     """Central cross-section area of {|x_perp| <= radius, |x_axis| <= half_length}.
 
-    cos_alpha is the cosine of the angle between the plane normal and the
-    cylinder axis.  Quadrature by the Gauss-Legendre ``rule`` (nodes,
-    weights on [-1, 1]) over the in-plane coordinate that tilts into the
-    axis; exact limits from whichever constraint binds.
+    cos_alpha is the cosine of the angle alpha between the plane normal and
+    the cylinder axis.  In the plane, the coordinate u that tilts into the
+    axis has axial part u s and distance u c from the axis (c = |cos alpha|,
+    s = sin alpha, r = radius, h = half_length), so the section is the
+    integral of 2 (r^2 - (u c)^2)^(1/2) over |u c| <= V, V = min(r, h c / s),
+    in closed form: (2/c) [V (r^2 - V^2)^(1/2) + r^2 arcsin(V/r)].  It is
+    pi r^2 at c = 1 and 4 r h at c = 0.
     """
     c = abs(float(cos_alpha))
+    if c == 0.0:
+        return 4.0 * radius * half_length
     s = np.sqrt(max(0.0, 1.0 - c * c))
-    if s < 1e-15:
-        return np.pi * radius ** 2
-    lim = half_length / s if c < 1e-15 else min(radius / c, half_length / s)
-    u = lim * rule[0]
-    w = lim * rule[1]
-    heights = 2.0 * np.sqrt(np.maximum(0.0, radius ** 2 - (u * c) ** 2))
-    return float(np.add.reduce(w * heights))
+    v = radius if half_length * c >= radius * s else half_length * c / s
+    return float(2.0 / c * (v * np.sqrt(radius ** 2 - v ** 2)
+                            + radius ** 2 * np.arcsin(v / radius)))
 
 
 def _knapp_set_geometry(m, delta):
@@ -217,7 +218,6 @@ def knapp_radon_lower_bounds(m=1, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
                                       "delta_list": list(delta_list)})
 
     norms, medians, center_errs, mass_sq = [], [], [], []
-    rule = np.polynomial.legendre.leggauss(96)
     for delta in delta_list:
         g, pts = _knapp_band(m, delta, rng)
         mass_sq.append(float(g.grid.integrate(g.values.real)) ** 2)
@@ -229,7 +229,7 @@ def knapp_radon_lower_bounds(m=1, delta_list=(0.2, 0.1, 0.05, 0.025), q=2.0,
 
         axis, radius, half_length = _knapp_set_geometry(m, delta)
         sups = np.array([
-            _slab_cylinder_section_area(om @ axis, radius, half_length, rule)
+            _slab_cylinder_section_area(om @ axis, radius, half_length)
             for om in omega_grid.nodes])
         norms.append(float(Density(omega_grid, sups).norm(q)))
 

@@ -142,13 +142,6 @@ def test_benchmark_counters_accept_library_signatures(monkeypatch):
                     if p.kind is not p.POSITIONAL_ONLY})
 
 
-# optional parameters that no scanned caller passes, each kept for a reason
-KEPT_KNOBS = {
-    "extremal.extremize(init)": "test seam: a fixed starting density",
-    "extremal.extremize(grid)": "test seam: a small grid",
-    "tubes.randomized_tube_experiment(angles)": "test seam: fixed directions",
-    "tubes.randomized_tube_experiment(n_points)": "test seam: fewer points",
-}
 ALL_KEYS = frozenset({"*"})  # a ``**x`` whose keys the scan cannot see
 
 
@@ -359,10 +352,7 @@ def test_every_optional_parameter_is_reached():
     # acceptance criterion or a benchmark workload passes is a setting
     # with one value in use: it belongs in the code as a constant
     unreached = _unreached_knobs()
-    dead = [k for k in unreached if k not in KEPT_KNOBS]
-    assert not dead, f"optional parameters never passed: {dead}"
-    stale = sorted(set(KEPT_KNOBS) - set(unreached))
-    assert not stale, f"kept knobs that are now passed or gone: {stale}"
+    assert not unreached, f"optional parameters never passed: {unreached}"
 
 
 def _forwards_only(fn):

@@ -135,12 +135,15 @@ class TestUsage:
     def test_parse_value_infinities(self, text, value):
         assert cli._parse_value(text) == value
 
-    @pytest.mark.parametrize("n_trials", ["1", "0"])
+    @pytest.mark.parametrize("n_trials", ["0", "1", "3", "29"])
     def test_randomized_needs_two_trials(self, n_trials, capsys):
-        # one trial has no standard error for the Khintchine check
+        # the Khintchine check takes its standard error from the trials:
+        # 3 trials failed it at 4 of seeds 0-19 (up to 8.04 SE at R = 16)
         assert run(["tubes", "randomized", "--R", "16",
                     "--n-trials", n_trials]) == 2
-        assert "n_trials must be >= 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "PreconditionError" in err
+        assert f"n_trials = {n_trials} is below 30" in err
 
     @pytest.mark.parametrize("n_funcs", ["1", "0"])
     def test_isometry_needs_two_functions(self, n_funcs, capsys):
@@ -202,14 +205,13 @@ class TestRunDirectory:
 
     def test_config_file_keys_take_dashes_like_flags(self, in_tmp, capsys):
         cfg = in_tmp / "exp.cfg"
-        cfg.write_text("R = 16\nn-trials = 3\n")
+        cfg.write_text("R = 16\nn-trials = 30\n")
         out = in_tmp / "tubes"
-        # three trials may miss the Khintchine tolerance (exit 1); the key
-        # itself must be accepted, not rejected as unknown (exit 2)
+        # the key must be accepted, not rejected as unknown (exit 2)
         assert run(["tubes", "randomized", "--config", str(cfg),
                     "--out", str(out)]) in (0, 1)
         report = json.loads((out / "report.json").read_text())
-        assert report["params"]["n_trials"] == 3
+        assert report["params"]["n_trials"] == 30
 
     def test_config_syntax_error(self, in_tmp, capsys):
         cfg = in_tmp / "bad.cfg"

@@ -28,7 +28,8 @@ from extomo.experiments import (build_functional, cap_wavepacket_extension,
 from extomo.experiments.extremal import _xray_sup_functional
 from extomo.experiments.growth import (_band_square_integrals,
                                       _great_circle_heights, _knapp_band,
-                                      _polar_band_density, _polar_radius)
+                                      _polar_band_density, _polar_radius,
+                                      _slab_cylinder_section_area)
 from extomo.experiments.reductions import (_ba_square_integral, _s_rule,
                                            _slice_xray_profiles)
 from extomo.experiments.weighted import (_gaussian_test_functions,
@@ -186,6 +187,25 @@ class TestGrowth:
             # ordinate = (value delta)^2 with value^2 = 4 pi integral
             integral = ordinate / (4.0 * np.pi * delta ** 2)
             assert integral == pytest.approx(oracle, rel=1e-12), delta
+
+    def test_slab_section_area_closed_form(self):
+        # the closed form against the integral it solves: the chord
+        # 2 (r^2 - (u c)^2)^(1/2) over |u| <= min(r/c, h/s), for both dual
+        # sets (m = 1: r = 1/delta, h = 1/delta^2; m = 2 swaps them) and
+        # angles on both sides of the binding switch at tan(alpha) = h/r
+        from scipy.integrate import quad
+        for r, h in [(10.0, 100.0), (100.0, 10.0), (40.0, 1600.0)]:
+            assert _slab_cylinder_section_area(1.0, r, h) == pytest.approx(
+                np.pi * r * r, rel=1e-15)
+            assert _slab_cylinder_section_area(0.0, r, h) == 4.0 * r * h
+            for alpha in np.linspace(0.02, np.pi / 2 - 0.02, 9):
+                c, s = np.cos(alpha), np.sin(alpha)
+                lim = min(r / c, h / s)
+                oracle, _ = quad(
+                    lambda u: 2.0 * np.sqrt(max(0.0, r * r - (u * c) ** 2)),
+                    -lim, lim, epsabs=0.0, epsrel=1e-13, limit=200)
+                assert _slab_cylinder_section_area(c, r, h) == pytest.approx(
+                    oracle, rel=1e-12), (r, h, alpha)
 
     def test_wrong_dimension_rejected(self):
         grid = make_sphere_grid(8, 16)
@@ -400,11 +420,6 @@ class TestTubes:
         with pytest.raises(InvalidArgumentError):
             tube_direction_angles(2)
 
-    def test_unseparated_angles_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            randomized_tube_experiment(R=64, n_trials=10,
-                                       angles=np.array([0.0, 0.01]))
-
     def test_wavepacket_center_value_is_arc_length(self):
         # at z = -a the phase vanishes identically on the arc
         half_width = 0.1
@@ -413,16 +428,21 @@ class TestTubes:
         val = packet(-a[None, :])
         assert abs(val[0]) == pytest.approx(2.0 * half_width, rel=1e-12)
 
-    def test_single_tube_degenerate_khintchine(self):
-        rep = randomized_tube_experiment(R=64, n_trials=20,
-                                         angles=np.array([0.3]))
-        assert "khintchine_rel_dev" in rep.metrics
-        assert rep.pass_, rep.summary()
-
     def test_small_family_runs(self):
-        rep = randomized_tube_experiment(R=16, n_trials=50, n_points=16)
+        # pinned by repr: one tube per direction of tube_direction_angles
+        # and 32 Khintchine points
+        rep = randomized_tube_experiment(R=16, n_trials=50)
         assert rep.params["n_tubes"] == len(tube_direction_angles(16))
-        assert "khintchine_dev_in_se" in rep.metrics
+        assert repr(rep.metrics) == repr({
+            "c_min": 0.9895100841398489,
+            "center_arc_err": 1.1102230246251565e-16,
+            "khintchine_ratio": 0.9891968815595723,
+            "khintchine_se_rel": 0.022486923527498384,
+            "khintchine_dev_in_se": 0.48041780491746366,
+            "kakeya_lhs": 5.458114658469534,
+            "kakeya_rhs": 1.7320508075688772,
+            "kakeya_ratio": 3.151243967335228})
+        assert rep.pass_, rep.summary()
 
 
 class TestExtremal:
@@ -455,46 +475,31 @@ class TestExtremal:
             build_functional("T_delta_norm(2,2)")
 
     def test_zero_steps_returns_normalized_init(self):
-        grid = make_circle_grid(16)
-        init = Density(grid, np.full(grid.node_count, 5.0))
-        density, rep = extremize("MT_radial_constant", init=init, steps=0,
-                                 grid=grid)
+        # the start is the seeded draw on the 64-node circle, at unit norm
+        density, rep = extremize("MT_radial_constant", steps=0, seed=3)
         assert rep.metrics["objective_init"] == rep.metrics["objective_final"]
         assert density.norm(2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_init_on_wrong_grid(self):
-        init = Density(make_circle_grid(8), np.ones(8))
-        with pytest.raises(InvalidArgumentError):
-            extremize("MT_radial_constant", init=init,
-                      grid=make_circle_grid(16))
-
-    def test_zero_init_rejected(self):
-        grid = make_circle_grid(16)
-        init = Density(grid, np.zeros(grid.node_count))
-        with pytest.raises(InvalidArgumentError):
-            extremize("MT_radial_constant", init=init, steps=0, grid=grid)
+        draw = experiment_rng(3, "extremize:MT_radial_constant").uniform(
+            0.5, 1.5, size=64)
+        np.testing.assert_allclose(
+            density.values, draw / Density(density.grid, draw).norm(2),
+            rtol=1e-14)
 
     def test_objective_trace_monotone(self):
-        grid = make_circle_grid(16)
-        density, rep = extremize("T_delta_norm(2,2,0.1)", steps=5, grid=grid)
+        # pinned by repr on the default 32-node circle
+        density, rep = extremize("T_delta_norm(2,2,0.1)", steps=5)
         trace = rep.raw_data["objective"]
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert repr(rep.metrics) == repr({
+            "objective_init": 4.758358141876144,
+            "objective_final": 7.1681501431574155,
+            "accepted_steps": 5.0, "unit_norm_err": 0.0,
+            "monotone": 0.4546253701162799})
         assert rep.pass_, rep.summary()
 
-    def test_non_finite_objective_aborts(self):
-        grid = make_circle_grid(8)
-
-        def bad_objective(x):
-            return np.inf
-
+    def test_non_finite_objective_aborts(self, monkeypatch):
         import extomo.experiments.extremal as ex
-        orig = ex.build_functional
-        try:
-            ex.build_functional = lambda fid, grid=None: (bad_objective,
-                                                          grid or
-                                                          make_circle_grid(8),
-                                                          2.0)
-            with pytest.raises(NonFiniteObjectiveError):
-                ex.extremize("anything", steps=1, grid=grid)
-        finally:
-            ex.build_functional = orig
+        monkeypatch.setattr(ex, "build_functional", lambda fid: (
+            lambda x: np.inf, make_circle_grid(8), 2.0))
+        with pytest.raises(NonFiniteObjectiveError):
+            ex.extremize("anything", steps=1)
