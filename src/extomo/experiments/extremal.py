@@ -14,8 +14,8 @@ import numpy as np
 from ..errors import InvalidArgumentError, NonFiniteObjectiveError
 from ..reports import ExperimentReport, experiment_rng
 from ..extension import slice_rule
-from ..sphere import (Density, _trapezoid_weights, make_circle_grid,
-                      make_sphere_grid)
+from ..sphere import (Density, _gauss_legendre, _trapezoid_weights,
+                      make_circle_grid, make_sphere_grid)
 from ..spherical import t_delta_via_slices
 
 __all__ = ["build_functional", "extremize"]
@@ -46,11 +46,12 @@ def _xray_sup_functional(grid, q):
     """
     n_t, n_slice = 16, 64
     omega_grid = make_sphere_grid(4, 8)
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
-    pts, w = zip(*(slice_rule(om, t_nodes, n_slice) for om in omega_grid.nodes))
-    idx = grid.nearest_node(np.reshape(pts, (-1, grid.dim))).reshape(-1, n_slice)
+    t_nodes, t_weights = _gauss_legendre(n_t)
+    pts, w = slice_rule(omega_grid.nodes, t_nodes, n_slice)
+    idx = grid.nearest_node(pts.reshape(-1, grid.dim)).reshape(-1, n_slice)
     A = np.zeros((idx.shape[0], grid.node_count))
-    np.add.at(A, (np.arange(idx.shape[0])[:, None], idx), np.reshape(w, (-1, 1)))
+    np.add.at(A, (np.arange(idx.shape[0])[:, None], idx),
+              np.tile(w, omega_grid.node_count)[:, None])
     A = A.reshape(omega_grid.node_count, n_t, grid.node_count)
     p_norm_weights = grid.weights
 

@@ -344,7 +344,8 @@ def _band_square_integrals(delta_list, theta, eps, n_s, n_slice):
     """``_ba_square_integral`` of each band g_delta (rows) at u = (sin theta,
     0, cos theta) (columns), one slice pass per theta: the half-turn pairs
     point k with k + m/2 (``BA_t``), so BA_t(g,g)(u) is exactly the weight
-    times #{k : max(h_k, h_(k+m/2)) <= delta}, h the polar radius."""
+    times #{k : max(h_k, h_(k+m/2)) <= delta}, h the polar radius: twice the
+    count over k < m/2, since k and k + m/2 share their max."""
     if n_slice % 2:
         raise InvalidArgumentError(f"n_slice = {n_slice} must be even")
     t_nodes, s_weights = _s_rule(eps, n_s)
@@ -355,8 +356,9 @@ def _band_square_integrals(delta_list, theta, eps, n_s, n_slice):
                                  t_nodes, n_slice)
         h = _polar_radius(pts)
         del pts
-        h = np.maximum(h, np.roll(h, n_slice // 2, axis=-1))
-        ba = np.count_nonzero(h <= np.reshape(delta_list, (-1, 1, 1)), axis=-1) * weight
+        h = np.maximum(h[..., :n_slice // 2], h[..., n_slice // 2:])
+        ba = 2 * np.count_nonzero(h <= np.reshape(delta_list, (-1, 1, 1)),
+                                  axis=-1) * weight
         F[:, j] = np.add.reduce(s_weights * ba ** 2, axis=-1) / (2.0 * eps)
     return F
 

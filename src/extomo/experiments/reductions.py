@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import InvalidArgumentError
 from ..extension import _constant_extension, _slice_phase_tables, extend, slice_rule
 from ..reports import ExperimentReport, experiment_rng
-from ..sphere import make_sphere_grid, preset_density
+from ..sphere import _gauss_legendre, make_sphere_grid, preset_density
 from ..spherical import BA_t, S_operator
 from ..tomography import SampledField, frac_laplacian, lorentz_norm
 from .identities import _require_resolved
@@ -116,25 +116,47 @@ def lemma_X_reduction_check(g, q=1.0):
     return report
 
 
+# directions per block of _slice_xray_profiles; every block has this shape
+_PROFILE_BLOCK = 4
+
+
 def _slice_xray_profiles(g, omegas, half_width, n_v, n_t, n_slice):
     """Per direction, the line transform of |g dsigma hat|^2 on n_v^2 offsets:
-    2 pi times the t-integral of |slice extension|^2 (``_slice_phase_tables``)."""
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(n_t)
+    2 pi times the t-integral of |slice extension|^2 (``_slice_phase_tables``).
+
+    The directions go in blocks of exactly ``_PROFILE_BLOCK``, the last one
+    zero-padded: one ``slice_rule`` call and one ``g.evaluate`` a block, and
+    per t-node one (4 n_v x n_slice) @ (n_slice x n_v) product.  The shape
+    is fixed because BLAS rounds a row by the row count of its product, so
+    a direction's profile is the one it gives alone only if every block has
+    the same shape; the block is small because its temporaries scale with it.
+    """
+    t_nodes, t_weights = _gauss_legendre(n_t)
     E1, E2 = _slice_phase_tables(t_nodes, n_slice, half_width, n_v)
+    B = _PROFILE_BLOCK
+    c = np.empty((n_t, B, n_slice), dtype=complex)
+    P = np.empty((n_t, B, n_v, n_v))
     profiles = []
-    for omega in omegas:
-        pts, w = slice_rule(omega, t_nodes, n_slice)
-        c = g.evaluate(pts.reshape(-1, 3)).reshape(n_t, n_slice) * w[:, None]
-        S = (E1 * c[:, None, :]) @ E2
-        prof = np.tensordot(t_weights, S.real ** 2 + S.imag ** 2, axes=1)
-        profiles.append(SampledField(half_width, 2.0 * np.pi * prof))
+    for start in range(0, len(omegas), B):
+        rows = omegas[start:start + B]
+        K = len(rows)
+        pts, w = slice_rule(rows, t_nodes, n_slice)
+        vals = g.evaluate(pts.reshape(-1, 3)).reshape(K, n_t, n_slice)
+        c[:, :K] = vals.transpose(1, 0, 2) * w[:, None, None]
+        c[:, K:] = 0.0
+        for i in range(n_t):
+            # |S|^2 per t-node: a whole block's S raises the peak by about 3 MB
+            S = (E1[i] * c[i, :, None, :]).reshape(B * n_v, n_slice) @ E2[i]
+            P[i] = (S.real ** 2 + S.imag ** 2).reshape(B, n_v, n_v)
+        profiles += [SampledField(half_width, 2.0 * np.pi * np.tensordot(
+            t_weights, P[:, k], axes=1)) for k in range(K)]
     return profiles
 
 
 def _s_rule(eps, n_s):
     """(t_nodes, s_weights): n_s-point Gauss-Legendre in s = t^(2 eps), so the
     integral of f(t) t^(2 eps - 1) over (0, 1) is sum(s_weights f) / (2 eps)."""
-    s_nodes, s_weights = np.polynomial.legendre.leggauss(n_s)
+    s_nodes, s_weights = _gauss_legendre(n_s)
     return (0.5 * (s_nodes + 1.0)) ** (1.0 / (2.0 * eps)), 0.5 * s_weights
 
 
@@ -187,9 +209,9 @@ def verify_reduce_lemma(g, eps=0.25, q=2.0, omega_grid=None, n_v=33, n_t=24,
         rhs = 2.0 * np.pi * float(omega_grid.integrate(inner))
     else:
         rhs = 0.0
-        for om, w in zip(*lines):
-            # the great circle perp to omega is the t = 0 slice
-            circle, w_u = slice_rule(om, 0.0, 32)
+        # the great circle perp to omega is the t = 0 slice
+        circles, w_u = slice_rule(lines[0], 0.0, 32)
+        for circle, w in zip(circles, lines[1]):
             inner = sum(t_integral(u_vec) * w_u for u_vec in circle)
             rhs += w * inner ** (q / 2.0)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, PreconditionError
 from ..reports import ExperimentReport, experiment_rng
-from ..sphere import perp_basis
+from ..sphere import _gauss_legendre, perp_basis
 from ..tomography import TubeFamily, kakeya_dual_functional
 
 __all__ = [
@@ -39,7 +39,7 @@ def cap_wavepacket_extension(theta, half_width, modulation):
     with a the modulation frequency, by 96-point Gauss-Legendre
     quadrature in phi.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(96)
+    nodes, weights = _gauss_legendre(96)
     phi = theta + half_width * nodes
     w = half_width * weights
     xi = np.column_stack([np.cos(phi), np.sin(phi)])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .sphere import _as_unit, perp_basis
+from .sphere import _as_unit, _perp_frames, perp_basis
 from .tomography import SampledField
 
 __all__ = [
@@ -264,23 +264,30 @@ def slice_rule(omega, t, n_slice):
     then t omega - root e1, root = (1 - t^2)^(1/2), weight 1 / root.  For
     even m, point k + m/2 of a slice is -R_omega of point k (a half-turn).
     A slice integral is ``np.add.reduce(f(points), -1) * weight``; an array
-    t gives points (n_t, m, n) and weights (n_t,).
+    t gives points (n_t, m, n) and weights (n_t,).  omega may be one unit
+    vector or a (K, n) stack of unit rows, each checked against UNIT_TOL;
+    a stack gives points (K, *t.shape, m, n), row k those of omega[k] alone
+    bit for bit, and the weight, which depends on t only, once.
     """
-    # both normalise the given omega once, so the frame matches omega exactly
-    e = perp_basis(omega)
+    # normalised once, so the frames match the rows exactly
     omega = _as_unit(omega, "omega")
+    rows = np.atleast_2d(omega)
+    K, n = rows.shape
     t = np.asarray(t, dtype=float)[..., None, None]
     root = np.sqrt(1.0 - t * t)
-    if omega.size == 2:
-        circle = np.array([[1.0], [-1.0]]) * e[0]
+    if n == 2:
+        e1 = np.stack([-rows[:, 1], rows[:, 0]], axis=-1)
+        circle = np.array([[1.0], [-1.0]]) * e1[:, None]
         weight = 1.0 / root[..., 0, 0]
     else:
+        e1, e2 = _perp_frames(rows)
         phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
-        circle = np.cos(phi)[:, None] * e[0] + np.sin(phi)[:, None] * e[1]
+        circle = np.cos(phi)[:, None] * e1[:, None] + np.sin(phi)[:, None] * e2[:, None]
         weight = np.full(t.shape[:-2], 2.0 * np.pi / n_slice)
-    pts = root * circle
-    pts += t * omega
-    return pts, weight
+    lead = (K,) + (1,) * (t.ndim - 2)
+    pts = root * circle.reshape(lead + circle.shape[1:])
+    pts += t * rows.reshape(lead + (1, n))
+    return pts.reshape(omega.shape[:-1] + pts.shape[1:]), weight
 
 
 def extend_slice(g, spec, v, n_slice=256):

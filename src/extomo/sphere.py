@@ -7,6 +7,7 @@ circle and Gauss-Legendre x uniform-azimuth on the 2-sphere, so smooth
 integrands converge spectrally / at the stated polynomial exactness.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +35,25 @@ __all__ = [
 
 
 def _as_unit(v, name="vector"):
-    """Return v renormalised to unit length; reject if off by more than UNIT_TOL."""
+    """Return v, or each row of a (K, n) stack v, renormalised to unit length;
+    reject if any is off by more than UNIT_TOL.  The norm is np.linalg.norm's
+    own dot, so a row comes out as it does alone, bit for bit."""
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise InvalidArgumentError(f"{name} must be a unit vector (|{name}| = {nrm:.3g})")
+    nrm = np.sqrt(np.vecdot(v, v))[..., None]
+    if (off := np.abs(nrm - 1.0) > UNIT_TOL).any():
+        raise InvalidArgumentError(
+            f"{name} must be a unit vector (|{name}| = {nrm[off][0]:.3g})")
     return v / nrm
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """``np.polynomial.legendre.leggauss(n)``, built once per n: (nodes,
+    weights) on [-1, 1], both read-only since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _perp_frames(omegas):
@@ -206,7 +220,7 @@ def make_zonal_grid(axis, zones, n_z, n_phi):
     if n_z < 4 or n_phi < 8 or not all(-1.0 <= lo < hi <= 1.0 for lo, hi in zones):
         raise InvalidArgumentError("a zonal grid needs n_z >= 4, n_phi >= 8 and "
                                    "zones -1 <= lo < hi <= 1")
-    mu, wmu = np.polynomial.legendre.leggauss(n_z)
+    mu, wmu = _gauss_legendre(n_z)
     z = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * mu for lo, hi in zones])
     wz = np.concatenate([0.5 * (hi - lo) * wmu for lo, hi in zones])
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

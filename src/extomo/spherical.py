@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, PreconditionError
 from .extension import SliceMeasureSpec, extend_slice, slice_rule
-from .sphere import _as_unit
+from .sphere import _as_unit, _gauss_legendre
 
 __all__ = [
     "funk_At",
@@ -81,7 +81,7 @@ def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
         raise InvalidArgumentError("delta must be positive")
     omega = _as_unit(omega, "omega")
     U = np.log1p((np.pi / 2.0) / delta)
-    u, wu = np.polynomial.legendre.leggauss(n_u)
+    u, wu = _gauss_legendre(n_u)
     u = 0.5 * U * (u + 1.0)
     wu = 0.5 * U * wu
     theta = delta * np.expm1(u)
@@ -96,7 +96,7 @@ def t_delta_via_slices(f, omega, delta, n_u=200, n_slice=256):
 def S_operator(f, omega, n_t=128, n_slice=256):
     """(integral over t in (-1,1) of A_t f(omega)^2)^(1/2) by Gauss-Legendre."""
     omega = _as_unit(omega, "omega")
-    t, wt = np.polynomial.legendre.leggauss(n_t)
+    t, wt = _gauss_legendre(n_t)
     vals = funk_At(f, omega, t, n_slice=n_slice)
     return float(np.sqrt(np.add.reduce(wt * np.abs(vals) ** 2)))
 

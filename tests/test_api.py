@@ -202,6 +202,12 @@ def test_perp_frames_are_built_only_inside_the_sphere_layer():
     assert _callers("cross") == {("sphere", "_perp_frames")}
 
 
+def test_gauss_legendre_rules_are_built_only_inside_the_sphere_layer():
+    # one quadrature-rule builder: every Gauss-Legendre rule is the cached,
+    # read-only sphere._gauss_legendre
+    assert _callers("leggauss") == {("sphere", "_gauss_legendre")}
+
+
 def test_seeded_draws_go_through_the_keyed_generator():
     # every seeded draw comes from experiment_rng, keyed by (seed, name), so
     # two experiments sharing a seed never share a stream

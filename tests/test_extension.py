@@ -155,6 +155,19 @@ def _dense_slice_profile(g, omega, half_width, n_v, n_t, n_slice):
     return 2.0 * np.pi * prof
 
 
+def _slice_directions(n):
+    """+-e1, rows one ulp off them, then the nodes of a grid (n = 2 or 3)."""
+    e1 = np.eye(n)[0]
+    ulp = np.spacing(1.0)
+    near = [np.nextafter(e1, 2.0), -np.nextafter(e1, 2.0), e1 + ulp * np.eye(n)[1],
+            -e1 - ulp * np.eye(n)[-1]]
+    grid = make_circle_grid(64) if n == 2 else make_sphere_grid(8, 16)
+    return np.vstack([e1, -e1, *near, grid.nodes])
+
+
+_SLICE_ROWS = {n: _slice_directions(n) for n in (2, 3)}
+
+
 def _uniform_line(n, M, spacing, offset, rng):
     """x_k = x_0 + k d with |d| = spacing, a random direction and offset."""
     d = rng.standard_normal(n)
@@ -410,6 +423,23 @@ class TestFastPaths:
             np.testing.assert_array_equal(prof.values, alone.values)
 
 
+    def test_slice_profiles_at_the_workload_shape(self, rng):
+        # the reduce-lemma sizes with 9 directions: two full blocks and one
+        # padded; each profile is its direction's alone, bit for bit, and the
+        # dense oracle's to test_slice_profile_matches_dense's bound
+        n_v, n_t, n_slice = 33, 24, 128
+        g = _random_density(3, rng)
+        omegas = rng.standard_normal((9, 3))
+        omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+        profs = _slice_xray_profiles(g, omegas, 12.0, n_v, n_t, n_slice)
+        C = 2.0 * np.pi * np.abs(g.values).max()
+        for omega, prof in zip(omegas, profs, strict=True):
+            alone, = _slice_xray_profiles(g, [omega], 12.0, n_v, n_t, n_slice)
+            np.testing.assert_array_equal(prof.values, alone.values)
+            ref = _dense_slice_profile(g, omega, 12.0, n_v, n_t, n_slice)
+            assert np.abs(prof.values - ref).max() <= 1e-11 * 4.0 * np.pi * C ** 2
+
+
 class TestSampledField:
     def test_integrate_constant(self):
         f = SampledField(half_width=1.0, values=np.ones((11, 11), dtype=complex))
@@ -488,6 +518,30 @@ class TestSliceMeasures:
             # the pair), which is where BA_t reads g2 off the slice
             reflected = pts - 2.0 * (pts @ omega)[..., None] * omega
             assert np.abs(np.roll(pts, m // 2, axis=-2) + reflected).max() <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), picks=st.lists(st.integers(0, 10 ** 6),
+                                                     min_size=1, max_size=40),
+           n_slice=st.integers(2, 300),
+           t=st.one_of(st.floats(-0.999, 0.999),
+                       st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=5)))
+    @example(n=3, picks=list(range(6)), n_slice=2, t=0.0)
+    @example(n=2, picks=list(range(6)), n_slice=300, t=[0.5, -0.25])
+    def test_stacked_slice_rule_is_one_row_at_a_time(self, n, picks, n_slice, t):
+        # row k of a stack of directions is slice_rule(rows[k]) bit for bit,
+        # at grid nodes, at +-e1 and one ulp off them (_perp_frames' flat
+        # branch); a stack with a non-unit row is rejected
+        rows = _SLICE_ROWS[n][np.array(picks) % len(_SLICE_ROWS[n])]
+        pts, weight = slice_rule(rows, t, n_slice)
+        m = 2 if n == 2 else n_slice
+        assert pts.shape == (len(rows),) + np.shape(t) + (m, n)
+        for row, row_pts in zip(rows, pts, strict=True):
+            alone, alone_weight = slice_rule(row, t, n_slice)
+            assert np.array_equal(row_pts, alone)
+            assert np.array_equal(weight, alone_weight)
+        rows[-1] *= 1.0 + 1e-9
+        with pytest.raises(InvalidArgumentError, match="unit"):
+            slice_rule(rows, t, n_slice)
 
     def test_slice_mass_sphere_is_2pi(self, one_sphere):
         # the coarea weight makes the n = 3 slice mass independent of t

@@ -44,6 +44,19 @@ class TestGrids:
         with pytest.raises(InvalidArgumentError):
             make_sphere_grid(3, 8)
 
+    @pytest.mark.parametrize("n", [1, 2, 24, 200])
+    def test_gauss_legendre_is_leggauss_built_once(self, n):
+        # the cached rule is leggauss bit for bit, one shared read-only pair
+        nodes, weights = sphere._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(weights, ref_weights)
+        again = sphere._gauss_legendre(n)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_polynomial_exactness(self):
         # degree-6 spherical polynomial integrates exactly on an
         # exactness-degree >= 6 grid: xi_1^2 xi_2^2 xi_3^2 over S^2 has
