@@ -82,6 +82,12 @@ def _parse_value(text):
     return text
 
 
+def _param(key, text):
+    """{key with "-" read as "_": its typed value, or the text of a path}."""
+    key = key.strip().replace("-", "_")
+    return {key: text.strip() if key in ("out", "config") else _parse_value(text)}
+
+
 def _format_value(value):
     if isinstance(value, list):
         return ",".join(_format_value(v) for v in value)
@@ -100,7 +106,7 @@ def _parse_config_file(path):
                     raise UsageError(
                         f"config-syntax {path}:{lineno} (expected key = value)")
                 key, _, value = line.partition("=")
-                params[key.strip().replace("-", "_")] = _parse_value(value)
+                params.update(_param(key, value))
     except OSError as exc:
         raise UsageError(f"config-unreadable {path}: {exc}") from exc
     return params
@@ -400,7 +406,7 @@ def _collect_params(tokens):
                 raise UsageError(f"missing-value --{key}")
             i += 1
             value = tokens[i]
-        params[key.replace("-", "_")] = _parse_value(value)
+        params.update(_param(key, value))
         i += 1
     return params
 
@@ -409,7 +415,7 @@ def _build_config(name, tokens):
     group, runner, allowed, _ = REGISTRY[name]
     params = _collect_params(tokens)
     if "config" in params:
-        file_params = _parse_config_file(str(params.pop("config")))
+        file_params = _parse_config_file(params.pop("config"))
         file_params.update(params)
         params = file_params
     params.pop("experiment", None)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .sphere import _as_unit, _perp_frames, perp_basis
+from .sphere import _as_unit, _gauss_legendre, _perp_frames, perp_basis
 from .tomography import SampledField
 
 __all__ = [
@@ -305,17 +305,21 @@ def extend_slice(g, spec, v, n_slice=256):
     return np.add.reduce(gv * np.exp(1j * pts @ v), axis=-1) * weight
 
 
-def _slice_phase_tables(t, n_slice, half_width, n_v):
+@functools.lru_cache(maxsize=4)
+def _slice_phase_tables(n_t, n_slice, half_width, n_v):
     """exp(i x.xi) = exp(i r_t u cos phi_j) exp(i r_t v sin phi_j) at x = u e1
-    + v e2 (``perp_basis`` frame) for every omega's ``slice_rule`` circles,
-    as E1 (n_t, n_v, n_slice), E2 (n_t, n_slice, n_v); slice values c extend
-    to ``(E1 * c[:, None, :]) @ E2``.  32 n_t n_v n_slice bytes: 3.2 MB at
-    (24, 33, 128); 101 MB at (24, 129, 1024), against a 14 MB NUFFT peak."""
+    + v e2 (``perp_basis``) on every omega's ``slice_rule`` circles at the t of
+    ``_gauss_legendre(n_t)``, as E1 (n_t, n_v, n_slice), E2 (n_t, n_slice, n_v),
+    cached and read-only; slice values c extend to ``(E1 * c[:, None, :]) @ E2``.
+    32 n_t n_v n_slice bytes: 3.2 MB at (24, 33, 128); 101 MB at (24, 129, 1024)."""
+    t = _gauss_legendre(n_t)[0]
     r = np.sqrt(1.0 - t * t)[:, None, None]
     u = np.linspace(-half_width, half_width, n_v)
     phi = 2.0 * np.pi * np.arange(n_slice) / n_slice
-    return (np.exp(1j * r * (u[:, None] * np.cos(phi))),
-            np.exp(1j * r * (np.sin(phi)[:, None] * u)))
+    E1 = np.exp(1j * r * (u[:, None] * np.cos(phi)))
+    E2 = np.exp(1j * r * (np.sin(phi)[:, None] * u))
+    E1.flags.writeable = E2.flags.writeable = False
+    return E1, E2
 
 
 def sigma_hat_closed_form(n, r):

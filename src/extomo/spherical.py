@@ -102,9 +102,12 @@ def S_operator(f, omega, n_t=128, n_slice=256):
 
 
 def _tilde_after_reflection(g, omega, pts):
-    """Values of g~(R_omega(xi)) = conj(g(-xi + 2 (xi.omega) omega)) at xi = pts."""
-    reflected = pts - 2.0 * (pts @ omega)[:, None] * omega[None, :]
-    return np.conj(g.evaluate(-reflected))
+    """Values of g~(R_omega(xi)) = conj(g(-xi + 2 (xi.omega) omega)) at xi = pts;
+    for a (K, n) stack of omega, pts[k] is reflected in omega[k]."""
+    rows = np.atleast_2d(omega)
+    flat = pts.reshape(len(rows), -1, rows.shape[-1])
+    reflected = flat - 2.0 * (flat @ rows[:, :, None]) * rows[:, None, :]
+    return np.conj(g.evaluate(-reflected.reshape(-1, rows.shape[-1])))
 
 
 def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
@@ -112,20 +115,21 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
 
     ``method`` "slice" evaluates g2 at the reflected points; "auto" reads
     them off the half-turn of an even slice, from g1's values when g2 is
-    g1.  The paths agree to round-off.  t may be a 1-D array: the slices
-    of all offsets are evaluated together and an array comes back; a
-    scalar t gives a complex.
+    g1.  The paths agree to round-off.  t may be a 1-D array, and omega a
+    (K, n) stack of unit rows as in ``slice_rule``: all slices are evaluated
+    together, and row k of the (K, *t.shape) result is omega[k]'s call bit
+    for bit.  One omega and a scalar t give a complex.
     """
     spec = SliceMeasureSpec(omega, t)
     omega = spec.omega
-    n = omega.size
+    n = omega.shape[-1]
     if method not in ("auto", "slice"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     pts, weight = slice_rule(omega, t, n_slice)
     shape, m = pts.shape[:-1], pts.shape[-2]
     va = g1.evaluate(pts.reshape(-1, n)).reshape(shape)
     if method == "slice" or m % 2:
-        vb = _tilde_after_reflection(g2, omega, pts.reshape(-1, n)).reshape(shape)
+        vb = _tilde_after_reflection(g2, omega, pts).reshape(shape)
     else:
         # -R_omega turns each slice by half: point k meets point k + m/2
         vb = va if g2 is g1 else g2.evaluate(pts.reshape(-1, n)).reshape(shape)
@@ -134,7 +138,7 @@ def BA_t(g1, g2, omega, t, n_slice=256, method="auto"):
         vb = np.roll(vb, m // 2, axis=-1)
         np.conj(vb, out=vb)
     out = np.add.reduce(np.multiply(va, vb, out=vb), axis=-1) * weight
-    return complex(out) if np.ndim(t) == 0 else out
+    return complex(out) if out.ndim == 0 else out
 
 
 def BT_delta(g1, g2, omega, delta):

@@ -191,6 +191,18 @@ class TestRunDirectory:
         assert run(["sweep", "t-delta"]) == 0
         assert os.path.isdir("runs/t-delta")
 
+    @pytest.mark.parametrize("out", ["7", "1e3", "runs/a,b"])
+    def test_out_is_a_path_whatever_it_looks_like(self, in_tmp, out, capsys):
+        # a number or a comma in --out is still a directory name
+        assert run(["sweep", "t-delta", "--out", out]) == 0
+        assert (in_tmp / out / "report.json").exists()
+        assert f"out = {out}\n" in (in_tmp / out / "config.txt").read_text()
+
+    def test_out_and_config_are_text_in_a_config_file(self, in_tmp, capsys):
+        (in_tmp / "7").write_text("out = 1e3\n")
+        assert run(["sweep", "t-delta", "--config", "7"]) == 0
+        assert (in_tmp / "1e3" / "report.json").exists()
+
     def test_config_file_merged_below_flags(self, in_tmp, capsys):
         cfg = in_tmp / "exp.cfg"
         cfg.write_text("R = 16            # comment survives parsing\n"

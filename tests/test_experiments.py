@@ -334,6 +334,19 @@ class TestReductions:
         with pytest.raises(InvalidArgumentError):
             lemma_X_reduction_check(one, q=1.0)
 
+    @pytest.mark.parametrize("q, metrics", [
+        (2.0, {"lhs": 26053719.132681996, "rhs": 17431.25541079605,
+               "ratio": 1494.6553486070557}),
+        (3.0, {"lhs": 37524123844.43298, "rhs": 650419.3056657687,
+               "ratio": 57692.20488623615})])
+    def test_reduce_lemma_defaults_pinned(self, q, metrics):
+        # both sides at the defaults for reduce_lemma_family's smooth
+        # density, pinned by repr: the right side's blocks of directions
+        # keep every bit, and the great-circle sum keeps its order
+        g = preset_density(make_sphere_grid(24, 48), "smooth",
+                           experiment_rng(0, "reduce_lemma_family"))
+        assert repr(verify_reduce_lemma(g, q=q).metrics) == repr(metrics)
+
     # the direct path: every omega of the grid, for the LHS and, at q != 2,
     # for the great-circle RHS; the benchmark's tiny sizes.  The perp_basis
     # frame is continuous in omega, so a circle point rounded two ways

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
 from extomo.sphere import Density, bump_cap_density, make_circle_grid, \
-    make_sphere_grid
+    make_sphere_grid, preset_density
 from extomo.spherical import (BA_t, BT_delta, S_operator, T_delta,
                               bt_delta_circle_grid, funk_At, phi_zero, rotcurv,
                               t_delta_via_slices)
@@ -347,6 +347,53 @@ class TestArrayOffsets:
                 BA_t(g, g, omega, np.array([0.2, -1.0]))
             with pytest.raises(InvalidArgumentError):
                 funk_At(g, omega, np.array([1.5, 0.1]))
+
+
+# per dimension: a real density and a complex one, both with evaluators
+_STACK_DENSITIES = {
+    n: (preset_density(grid, "smooth", np.random.default_rng(n)),
+        preset_density(grid, "modulated", None))
+    for n, grid in ((2, make_circle_grid(64)), (3, make_sphere_grid(8, 16)))}
+
+
+class TestStackedDirections:
+    """A (K, n) stack of directions gives, row by row, the one-row calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), K=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1), n_slice=st.integers(2, 65),
+           method=st.sampled_from(["auto", "slice"]), same=st.booleans(),
+           t=st.one_of(st.floats(-0.999, 0.999),
+                       st.lists(st.floats(-0.999, 0.999), min_size=1,
+                                max_size=5)))
+    @example(n=3, K=8, seed=0, n_slice=128, method="auto", same=True,
+             t=[0.1, 0.5, 0.9])
+    @example(n=3, K=20, seed=1, n_slice=33, method="auto", same=False, t=-0.4)
+    @example(n=2, K=3, seed=2, n_slice=2, method="slice", same=True, t=0.0)
+    def test_each_row_is_its_direction_alone(self, n, K, seed, n_slice,
+                                             method, same, t):
+        g1, other = _STACK_DENSITIES[n]
+        g2 = g1 if same else other
+        rows = np.random.default_rng(seed).standard_normal((K, n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        stacked = BA_t(g1, g2, rows, t, n_slice=n_slice, method=method)
+        assert stacked.shape == (K,) + np.shape(t)
+        for row, got in zip(rows, stacked, strict=True):
+            alone = BA_t(g1, g2, row, t, n_slice=n_slice, method=method)
+            assert type(alone) is (complex if np.ndim(t) == 0 else np.ndarray)
+            # bit for bit
+            assert np.asarray(alone).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_rejects_non_unit_row_and_offset_out_of_range(self, n):
+        g, _ = _STACK_DENSITIES[n]
+        for t in (1.0, np.array([0.2, -1.0]), np.array([1.5, 0.1])):
+            with pytest.raises(InvalidArgumentError):
+                BA_t(g, g, np.eye(n), t)
+        rows = np.eye(n)
+        rows[-1] *= 1.0 + 1e-9
+        with pytest.raises(InvalidArgumentError, match="unit"):
+            BA_t(g, g, rows, 0.3)
 
 
 class TestRotationalCurvature:
