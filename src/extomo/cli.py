@@ -12,11 +12,14 @@ Subcommand grammar::
     extomo plot-data <report.json> [--out file.csv]
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or configuration error.
-Every run writes a directory with the echoed config, the report JSON, the
-raw sweep CSV, a human-readable summary, and the package version.
-Configs are flat ``key = value`` text; a ``--config`` file is merged
-below command-line flags.  Same config + seed reproduces metrics
-byte-identically.
+Each key's type is declared in ``REGISTRY``: ``int`` for counts and
+``--seed``, text for names, a number (an int when its text is one, else a
+float, ``inf`` included) for other values, a comma list of numbers for
+``*_list`` keys.  A value its type rejects exits 2.  Every run writes a
+directory with the echoed config, the report JSON, a summary, the version
+and, when the report has an ``abscissa``, the sweep CSV.  A flat
+``key = value`` ``--config`` file sits below the flags.  Same config +
+seed reproduces metrics byte-identically.
 """
 
 import math
@@ -60,38 +63,41 @@ class RunConfig:
         lines = [f"experiment = {self.experiment}", f"seed = {self.seed}"]
         if self.outdir:
             lines.append(f"out = {self.outdir}")
-        for key in sorted(self.params):
-            lines.append(f"{key} = {_format_value(self.params[key])}")
+        for key, value in sorted(self.params.items()):
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
         for key in sorted(self.tolerance_overrides):
             lo, hi = self.tolerance_overrides[key]
             lines.append(f"tol.{key} = {lo!r},{hi!r}")
         return lines
 
 
-def _parse_value(text):
-    """Typed parsing: int, float (inf included), comma-separated list, else
-    string."""
-    text = text.strip()
-    if "," in text:
-        return [_parse_value(tok) for tok in text.split(",") if tok.strip()]
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            pass
-    return text
+def _number(text):
+    """An int when the text is one, else a float (inf included)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _numbers(text):
+    """A comma list of numbers; one value is a one-element list."""
+    return [_number(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _typed(key, kind, text):
+    """The value of ``--key text`` under its declared type."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"bad-value --{key} {text!r} (expected "
+                         f"{kind.__name__.lstrip('_')})") from None
 
 
 def _param(key, text):
-    """{key with "-" read as "_": its typed value, or the text of a path}."""
-    key = key.strip().replace("-", "_")
-    return {key: text.strip() if key in ("out", "config") else _parse_value(text)}
-
-
-def _format_value(value):
-    if isinstance(value, list):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
+    """{key with "-" read as "_": the value's text}."""
+    return {key.strip().replace("-", "_"): text.strip()}
 
 
 def _parse_config_file(path):
@@ -204,8 +210,7 @@ def _run_power_weight(seed, p=2.0, q=4.0, r=2.0, preset="constant", **kw):
 
 
 def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):
-    # commas inside functional ids hit the list-valued parser
-    density, report = X.extremize(_format_value(functional), seed=seed, **kw)
+    density, report = X.extremize(functional, seed=seed, **kw)
     report.raw_data["abscissa"] = list(
         range(len(report.raw_data["objective"])))
     report.raw_data["ordinate"] = list(report.raw_data["objective"])
@@ -274,55 +279,66 @@ def _run_transform(seed, transform="xray", n=2, preset="cap", **kw):
 # ---------------------------------------------------------------------------
 # registry
 
-# name -> (group, runner, allowed parameter keys, description)
+# name -> (group, runner, {parameter key: its type}, description)
 REGISTRY = {
-    "xray-identity": ("verify", _run_xray_identity, {"n", "preset"},
+    "xray-identity": ("verify", _run_xray_identity, {"n": int, "preset": str},
                       "line transform of the squared extension vs slices"),
-    "radon-identity": ("verify", _run_radon_identity, {"n", "preset"},
+    "radon-identity": ("verify", _run_radon_identity,
+                       {"n": int, "preset": str},
                        "hyperplane transform vs the equator-singular slice sum"),
     "mollified-radon": ("verify", _run_mollified_radon,
-                        {"n", "preset", "R_list"},
+                        {"n": int, "preset": str, "R_list": _numbers},
                         "ball-truncated hyperplane transform bound"),
-    "sharp-constant": ("verify", X.sharp_constant_S2, set(),
+    "sharp-constant": ("verify", X.sharp_constant_S2, {},
                        "sharp line-bound constant on the 2-sphere, two paths"),
-    "isometry": ("verify", X.isometry_constancy, {"n_funcs"},
+    "isometry": ("verify", X.isometry_constancy, {"n_funcs": int},
                  "half-derivative line-transform isometry constancy"),
-    "wstein": ("verify", X.verify_wstein, {"R_list", "C_max"},
+    "wstein": ("verify", X.verify_wstein,
+               {"R_list": _numbers, "C_max": _number},
                "weighted bound with direction-wise square function data"),
-    "wmiztak": ("verify", X.verify_wmiztak, {"R_list", "q_probe", "C_max"},
+    "wmiztak": ("verify", X.verify_wmiztak,
+                {"R_list": _numbers, "q_probe": _number, "C_max": _number},
                 "weighted log-growth bound and its falsification probe"),
-    "x-reduction": ("verify", _run_x_reduction, {"q", "preset"},
+    "x-reduction": ("verify", _run_x_reduction, {"q": _number, "preset": str},
                     "sup-line norm vs power-weighted Lorentz norm"),
     "reduce-lemma": ("verify", _run_reduce_lemma,
-                     {"family", "eps", "q", "preset"},
+                     {"family": int, "eps": _number, "q": _number,
+                      "preset": str},
                      "derivative line norm vs bilinear slice functional"),
-    "t-delta": ("sweep", _run_t_delta, {"delta_list"},
+    "t-delta": ("sweep", _run_t_delta, {"delta_list": _numbers},
                 "log law of the equator-singular integral"),
-    "radon-growth": ("sweep", _run_radon_growth, {"q", "R_list", "preset"},
+    "radon-growth": ("sweep", _run_radon_growth,
+                     {"q": _number, "R_list": _numbers, "preset": str},
                      "log growth of the truncated hyperplane norm"),
-    "outside-range": ("sweep", X.radon_outside_range_probe, {"R_list"},
+    "outside-range": ("sweep", X.radon_outside_range_probe,
+                      {"R_list": _numbers},
                       "power growth outside the admissible exponent range"),
-    "bt-bounds": ("sweep", _run_bt_bounds, {"delta_list", "family"},
+    "bt-bounds": ("sweep", _run_bt_bounds,
+                  {"delta_list": _numbers, "family": str},
                   "bilinear operator quasinorm growth in log(1/delta)"),
-    "multiscale": ("sweep", X.xray_multiscale_lower_bound, {"delta_list"},
+    "multiscale": ("sweep", X.xray_multiscale_lower_bound,
+                   {"delta_list": _numbers},
                    "square-root-log lower bound for the line transform"),
-    "necessity": ("sweep", _run_necessity, {"delta_list", "eps"},
+    "necessity": ("sweep", _run_necessity,
+                  {"delta_list": _numbers, "eps": _number},
                   "band-density scaling behind the derivative loss"),
     "power-weight": ("sweep", _run_power_weight,
-                     {"p", "q", "r", "L_list", "preset"},
+                     {"p": _number, "q": _number, "r": _number,
+                      "L_list": _numbers, "preset": str},
                      "power-weighted Lorentz ratio on doubling boxes"),
     "lower-bounds": ("knapp", X.knapp_radon_lower_bounds,
-                     {"m", "delta_list", "q"},
+                     {"m": int, "delta_list": _numbers, "q": _number},
                      "cylinder-slab lower bound scalings"),
     "randomized": ("tubes", X.randomized_tube_experiment,
-                   {"R", "n_trials", "cap_scale"},
+                   {"R": _number, "n_trials": int, "cap_scale": _number},
                    "wavepacket tube family with Khintchine averaging"),
     "run": ("extremize", _run_extremize,
-            {"functional", "steps", "step_size"},
+            {"functional": str, "steps": int, "step_size": _number},
             "projected gradient ascent of a Rayleigh quotient"),
     "dump": ("transform", _run_transform,
-             {"transform", "n", "preset", "half_width", "samples",
-              "truncation", "t_extent", "t_pitch"},
+             {"transform": str, "n": int, "preset": str,
+              "half_width": _number, "samples": int, "truncation": _number,
+              "t_extent": _number, "t_pitch": _number},
              "evaluate a transform of the squared extension to CSV"),
 }
 
@@ -342,25 +358,9 @@ def _write_run_dir(config, report, outdir):
     report.to_json(os.path.join(outdir, "report.json"))
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(report.summary() + "\n")
-    if _sweep_columns(report.raw_data) is not None:
+    if "abscissa" in report.raw_data:
         emit_plot_data(os.path.join(outdir, "report.json"),
                        os.path.join(outdir, "sweep.csv"))
-
-
-def _sweep_columns(raw_data):
-    """Locate (abscissa, ordinate, fit) columns in raw data, or None."""
-    lists = {k: v for k, v in raw_data.items()
-             if isinstance(v, (list, tuple)) and len(v) > 0
-             and all(isinstance(x, (int, float)) for x in v)}
-    if "abscissa" in lists and "ordinate" in lists:
-        fit = lists.get("fit_value")
-        return lists["abscissa"], lists["ordinate"], fit
-    named = [k for k in ("delta", "R", "L") if k in lists]
-    valued = [k for k in ("value", "norm", "ratio", "objective")
-              if k in lists]
-    if named and valued and len(lists[named[0]]) == len(lists[valued[0]]):
-        return lists[named[0]], lists[valued[0]], lists.get("fit_value")
-    return None
 
 
 def emit_plot_data(report_path, out_path=None):
@@ -369,14 +369,16 @@ def emit_plot_data(report_path, out_path=None):
     Floats are serialized with ``repr`` so re-parsing the CSV reproduces
     the in-memory values bit-exactly.
     """
-    with open(report_path) as fh:
-        report = ExperimentReport.from_json(fh.read())
-    cols = _sweep_columns(report.raw_data)
-    if cols is None:
+    try:
+        with open(report_path) as fh:
+            report = ExperimentReport.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"report-unreadable {report_path}: {exc}") from exc
+    raw = report.raw_data
+    if "abscissa" not in raw:
         raise UsageError(f"no-sweep-data {report_path}")
-    xs, ys, fit = cols
-    if fit is None or len(fit) != len(xs):
-        fit = [math.nan] * len(xs)
+    xs, ys = raw["abscissa"], raw["ordinate"]
+    fit = raw.get("fit_value", [math.nan] * len(xs))
     if out_path is None:
         out_path = os.path.splitext(report_path)[0] + "_sweep.csv"
     with open(out_path, "w") as fh:
@@ -391,55 +393,44 @@ def emit_plot_data(report_path, out_path=None):
 
 
 def _collect_params(tokens):
-    """Turn ['--key', 'value', ...] into a typed parameter dict."""
-    params = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    """Turn ['--key', 'value', ...] into {key: value text}."""
+    params, rest = {}, list(tokens)
+    while rest:
+        tok = rest.pop(0)
         if not tok.startswith("--"):
             raise UsageError(f"unexpected-argument {tok!r}")
-        key = tok[2:]
-        if "=" in key:
-            key, _, value = key.partition("=")
-        else:
-            if i + 1 >= len(tokens):
+        key, eq, value = tok[2:].partition("=")
+        if not eq:
+            if not rest:
                 raise UsageError(f"missing-value --{key}")
-            i += 1
-            value = tokens[i]
+            value = rest.pop(0)
         params.update(_param(key, value))
-        i += 1
     return params
 
 
 def _build_config(name, tokens):
     group, runner, allowed, _ = REGISTRY[name]
     params = _collect_params(tokens)
-    if "config" in params:
-        file_params = _parse_config_file(params.pop("config"))
-        file_params.update(params)
-        params = file_params
+    if "config" in params:  # the file sits below the flags
+        params = {**_parse_config_file(params.pop("config")), **params}
     params.pop("experiment", None)
-    # a single value given for a list parameter is a one-element list
-    params.update({k: [v] for k, v in params.items()
-                   if k.endswith("_list") and not isinstance(v, list)})
-    seed = params.pop("seed", 0)
-    if not isinstance(seed, int):
-        raise UsageError(f"bad-seed {_format_value(seed)!r} "
-                         "(expected an integer)")
+    seed = _typed("seed", int, params.pop("seed", "0"))
     outdir = params.pop("out", None)
     overrides = {}
     for key in [k for k in params if k.startswith("tol.")]:
-        value = params.pop(key)
-        pair = value if isinstance(value, list) else [-math.inf, value]
-        if len(pair) != 2 or not all(isinstance(v, (int, float))
-                                     and not math.isnan(v) for v in pair):
+        text = params.pop(key)
+        try:  # a lone HI is -inf,HI
+            pair = ([] if "," in text else [-math.inf]) + _numbers(text)
+        except ValueError:
+            pair = []
+        if len(pair) != 2 or any(math.isnan(v) for v in pair):
             raise UsageError(f"bad-tolerance {key} (expected lo,hi)")
         overrides[key[4:]] = (float(pair[0]), float(pair[1]))
-    unknown = set(params) - allowed
-    if unknown:
+    if unknown := params.keys() - allowed.keys():
         raise UsageError(
             f"unknown-parameter {sorted(unknown)} for {name} "
             f"(allowed: {sorted(allowed)})")
+    params = {k: _typed(k, allowed[k], v) for k, v in params.items()}
     return RunConfig(experiment=name, params=params, seed=seed,
                      outdir=outdir, tolerance_overrides=overrides)
 
@@ -494,6 +485,9 @@ def run(argv):
             if not rest:
                 raise UsageError("missing-report-path")
             params = _collect_params(rest[1:])
+            if unknown := params.keys() - {"out"}:
+                raise UsageError(f"unknown-parameter {sorted(unknown)} for "
+                                 "plot-data (allowed: ['out'])")
             out = emit_plot_data(rest[0], params.get("out"))
             print(f"wrote {out}")
             return 0

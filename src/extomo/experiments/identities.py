@@ -175,6 +175,8 @@ def verify_mollified_radon(g, omega, R_list=(16, 64, 256)):
         ratios.append(best)
     report.raw_data["R"] = list(R_list)
     report.raw_data["ratio"] = ratios
+    report.raw_data["abscissa"] = list(R_list)
+    report.raw_data["ordinate"] = ratios
     report.record("ratio_max", max(ratios))
     report.record("ratio_median", float(np.median(ratios)))
     report.check("stability", max(ratios) / np.median(ratios), hi=2.0)

@@ -312,6 +312,8 @@ def power_weight_ratio(g, p, q, r, L_list=(8, 16, 32, 64)):
         ratios.append(norm / g_lorentz)
     report.raw_data["L"] = list(L_list)
     report.raw_data["ratio"] = ratios
+    report.raw_data["abscissa"] = list(L_list)
+    report.raw_data["ordinate"] = ratios
     report.check("cauchy_flat", abs(ratios[-1] - ratios[-2]) / ratios[-1],
                  hi=0.1)
     report.record("ratio_final", ratios[-1])

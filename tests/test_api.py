@@ -305,15 +305,15 @@ def _unreached_knobs():
                  for kw in call.keywords if kw.arg is None]))
 
     # the CLI calls each REGISTRY runner as runner(**params), where params
-    # holds only keys of the entry's set, plus seed when the runner takes
-    # one: read each entry as a call with that literal key set
+    # holds only keys of the entry's {key: type} dict, plus seed when the
+    # runner takes one: read each entry as a call with those literal keys
     for node in ast.walk(trees[ROOT / "src" / "extomo" / "cli.py"]):
         if (isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "REGISTRY"):
             for entry in node.value.values:
                 _, runner, keys, _ = entry.elts
                 name = getattr(runner, "id", None) or runner.attr
-                keys = {key.value for key in getattr(keys, "elts", [])}
+                keys = {key.value for key in keys.keys}
                 if "seed" in named.get(name, ()):
                     keys.add("seed")
                 calls.setdefault(name, []).append((0, keys, []))

@@ -129,11 +129,28 @@ class TestUsage:
         assert run(["verify", "xray-identity", "--n", "4"]) == 2
         assert "bad-dimension n = 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, value", [
-        ("inf", math.inf), ("+inf", math.inf), ("-inf", -math.inf),
-        ("1,inf", [1, math.inf])])
-    def test_parse_value_infinities(self, text, value):
-        assert cli._parse_value(text) == value
+    @pytest.mark.parametrize("kind, text, value", [
+        ("number", "inf", math.inf), ("number", "+inf", math.inf),
+        ("number", "-inf", -math.inf), ("numbers", "1,inf", [1, math.inf])])
+    def test_numbers_read_infinities(self, kind, text, value):
+        assert getattr(cli, f"_{kind}")(text) == value
+
+    @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+    def test_a_value_its_type_rejects_is_a_usage_error(self, name, in_tmp,
+                                                       capsys):
+        # each key's declared type converts its value before any experiment
+        # runs: a rejected value is exit 2, on the command line or in a file
+        group, _, keys, _ = cli.REGISTRY[name]
+        rejected = {int: ["abc", "2.5", "3.0"], cli._number: ["abc", "1,2"],
+                    cli._numbers: ["abc", "0.1,abc"]}
+        cfg = in_tmp / "bad.cfg"
+        for key, kind in keys.items():
+            for text in rejected.get(kind, []):
+                cfg.write_text(f"{key} = {text}\n")
+                for flags in ([f"--{key}", text], ["--config", str(cfg)]):
+                    assert run([group, name, *flags]) == 2
+                    assert f"bad-value --{key} {text!r}" in \
+                        capsys.readouterr().err
 
     @pytest.mark.parametrize("n_trials", ["0", "1", "3", "29"])
     def test_randomized_needs_two_trials(self, n_trials, capsys):
@@ -224,6 +241,21 @@ class TestRunDirectory:
                     "--out", str(out)]) in (0, 1)
         report = json.loads((out / "report.json").read_text())
         assert report["params"]["n_trials"] == 30
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "bt-bounds", "--family", "cap",
+         "--delta_list", "0.1,0.03,0.01"],
+        ["sweep", "t-delta", "--tol.slope", "0,inf"],
+        ["tubes", "randomized", "--R", "16", "--n_trials", "40"]])
+    def test_echoed_config_reproduces_the_report(self, args, in_tmp, capsys):
+        # config.txt read back as a --config file types a list, a one-sided
+        # tolerance and an int key as the flags did
+        first, again = in_tmp / "first", in_tmp / "again"
+        code = run(args + ["--out", str(first)])
+        assert run(args[:2] + ["--config", str(first / "config.txt"),
+                               "--out", str(again)]) == code
+        assert (again / "report.json").read_text() == \
+            (first / "report.json").read_text()
 
     def test_config_syntax_error(self, in_tmp, capsys):
         cfg = in_tmp / "bad.cfg"
@@ -353,3 +385,15 @@ class TestPlotData:
 
     def test_missing_path(self, capsys):
         assert run(["plot-data"]) == 2
+
+    def test_unreadable_report(self, in_tmp, capsys):
+        (in_tmp / "bad.json").write_text("{not json")
+        for path in ("nope.json", "bad.json"):
+            assert run(["plot-data", path]) == 2
+            assert f"report-unreadable {path}" in capsys.readouterr().err
+
+    def test_only_out_is_a_flag(self, in_tmp, capsys):
+        out = in_tmp / "rundir"
+        assert run(["sweep", "t-delta", "--out", str(out)]) == 0
+        assert run(["plot-data", str(out / "report.json"), "--foo", "1"]) == 2
+        assert "unknown-parameter ['foo']" in capsys.readouterr().err
