@@ -41,11 +41,12 @@ print(f"  q = 3 probe: fitted growth slope {rep.metrics['probe_slope']:.3f}"
 
 # --- extremizer search -----------------------------------------------------
 print("\nprojected gradient ascent of the sup-over-lines quotient on S^2:")
-density, rep = extremize("xray_sup_ratio(2,inf)", steps=20, seed=0)
+rep = extremize("xray_sup_ratio(2,inf)", steps=20, seed=0)
 print(f"  objective: {rep.metrics['objective_init']:.4f} ->"
       f" {rep.metrics['objective_final']:.4f}"
       f"  (constant density gives 4 pi^2 = {4 * np.pi ** 2:.4f})")
-spread = density.values.real.max() / density.values.real.min()
+density = np.asarray(rep.raw_data["density_values"])
+spread = density.max() / density.min()
 print(f"  final density max/min = {spread:.3f}")
 print("  the ascent plateaus near 4 pi^2; the few-percent overshoot is the"
       " discrete sup over a finite direction sample and shrinks under"

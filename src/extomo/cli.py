@@ -7,17 +7,18 @@ Subcommand grammar::
     extomo knapp lower-bounds [--key value ...]
     extomo tubes randomized [--key value ...]
     extomo extremize run --functional "xray_sup_ratio(2,inf)" ...
-    extomo transform dump --transform xray --preset cap ...
+    extomo transform xray|radon|funk --preset cap ...
     extomo list
     extomo plot-data <report.json> [--out file.csv]
 
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or configuration error.
 Each key's type is declared in ``REGISTRY``: ``int`` for counts and
 ``--seed``, text for names, a number (an int when its text is one, else a
-float, ``inf`` included) for other values, a comma list of numbers for
-``*_list`` keys.  A value its type rejects exits 2.  Every run writes a
-directory with the echoed config, the report JSON, a summary, the version
-and, when the report has an ``abscissa``, the sweep CSV.  A flat
+float, ``inf`` included, ``nan`` not) for other values, a comma list of
+numbers for ``*_list`` keys.  A value its type rejects exits 2, and so does
+a key its command does not declare; every declared key is read.  Every run
+writes a directory with the echoed config, the report JSON, a summary, the
+version and, when the report has an ``abscissa``, the sweep CSV.  A flat
 ``key = value`` ``--config`` file sits below the flags.  Same config +
 seed reproduces metrics byte-identically.
 """
@@ -74,11 +75,14 @@ class RunConfig:
 
 
 def _number(text):
-    """An int when the text is one, else a float (inf included)."""
+    """An int when the text is one, else a float (inf included, nan not)."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if math.isnan(value):
+        raise ValueError(f"nan: {text!r}")
+    return value
 
 
 def _numbers(text):
@@ -168,12 +172,10 @@ def _run_x_reduction(seed, q=1.0, preset=None):
     return X.lemma_X_reduction_check(g, q=q)
 
 
-def _run_reduce_lemma(seed, family=1, preset=None, **kw):
-    if family:
-        if preset is not None:
-            raise UsageError("preset-needs-family-0 (the family sets its own)")
+def _run_reduce_lemma(seed, preset=None, **kw):
+    if preset is None:
         return X.reduce_lemma_family(seed=seed, **kw)
-    g = _preset_density(make_sphere_grid(24, 48), preset or "cap", seed)
+    g = _preset_density(make_sphere_grid(24, 48), preset, seed)
     return X.verify_reduce_lemma(g, **kw)
 
 
@@ -209,17 +211,19 @@ def _run_power_weight(seed, p=2.0, q=4.0, r=2.0, preset="constant", **kw):
     return X.power_weight_ratio(g, p, q, r, **kw)
 
 
-def _run_extremize(seed, functional="xray_sup_ratio(2,inf)", **kw):
-    density, report = X.extremize(functional, seed=seed, **kw)
-    report.raw_data["abscissa"] = list(
-        range(len(report.raw_data["objective"])))
-    report.raw_data["ordinate"] = list(report.raw_data["objective"])
-    report.raw_data["density_values"] = [float(v) for v in
-                                         np.real(density.values)]
+def _transform_report(transform, n, preset, ax, vals, top):
+    report = ExperimentReport(name=f"transform_{transform}", params={
+        "n": n, "transform": transform, "preset": preset})
+    report.raw_data["abscissa"] = [float(v) for v in ax]
+    report.raw_data["ordinate"] = [float(v) for v in vals]
+    report.record("max_value", top)
     return report
 
 
-def _dump_xray(g, omega, half_width=8.0, samples=65, truncation=40.0):
+def _run_xray(seed, n=2, preset="cap", half_width=8.0, samples=65,
+              truncation=40.0):
+    g, omega = _default_input(n, preset, seed)
+
     def line_field(pts):
         # one extend call per line: a uniform line takes the NUFFT
         return np.concatenate([np.abs(extend(g, x)) ** 2 for x in
@@ -229,51 +233,26 @@ def _dump_xray(g, omega, half_width=8.0, samples=65, truncation=40.0):
                         samples_per_axis=samples, truncation=truncation,
                         n_samples=1024)
     ax = prof.axis()
-    mid = prof.values if omega.size == 2 else prof.values[:, len(ax) // 2]
-    return ax, mid, np.max(prof.values)
+    mid = prof.values if n == 2 else prof.values[:, len(ax) // 2]
+    return _transform_report("xray", n, preset, ax, mid, np.max(prof.values))
 
 
-def _dump_radon(g, omega, samples=1024, truncation=40.0, t_extent=2.0,
-                t_pitch=0.25):
+def _run_radon(seed, n=2, preset="cap", samples=1024, truncation=40.0,
+               t_extent=2.0, t_pitch=0.25):
+    g, omega = _default_input(n, preset, seed)
     t_grid = np.arange(-t_extent, t_extent + 1e-12, t_pitch)
     vals = [extend_plane_field(g, omega, float(t), truncation, samples)
             .integrate(lambda v: np.abs(v) ** 2) for t in t_grid]
-    return t_grid, vals, np.max(vals)
+    return _transform_report("radon", n, preset, t_grid, vals, np.max(vals))
 
 
-def _dump_funk(g):
+def _run_funk(seed, preset="cap"):
+    # the Funk transform at t = 0 along the equator's 64 directions, on S^2
+    g, _ = _default_input(3, preset, seed)
     angles = 2.0 * np.pi * np.arange(64) / 64
     vals = [np.real(funk_At(g, np.array([np.cos(a), np.sin(a), 0.0]), 0.0))
             for a in angles]
-    return angles, vals, np.max(vals)
-
-
-def _require_read(dump, kw):
-    unread = sorted(set(kw) - set(signature(dump).parameters))
-    if unread:
-        raise UsageError(f"unknown-parameter {unread} for transform "
-                         f"{dump.__name__.removeprefix('_dump_')}")
-
-
-def _run_transform(seed, transform="xray", n=2, preset="cap", **kw):
-    g, omega = _default_input(n, preset, seed)
-    if transform == "xray":
-        _require_read(_dump_xray, kw)
-        ax, vals, top = _dump_xray(g, omega, **kw)
-    elif transform == "radon":
-        _require_read(_dump_radon, kw)
-        ax, vals, top = _dump_radon(g, omega, **kw)
-    elif transform == "funk" and n == 3:
-        _require_read(_dump_funk, kw)
-        ax, vals, top = _dump_funk(g)
-    else:
-        raise UsageError(f"unknown-transform {transform!r} for n = {n}")
-    report = ExperimentReport(name=f"transform_{transform}", params={
-        "n": n, "transform": transform, "preset": preset})
-    report.raw_data["abscissa"] = [float(v) for v in ax]
-    report.raw_data["ordinate"] = [float(v) for v in vals]
-    report.record("max_value", top)
-    return report
+    return _transform_report("funk", 3, preset, angles, vals, np.max(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +281,7 @@ REGISTRY = {
     "x-reduction": ("verify", _run_x_reduction, {"q": _number, "preset": str},
                     "sup-line norm vs power-weighted Lorentz norm"),
     "reduce-lemma": ("verify", _run_reduce_lemma,
-                     {"family": int, "eps": _number, "q": _number,
-                      "preset": str},
+                     {"eps": _number, "q": _number, "preset": str},
                      "derivative line norm vs bilinear slice functional"),
     "t-delta": ("sweep", _run_t_delta, {"delta_list": _numbers},
                 "log law of the equator-singular integral"),
@@ -332,14 +310,19 @@ REGISTRY = {
     "randomized": ("tubes", X.randomized_tube_experiment,
                    {"R": _number, "n_trials": int, "cap_scale": _number},
                    "wavepacket tube family with Khintchine averaging"),
-    "run": ("extremize", _run_extremize,
+    "run": ("extremize", X.extremize,
             {"functional": str, "steps": int, "step_size": _number},
             "projected gradient ascent of a Rayleigh quotient"),
-    "dump": ("transform", _run_transform,
-             {"transform": str, "n": int, "preset": str,
-              "half_width": _number, "samples": int, "truncation": _number,
-              "t_extent": _number, "t_pitch": _number},
-             "evaluate a transform of the squared extension to CSV"),
+    "xray": ("transform", _run_xray,
+             {"n": int, "preset": str, "half_width": _number, "samples": int,
+              "truncation": _number},
+             "line transform of the squared extension, to CSV"),
+    "radon": ("transform", _run_radon,
+              {"n": int, "preset": str, "samples": int, "truncation": _number,
+               "t_extent": _number, "t_pitch": _number},
+              "hyperplane transform of the squared extension, to CSV"),
+    "funk": ("transform", _run_funk, {"preset": str},
+             "Funk transform of the density on the 2-sphere, to CSV"),
 }
 
 GROUPS = tuple(dict.fromkeys(v[0] for v in REGISTRY.values()))
@@ -423,7 +406,7 @@ def _build_config(name, tokens):
             pair = ([] if "," in text else [-math.inf]) + _numbers(text)
         except ValueError:
             pair = []
-        if len(pair) != 2 or any(math.isnan(v) for v in pair):
+        if len(pair) != 2:
             raise UsageError(f"bad-tolerance {key} (expected lo,hi)")
         overrides[key[4:]] = (float(pair[0]), float(pair[1]))
     if unknown := params.keys() - allowed.keys():

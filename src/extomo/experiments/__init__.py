@@ -1,10 +1,10 @@
 """Named, reproducible experiments, each named once, in its module's __all__.
 
-Each returns an ExperimentReport with its own checks, except
+Each returns an ExperimentReport with its own checks, except three that
+return tuples, a shape the benchmark's workloads still read:
 ``t_delta_log_law`` (fit, report), ``necessity_band_example`` (report,
-fit), ``bt_bounds_sweep`` (two GrowthFits, checked by ``sweep
-bt-bounds``) and ``extremize`` (density, report); the other names are
-building blocks.
+fit) and ``bt_bounds_sweep`` (two GrowthFits, checked by ``sweep
+bt-bounds``).  Building blocks stay private to their modules.
 """
 
 from .identities import *  # noqa: F401,F403

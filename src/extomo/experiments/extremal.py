@@ -18,7 +18,7 @@ from ..sphere import (Density, _gauss_legendre, _trapezoid_weights,
                       make_circle_grid, make_sphere_grid)
 from ..spherical import t_delta_via_slices
 
-__all__ = ["build_functional", "extremize"]
+__all__ = ["extremize"]
 
 
 def _parse_functional(functional_id):
@@ -123,7 +123,7 @@ def _mt_radial_functional(grid):
     return objective
 
 
-def build_functional(functional_id):
+def _build_functional(functional_id):
     """Compile a functional id to (objective, grid, p) for ascent.
 
     Supported ids: ``xray_sup_ratio(p,q)`` on the 8 x 16 grid of the
@@ -154,18 +154,21 @@ def _normalize(x, weights, p):
     return x / np.add.reduce(weights * np.abs(x) ** p) ** (1.0 / p)
 
 
-def extremize(functional_id, steps=40, step_size=0.5, seed=0):
+def extremize(functional="xray_sup_ratio(2,inf)", steps=40, step_size=0.5,
+              seed=0):
     """Monotone projected gradient ascent of a Rayleigh-type functional.
 
     Starts from a seeded random positive density on the grid of
-    ``build_functional``, renormalizes to unit L^p norm after every move,
+    ``_build_functional``, renormalizes to unit L^p norm after every move,
     climbs along forward-difference gradients of step 1e-5, and accepts a
     step only if the objective increases, halving the step length until it
-    does.  Returns the best density and a report with the (nondecreasing)
-    objective trace.  A non-finite objective value aborts the search.
+    does.  Returns a report whose raw data hold the (nondecreasing)
+    objective trace, also as the ``abscissa``/``ordinate`` sweep, and the
+    best density's node values.  A non-finite objective value aborts the
+    search.
     """
-    objective, grid, p = build_functional(functional_id)
-    rng = experiment_rng(seed, f"extremize:{functional_id}")
+    objective, grid, p = _build_functional(functional)
+    rng = experiment_rng(seed, f"extremize:{functional}")
     x = _normalize(rng.uniform(0.5, 1.5, size=grid.node_count),
                    grid.weights, p)
 
@@ -173,7 +176,7 @@ def extremize(functional_id, steps=40, step_size=0.5, seed=0):
         val = objective(x)
         if not np.isfinite(val):
             raise NonFiniteObjectiveError(
-                f"objective of {functional_id} is {val!r} at iterate with "
+                f"objective of {functional} is {val!r} at iterate with "
                 f"value range [{x.min():.3g}, {x.max():.3g}]")
         return val
 
@@ -207,14 +210,18 @@ def extremize(functional_id, steps=40, step_size=0.5, seed=0):
 
     report = ExperimentReport(
         name="extremize", seed=seed,
-        params={"functional": functional_id, "steps": steps,
+        params={"functional": functional, "steps": steps,
                 "step_size": step_size})
-    report.raw_data["objective"] = [float(v) for v in trace]
-    report.record("objective_init", float(trace[0]))
-    report.record("objective_final", float(trace[-1]))
+    trace = [float(v) for v in trace]
+    report.raw_data["objective"] = trace
+    report.raw_data["abscissa"] = list(range(len(trace)))
+    report.raw_data["ordinate"] = trace
+    report.raw_data["density_values"] = [float(v) for v in x]
+    report.record("objective_init", trace[0])
+    report.record("objective_final", trace[-1])
     report.record("accepted_steps", float(accepted))
     final_norm = np.add.reduce(grid.weights * np.abs(x) ** p) ** (1.0 / p)
     report.check("unit_norm_err", abs(final_norm - 1.0), hi=1e-10)
     report.check("monotone", float(np.min(np.diff(trace))) if len(trace) > 1
                  else 0.0, lo=0.0)
-    return Density(grid, x), report
+    return report

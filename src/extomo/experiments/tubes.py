@@ -15,14 +15,10 @@ from ..reports import ExperimentReport, experiment_rng
 from ..sphere import _gauss_legendre, perp_basis
 from ..tomography import TubeFamily, kakeya_dual_functional
 
-__all__ = [
-    "tube_direction_angles",
-    "cap_wavepacket_extension",
-    "randomized_tube_experiment",
-]
+__all__ = ["randomized_tube_experiment"]
 
 
-def tube_direction_angles(R):
+def _tube_direction_angles(R):
     """Angles on [0, pi) with exact spacing R^(-1/2) (the separation scale)."""
     if R < 4:
         raise InvalidArgumentError("R must be >= 4")
@@ -31,7 +27,7 @@ def tube_direction_angles(R):
     return delta * np.arange(count)
 
 
-def cap_wavepacket_extension(theta, half_width, modulation):
+def _cap_wavepacket_extension(theta, half_width, modulation):
     """Extension of the modulated cap indicator, as a callable on R^2.
 
     The cap is the arc |phi - theta| <= half_width; the returned function
@@ -56,7 +52,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5):
     """Wavepacket concentration, Khintchine averaging, and the Kakeya dual.
 
     Builds a family of unit-length tubes of width R^(-1/2), one per
-    direction of ``tube_direction_angles(R)``, with random centers, and one
+    direction of ``_tube_direction_angles(R)``, with random centers, and one
     modulated-cap wavepacket phi_T per tube (cap half-width
     cap_scale * R^(-1/2), modulation -R y_T).  Metrics:
 
@@ -79,7 +75,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5):
             f"n_trials = {n_trials} is below 30, too few trials to estimate "
             "the standard error of the Khintchine check")
     delta = R ** -0.5
-    angles = tube_direction_angles(R)
+    angles = _tube_direction_angles(R)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     rng = experiment_rng(seed, "randomized_tube_experiment")
     radii = 0.5 * np.sqrt(rng.uniform(size=angles.size))
@@ -89,7 +85,7 @@ def randomized_tube_experiment(R=64, n_trials=400, seed=0, cap_scale=0.5):
                         length=1.0)
 
     half_width = cap_scale * delta
-    packets = [cap_wavepacket_extension(th, half_width, -R * y)
+    packets = [_cap_wavepacket_extension(th, half_width, -R * y)
                for th, y in zip(angles, centers)]
 
     report = ExperimentReport(name="randomized_tube_experiment", seed=seed,

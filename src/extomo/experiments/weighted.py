@@ -19,14 +19,13 @@ from ..tomography import (frac_laplacian, radial_xray_profile,
                           xray_isometry_ratio, xray_profile)
 
 __all__ = [
-    "gamma_R_weight",
     "isometry_constancy",
     "verify_wstein",
     "verify_wmiztak",
 ]
 
 
-def gamma_R_weight(R):
+def _gamma_R_weight(R):
     """Smooth radial bump adapted to the ball of radius R.
 
     Returns r -> psi(r/R)^3 on radii r = |x| (an array of any shape), where
@@ -261,7 +260,7 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
     C2 = []
     Cq = []
     for R in R_list:
-        gamma = gamma_R_weight(float(R))
+        gamma = _gamma_R_weight(float(R))
 
         def field(r):
             return gamma(r) * sigma_hat_closed_form(2, r) ** 2

@@ -1,7 +1,7 @@
 """Experiment reports, growth-law fits, and their serialization."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -71,7 +71,13 @@ class ExperimentReport:
 
     @classmethod
     def from_json(cls, text):
+        """The report written by ``to_json``; ValueError on text that is
+        not JSON or not a report object."""
         d = json.loads(text)
+        if not isinstance(d, dict) or "name" not in d or (
+                d.keys() - {f.name for f in fields(cls)} - {"pass"}):
+            raise ValueError("not a report object: expected a JSON object "
+                             "with a name and only report fields")
         d.pop("pass", None)
         d["tolerances"] = {k: tuple(v) for k, v in d.get("tolerances", {}).items()}
         return cls(**d)

@@ -11,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -386,3 +387,44 @@ def test_cli_adapters_do_more_than_forward():
     forwarding = [name for name, fn, _ in _top_level_defs(tree)
                   if name.startswith("_run_") and _forwards_only(fn)]
     assert not forwarding, f"adapters that only forward: {forwarding}"
+
+
+def _forwarded_to(runner):
+    """The functions a runner's body passes its ``**kwargs`` on to."""
+    kwarg = next((p.name for p in inspect.signature(runner).parameters.values()
+                  if p.kind is p.VAR_KEYWORD), None)
+    if kwarg is None:
+        return []
+    tree = ast.parse(textwrap.dedent(inspect.getsource(runner)))
+    targets = []
+    for call, _ in _calls(tree):
+        if not any(kw.arg is None and getattr(kw.value, "id", None) == kwarg
+                   for kw in call.keywords):
+            continue
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            targets.append(getattr(runner.__globals__[func.value.id],
+                                   func.attr))
+        else:
+            targets.append(runner.__globals__[func.id])
+    return targets
+
+
+def test_every_registry_key_is_read():
+    # a key a command declares binds by name to its runner or to every
+    # function the runner passes **kwargs on to: no key is accepted in one
+    # mode of a command and ignored, or rejected late, in another
+    from extomo.cli import REGISTRY
+
+    def binds(fn, key):
+        param = inspect.signature(fn).parameters.get(key)
+        return param is not None and param.kind in (
+            param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+
+    unread = []
+    for name, (_, runner, keys, _) in REGISTRY.items():
+        targets = _forwarded_to(runner)
+        unread += [f"{name} --{key}" for key in keys
+                   if not binds(runner, key)
+                   and not (targets and all(binds(t, key) for t in targets))]
+    assert not unread, f"declared keys the command never reads: {unread}"

@@ -36,8 +36,11 @@ class TestUsage:
     def test_list(self, capsys):
         assert run(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("t-delta", "radon-identity", "randomized", "dump"):
+        for name in ("t-delta", "radon-identity", "randomized"):
             assert name in out
+        listed = [line.split()[:2] for line in out.splitlines()]
+        for name in ("xray", "radon", "funk"):
+            assert ["transform", name] in listed
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -66,16 +69,24 @@ class TestUsage:
         assert run(["verify", "xray-identity", "--preset", "nope"]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_reduce_lemma_preset_needs_family_0(self, capsys):
-        # the family runs its own five densities and never reads a preset
-        assert run(["verify", "reduce-lemma", "--preset", "band"]) == 2
-        assert "preset-needs-family-0" in capsys.readouterr().err
-        assert run(["verify", "reduce-lemma", "--family", "0",
-                    "--preset", "band"]) == 0
+    def test_reduce_lemma_preset_runs_one_density(self, in_tmp, capsys):
+        # without --preset the five-density family runs; with it, the one
+        # preset density; there is no family switch
+        assert run(["verify", "reduce-lemma", "--family", "0"]) == 2
+        assert "unknown-parameter ['family']" in capsys.readouterr().err
+        for preset, name in ((None, "reduce_lemma_family"),
+                             ("band", "reduce_lemma")):
+            out = in_tmp / str(preset)
+            flags = ["--preset", preset] if preset else []
+            assert run(["verify", "reduce-lemma", *flags,
+                        "--out", str(out)]) == 0
+            assert json.loads((out / "report.json").read_text())["name"] \
+                == name
 
     def test_funk_needs_n3(self, capsys):
-        assert run(["transform", "dump", "--transform", "funk",
-                    "--n", "2"]) == 2
+        # the Funk transform is on the 2-sphere only, so it has no --n
+        assert run(["transform", "funk", "--n", "2"]) == 2
+        assert "unknown-parameter ['n']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("transform, key", [
         ("funk", "samples"), ("funk", "half_width"), ("funk", "truncation"),
@@ -83,8 +94,8 @@ class TestUsage:
         ("xray", "t_pitch"), ("radon", "half_width")])
     def test_dump_rejects_a_key_its_transform_does_not_read(
             self, transform, key, capsys):
-        assert run(["transform", "dump", "--transform", transform, "--n", "3",
-                    f"--{key}", "9"]) == 2
+        n = [] if transform == "funk" else ["--n", "3"]
+        assert run(["transform", transform, *n, f"--{key}", "9"]) == 2
         assert f"unknown-parameter ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", ["radon-growth", "outside-range"])
@@ -134,6 +145,15 @@ class TestUsage:
         ("number", "-inf", -math.inf), ("numbers", "1,inf", [1, math.inf])])
     def test_numbers_read_infinities(self, kind, text, value):
         assert getattr(cli, f"_{kind}")(text) == value
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "wstein", "--C_max", "nan"],
+        ["sweep", "radon-growth", "--q", "nan"],
+        ["sweep", "t-delta", "--delta_list", "nan,0.1"]])
+    def test_nan_is_a_bad_value(self, args, capsys):
+        # a number or a number list reads inf but not nan
+        assert run(args) == 2
+        assert f"bad-value {args[2]} {args[3]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(cli.REGISTRY))
     def test_a_value_its_type_rejects_is_a_usage_error(self, name, in_tmp,
@@ -320,9 +340,8 @@ class TestTransformDump:
         monkeypatch.setattr(cli, "extend_plane_field", counted_plane)
         monkeypatch.setattr(cli, "extend", counted_extend)
         out = in_tmp / "radon3"
-        assert run(["transform", "dump", "--transform", "radon", "--n", "3",
-                    "--samples", "64", "--t_extent", "0.5",
-                    "--out", str(out)]) == 0
+        assert run(["transform", "radon", "--n", "3", "--samples", "64",
+                    "--t_extent", "0.5", "--out", str(out)]) == 0
         raw = json.loads((out / "report.json").read_text())["raw_data"]
         assert [args[2] for args in planes] == raw["abscissa"]
         assert len(planes) == 5 and not points
@@ -391,6 +410,12 @@ class TestPlotData:
         for path in ("nope.json", "bad.json"):
             assert run(["plot-data", path]) == 2
             assert f"report-unreadable {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "{}"])
+    def test_json_that_is_not_a_report(self, text, in_tmp, capsys):
+        (in_tmp / "r.json").write_text(text)
+        assert run(["plot-data", "r.json"]) == 2
+        assert "report-unreadable r.json" in capsys.readouterr().err
 
     def test_only_out_is_a_flag(self, in_tmp, capsys):
         out = in_tmp / "rundir"

@@ -14,24 +14,26 @@ from hypothesis import strategies as st
 
 from extomo.errors import (InvalidArgumentError, NonFiniteObjectiveError,
                            PreconditionError)
-from extomo.experiments import (build_functional, cap_wavepacket_extension,
-                                bt_bounds_sweep, extremize,
+from extomo.experiments import (bt_bounds_sweep, extremize,
                                 knapp_radon_lower_bounds,
                                 lemma_X_reduction_check,
                                 necessity_band_example,
                                 randomized_tube_experiment,
                                 radon_growth_sweep, t_delta_log_law,
-                                tube_direction_angles, verify_mollified_radon,
+                                verify_mollified_radon,
                                 verify_radon_identity, verify_reduce_lemma,
                                 verify_xray_identity,
                                 xray_multiscale_lower_bound)
-from extomo.experiments.extremal import _xray_sup_functional
+from extomo.experiments.extremal import (_build_functional,
+                                        _xray_sup_functional)
 from extomo.experiments.growth import (_band_square_integrals,
                                       _great_circle_heights, _knapp_band,
                                       _polar_band_density, _polar_radius,
                                       _slab_cylinder_section_area)
 from extomo.experiments.reductions import (_ba_square_integral, _s_rule,
                                            _slice_xray_profiles)
+from extomo.experiments.tubes import (_cap_wavepacket_extension,
+                                      _tube_direction_angles)
 from extomo.experiments.weighted import (_gaussian_test_functions,
                                          default_wstein_family)
 from extomo.extension import SliceMeasureSpec, extend, slice_rule
@@ -425,27 +427,27 @@ class TestWeighted:
 
 class TestTubes:
     def test_direction_angles_spacing(self):
-        angles = tube_direction_angles(64)
+        angles = _tube_direction_angles(64)
         assert np.allclose(np.diff(angles), 64 ** -0.5)
         assert angles.max() < np.pi
 
     def test_small_R_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            tube_direction_angles(2)
+            _tube_direction_angles(2)
 
     def test_wavepacket_center_value_is_arc_length(self):
         # at z = -a the phase vanishes identically on the arc
         half_width = 0.1
         a = np.array([3.0, -2.0])
-        packet = cap_wavepacket_extension(0.7, half_width, a)
+        packet = _cap_wavepacket_extension(0.7, half_width, a)
         val = packet(-a[None, :])
         assert abs(val[0]) == pytest.approx(2.0 * half_width, rel=1e-12)
 
     def test_small_family_runs(self):
-        # pinned by repr: one tube per direction of tube_direction_angles
+        # pinned by repr: one tube per direction of _tube_direction_angles
         # and 32 Khintchine points
         rep = randomized_tube_experiment(R=16, n_trials=50)
-        assert rep.params["n_tubes"] == len(tube_direction_angles(16))
+        assert rep.params["n_tubes"] == len(_tube_direction_angles(16))
         assert repr(rep.metrics) == repr({
             "c_min": 0.9895100841398489,
             "center_arc_err": 1.1102230246251565e-16,
@@ -461,7 +463,7 @@ class TestTubes:
 class TestExtremal:
     def test_unknown_functional(self):
         with pytest.raises(InvalidArgumentError):
-            build_functional("no_such_thing(1,2)")
+            _build_functional("no_such_thing(1,2)")
 
     def test_xray_sup_matrix_is_the_row_by_row_build(self):
         # one lookup and one np.add.at for all 512 (direction, slice) rows
@@ -481,16 +483,17 @@ class TestExtremal:
 
     def test_unparseable_functional(self):
         with pytest.raises(InvalidArgumentError):
-            build_functional("1+1=(")
+            _build_functional("1+1=(")
 
     def test_wrong_arity(self):
         with pytest.raises(InvalidArgumentError):
-            build_functional("T_delta_norm(2,2)")
+            _build_functional("T_delta_norm(2,2)")
 
     def test_zero_steps_returns_normalized_init(self):
         # the start is the seeded draw on the 64-node circle, at unit norm
-        density, rep = extremize("MT_radial_constant", steps=0, seed=3)
+        rep = extremize("MT_radial_constant", steps=0, seed=3)
         assert rep.metrics["objective_init"] == rep.metrics["objective_final"]
+        density = Density(make_circle_grid(64), rep.raw_data["density_values"])
         assert density.norm(2) == pytest.approx(1.0, abs=1e-12)
         draw = experiment_rng(3, "extremize:MT_radial_constant").uniform(
             0.5, 1.5, size=64)
@@ -500,9 +503,11 @@ class TestExtremal:
 
     def test_objective_trace_monotone(self):
         # pinned by repr on the default 32-node circle
-        density, rep = extremize("T_delta_norm(2,2,0.1)", steps=5)
+        rep = extremize("T_delta_norm(2,2,0.1)", steps=5)
         trace = rep.raw_data["objective"]
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert rep.raw_data["ordinate"] == trace
+        assert rep.raw_data["abscissa"] == list(range(len(trace)))
         assert repr(rep.metrics) == repr({
             "objective_init": 4.758358141876144,
             "objective_final": 7.1681501431574155,
@@ -512,7 +517,7 @@ class TestExtremal:
 
     def test_non_finite_objective_aborts(self, monkeypatch):
         import extomo.experiments.extremal as ex
-        monkeypatch.setattr(ex, "build_functional", lambda fid: (
+        monkeypatch.setattr(ex, "_build_functional", lambda fid: (
             lambda x: np.inf, make_circle_grid(8), 2.0))
         with pytest.raises(NonFiniteObjectiveError):
             ex.extremize("anything", steps=1)

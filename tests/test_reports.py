@@ -48,6 +48,15 @@ class TestExperimentReport:
         assert back.raw_data == rep.raw_data
         assert back.pass_ == rep.pass_
 
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", '"report"', '{"params": {}}',
+        '{"name": "t", "metrics": {}, "extra": 1}'])
+    def test_json_that_is_not_a_report_is_a_value_error(self, text):
+        # an object without a name, or with a key that is not a report
+        # field (``pass`` aside), is not a report
+        with pytest.raises(ValueError, match="not a report object"):
+            ExperimentReport.from_json(text)
+
     def test_summary_has_verdict_line(self):
         rep = ExperimentReport(name="thing")
         rep.check("a", 0.5, hi=1.0)

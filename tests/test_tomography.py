@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extomo.errors import InvalidArgumentError, PreconditionError
-from extomo.experiments.weighted import (_gaussian_test_functions,
-                                         gamma_R_weight)
+from extomo.experiments.weighted import (_gamma_R_weight,
+                                         _gaussian_test_functions)
 from extomo.extension import sigma_hat_closed_form
 from extomo.reports import experiment_rng
 from extomo.sphere import _trapezoid_weights, make_circle_grid, perp_basis
@@ -299,7 +299,7 @@ class TestDeclaredSupport:
 
 def _wmiztak_field(R):
     """verify_wmiztak's radial field gamma_R (2 pi J_0)^2 as a function of r."""
-    gamma = gamma_R_weight(R)
+    gamma = _gamma_R_weight(R)
     return lambda r: gamma(r) * sigma_hat_closed_form(2, r) ** 2
 
 
