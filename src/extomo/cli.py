@@ -427,8 +427,8 @@ def _execute(config):
         report.tolerances[key] = (lo, hi)
     outdir = config.outdir or os.path.join("runs", config.experiment)
     _write_run_dir(config, report, outdir)
-    print(report.summary())
-    print(f"run directory: {outdir}")
+    _say(report.summary())
+    _say(f"run directory: {outdir}")
     return 0 if report.pass_ else 1
 
 
@@ -447,22 +447,32 @@ def _usage():
     return "\n".join(lines)
 
 
+def _say(text):
+    """Print one piece of the command's output.  Once the reader has closed
+    stdout (``extomo help | head -1``), the rest of the output goes to
+    devnull, and the command runs on to its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run(argv):
     """Execute one CLI invocation; returns the process exit code."""
     try:
         if not argv:
-            print(_usage())
+            _say(_usage())
             return 2
         cmd, rest = argv[0], list(argv[1:])
         if cmd in ("-h", "--help", "help"):
-            print(_usage())
+            _say(_usage())
             return 0
         if cmd == "list":
-            print(f"extomo {__version__} experiment registry:")
+            _say(f"extomo {__version__} experiment registry:")
             for name, (group, _, allowed, desc) in sorted(
                     REGISTRY.items(), key=lambda kv: (kv[1][0], kv[0])):
                 keys = ",".join(sorted(allowed)) or "-"
-                print(f"  {group:9s} {name:16s} [{keys}]  {desc}")
+                _say(f"  {group:9s} {name:16s} [{keys}]  {desc}")
             return 0
         if cmd == "plot-data":
             if not rest:
@@ -472,7 +482,7 @@ def run(argv):
                 raise UsageError(f"unknown-parameter {sorted(unknown)} for "
                                  "plot-data (allowed: ['out'])")
             out = emit_plot_data(rest[0], params.get("out"))
-            print(f"wrote {out}")
+            _say(f"wrote {out}")
             return 0
         if cmd not in GROUPS:
             raise UsageError(f"unknown-subcommand {cmd!r}")

@@ -163,9 +163,9 @@ def extremize(functional="xray_sup_ratio(2,inf)", steps=40, step_size=0.5,
     climbs along forward-difference gradients of step 1e-5, and accepts a
     step only if the objective increases, halving the step length until it
     does.  Returns a report whose raw data hold the (nondecreasing)
-    objective trace, also as the ``abscissa``/``ordinate`` sweep, and the
-    best density's node values.  A non-finite objective value aborts the
-    search.
+    objective trace as the ``abscissa``/``ordinate`` sweep (step index,
+    objective) and the best density's node values.  A non-finite objective
+    value aborts the search.
     """
     objective, grid, p = _build_functional(functional)
     rng = experiment_rng(seed, f"extremize:{functional}")
@@ -213,7 +213,6 @@ def extremize(functional="xray_sup_ratio(2,inf)", steps=40, step_size=0.5,
         params={"functional": functional, "steps": steps,
                 "step_size": step_size})
     trace = [float(v) for v in trace]
-    report.raw_data["objective"] = trace
     report.raw_data["abscissa"] = list(range(len(trace)))
     report.raw_data["ordinate"] = trace
     report.raw_data["density_values"] = [float(v) for v in x]

@@ -46,14 +46,21 @@ def _gamma_R_weight(R):
     return weight
 
 
-def _ball_quadrature_2d(g, weight, R):
-    """Trapezoid integral of |g dsigma hat|^2 * weight over the disc of
-    radius R, at spacing 0.25 on the box [-R, R]^2."""
-    field = extend_field(g, R, int(2 * R / 0.25) + 1)
-    xx, yy = field.meshgrid()
+def _ball_quadrature_2d(gs, weight, R):
+    """Trapezoid integrals of |g dsigma hat|^2 * weight over the disc of
+    radius R, at spacing 0.25 on the box [-R, R]^2, one per density g of gs.
+
+    The masked weight is built once from the box axis and shared; each
+    density's box field is one ``extend_field`` call, dropped once it is
+    integrated.
+    """
+    M = int(2 * R / 0.25) + 1
+    xx, yy = np.meshgrid(*[np.linspace(-R, R, M)] * 2, indexing="ij")
     w = weight(np.column_stack([xx.ravel(), yy.ravel()])).reshape(xx.shape)
     w = np.where(xx ** 2 + yy ** 2 <= R * R, w, 0.0)
-    return float(field.integrate(lambda values: np.abs(values) ** 2 * w))
+    del xx, yy
+    return [float(extend_field(g, R, M).integrate(
+        lambda values: np.abs(values) ** 2 * w)) for g in gs]
 
 
 _GAUSS_TAIL = 40.0  # cut below e^-40 ~ 4.2e-18 of the peak; the L^2 tail is e^-80
@@ -176,15 +183,24 @@ def verify_wstein(R_list=(16, 32, 64), C_max=50.0):
     n_omega = 64
     report = ExperimentReport(name="wstein",
                               params={"R_list": list(R_list), "C_max": C_max})
-    # Sw depends only on the weight and R: the pairs share a grid and weights
+    family = default_wstein_family()
+    # the ball weight and Sw depend only on the weight and R, and the pairs
+    # share weights: each is built once per (w, R)
+    by_weight = {}
+    for label, g, w in family:
+        by_weight.setdefault(w, []).append((label, g))
+    lhs = {}
+    for w, pairs in by_weight.items():
+        for R in R_list:
+            masses = _ball_quadrature_2d([g for _, g in pairs], w, float(R))
+            lhs.update({(label, R): m for (label, _), m in zip(pairs, masses)})
     sw_cache = {}
-    for label, g, w in default_wstein_family():
+    for label, g, w in family:
         grid = g.grid
         N = grid.node_count
         habs = g.map(np.abs)
         Cs = []
         for R in R_list:
-            lhs = _ball_quadrature_2d(g, w, float(R))
             h = poisson_mollify_circle(habs, 1.0 / R).map(lambda v: v ** 2)
             bt = bt_delta_circle_grid(h, h, 1.0 / R).real
             sub = np.arange(0, N, N // n_omega)
@@ -198,7 +214,7 @@ def verify_wstein(R_list=(16, 32, 64), C_max=50.0):
             integrand = (np.sqrt(np.maximum(bt[sub], 0.0))
                          + np.sqrt(np.maximum(bt[perp], 0.0))) * sw
             rhs = float(np.add.reduce(integrand) * (2.0 * np.pi / n_omega))
-            Cs.append(lhs / rhs)
+            Cs.append(lhs[label, R] / rhs)
         report.raw_data[f"C[{label}]"] = Cs
         report.check(f"C_max[{label}]", max(Cs), hi=C_max)
         report.check(f"stability[{label}]", max(Cs) / min(Cs), hi=2.0)
@@ -216,7 +232,8 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         over random smooth densities -- the sup-line-transform bound is
         known for radial weights, so the constants must stay bounded.
         The ball mass is a masked trapezoid rule on the box [-R_mt, R_mt]^2,
-        whose field is one NUFFT evaluation (``extend_field``).
+        whose field is one NUFFT evaluation (``extend_field``) per density;
+        the masked weight is built once and serves every density.
 
     (b) C_q at q = 2: the L^1_omega L^2_v norm of the half-derivative of
         the line transform of gamma_R |g dsigma hat|^2, divided by
@@ -242,15 +259,15 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         return 1.0 / np.sqrt(1.0 + np.sum(np.atleast_2d(pts) ** 2, axis=1))
 
     sup_xw = 2.0 * np.arcsinh(R_mt)  # line through the origin
-    C_mt = []
+    densities = []
     for _ in range(n_random):
         coef = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         vals = np.zeros(grid.node_count, dtype=complex)
         for k, c in enumerate(coef):
             vals += c * np.exp(1j * k * grid.angles)
-        g = Density(grid, vals)
-        lhs = _ball_quadrature_2d(g, w_rad, R_mt)
-        C_mt.append(lhs / (sup_xw * g.norm(2) ** 2))
+        densities.append(Density(grid, vals))
+    C_mt = [lhs / (sup_xw * g.norm(2) ** 2) for g, lhs in
+            zip(densities, _ball_quadrature_2d(densities, w_rad, R_mt))]
     report.raw_data["C_mt"] = C_mt
     report.check("C_mt_max", max(C_mt), hi=C_max)
 

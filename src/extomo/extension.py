@@ -124,22 +124,25 @@ def _nufft1(coeff, thetas, n_modes):
     is pruned: in 2-D only the rows the window folds onto are transformed,
     along the last axis, and only the n_modes kept columns go through the
     second pass; every 1-D transform gets the input of the full nf^d
-    ``ifftn``, so the result is that transform's bit for bit.  A division
-    by the kernel's Fourier transform then gives the modes.
+    ``ifftn``, so the result is that transform's bit for bit.  Both passes
+    run in place (``out=``) on the grids allocated here, and the division by
+    the kernel's Fourier transform scales the gathered modes in place; the
+    modes are a fresh C-contiguous array on every call.
     """
     nf, tau, window, cells = _spread(coeff, thetas, n_modes)
     folds = [np.unique(c % nf, return_inverse=True) for c in cells[:-1]]
     fine = np.zeros([rows.size for rows, _ in folds] + [nf], dtype=complex)
     np.add.at(fine, np.ix_(*[fold for _, fold in folds], cells[-1] % nf), window)
     k = np.arange(n_modes) - n_modes // 2
-    modes = np.fft.ifft(fine)[..., k % nf]
+    modes = np.fft.ifft(fine, out=fine)[..., k % nf]
     if folds:
         # columns as rows, so the second pass also runs on contiguous memory
         cols = np.zeros((n_modes, nf), dtype=complex)
         cols[:, folds[0][0]] = modes.T
-        modes = np.fft.ifft(cols)[:, k % nf].T
+        modes = np.fft.ifft(cols, out=cols).T[k % nf]
     deconv = np.sqrt(np.pi / tau) * np.exp(k.astype(float) ** 2 * tau)
-    return modes * functools.reduce(np.multiply.outer, [deconv] * len(cells))
+    modes *= functools.reduce(np.multiply.outer, [deconv] * len(cells))
+    return modes
 
 
 def _nonzero(g):

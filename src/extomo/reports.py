@@ -72,12 +72,14 @@ class ExperimentReport:
     @classmethod
     def from_json(cls, text):
         """The report written by ``to_json``; ValueError on text that is
-        not JSON or not a report object."""
+        not JSON or not a report object of the written shape."""
         d = json.loads(text)
         if not isinstance(d, dict) or "name" not in d or (
                 d.keys() - {f.name for f in fields(cls)} - {"pass"}):
             raise ValueError("not a report object: expected a JSON object "
                              "with a name and only report fields")
+        if problem := _shape_problem(d):
+            raise ValueError(f"not a report object: {problem}")
         d.pop("pass", None)
         d["tolerances"] = {k: tuple(v) for k, v in d.get("tolerances", {}).items()}
         return cls(**d)
@@ -93,6 +95,27 @@ class ExperimentReport:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
+
+
+def _shape_problem(d):
+    """What in the report object d has a shape ``to_json`` never writes, or
+    None: the dict fields, the (lo, hi) tolerances and the sweep columns."""
+    for key in ("params", "metrics", "tolerances", "raw_data"):
+        if not isinstance(d.get(key, {}), dict):
+            return f"{key} must be an object"
+    if not all(isinstance(v, list) and len(v) == 2
+               for v in d.get("tolerances", {}).values()):
+        return "every tolerance must be a [lo, hi] pair"
+    raw = d.get("raw_data", {})
+    if "abscissa" in raw:
+        sweep = [raw["abscissa"], raw.get("ordinate")] + (
+            [raw["fit_value"]] if "fit_value" in raw else [])
+        if not all(isinstance(c, list) and len(c) == len(sweep[0])
+                   and all(isinstance(v, (int, float)) for v in c)
+                   for c in sweep):
+            return ("a sweep needs abscissa and ordinate (and any fit_value) "
+                    "as lists of numbers of one length")
+    return None
 
 
 def _np_default(obj):

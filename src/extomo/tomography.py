@@ -253,24 +253,37 @@ def radial_xray_profile(F, half_width, samples_per_axis, truncation, n_samples):
         [half[samples_per_axis % 2:][::-1], half]))
 
 
+@functools.lru_cache(maxsize=8)
 def _taper_window(M):
     """Raised-cosine taper equal to 1 on the interior, rolling to 0 on the
-    outer 10 percent at each edge."""
+    outer 10 percent at each edge; cached per M and read-only."""
     w = np.ones(M)
     edge = max(int(np.ceil(M * 0.1)), 2)
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
     w[:edge] = ramp
     w[-edge:] = ramp[::-1]
+    w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_multiplier(M, ndim, spacing, alpha):
+    """|eta|^(2 alpha) on the FFT frequencies of M samples per axis (ndim
+    axes) at the given spacing, zero at eta = 0; cached and read-only, at most
+    8 M^ndim bytes each: 0.5 MB for a 257^2 profile."""
+    eta1 = 2.0 * np.pi * np.fft.fftfreq(M, d=spacing)
+    eta2 = functools.reduce(np.add.outer, [eta1 ** 2] * ndim)
+    mult = np.power(eta2, alpha, out=np.zeros_like(eta2), where=eta2 > 0)
+    mult.flags.writeable = False
+    return mult
 
 
 def _laplacian_power(vals, spacing, alpha):
     """(-Delta_v)^alpha of periodic samples: the FFT multiplier |eta|^(2 alpha),
     zero at eta = 0."""
-    eta1 = 2.0 * np.pi * np.fft.fftfreq(vals.shape[0], d=spacing)
-    eta2 = functools.reduce(np.add.outer, [eta1 ** 2] * vals.ndim)
-    mult = np.power(eta2, alpha, out=np.zeros_like(eta2), where=eta2 > 0)
-    return np.fft.ifftn(np.fft.fftn(vals) * mult)
+    spectrum = np.fft.fftn(vals)
+    spectrum *= _fourier_multiplier(vals.shape[0], vals.ndim, spacing, alpha)
+    return np.fft.ifftn(spectrum, out=spectrum)
 
 
 def frac_laplacian(profile, alpha):
@@ -279,7 +292,10 @@ def frac_laplacian(profile, alpha):
     The profile is tapered by a raised-cosine window on the outer 10
     percent and then treated as periodic.  The zero frequency is
     annihilated for alpha > 0; for alpha < 0 the tapered input must be
-    mean-zero (the multiplier is non-integrable at zero frequency).
+    mean-zero (the multiplier is non-integrable at zero frequency).  The
+    window and the multiplier are tables cached per (points per axis,
+    spacing, alpha) and read-only, so a sweep of equal-sized profiles
+    builds each once.
     """
     vals = np.asarray(profile.values, dtype=complex)
     peak = np.abs(vals).max()

@@ -209,6 +209,42 @@ def test_gauss_legendre_rules_are_built_only_inside_the_sphere_layer():
     assert _callers("leggauss") == {("sphere", "_gauss_legendre")}
 
 
+# one small call of each cached function of the package
+CACHED_CALLS = {
+    "extomo.sphere._gauss_legendre": (4,),
+    "extomo.extension._slice_phase_tables": (3, 8, 2.0, 5),
+    "extomo.tomography._taper_window": (16,),
+    "extomo.tomography._fourier_multiplier": (16, 2, 0.5, 0.25),
+}
+
+
+def _cached_functions():
+    """module.name of each def in the package under an ``lru_cache`` or
+    ``cache`` decorator, called or not."""
+    found = set()
+    for path in (ROOT / "src" / "extomo").rglob("*.py"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    {getattr(d, "id", None), getattr(d, "attr", None)}
+                    & {"lru_cache", "cache"}
+                    for d in (getattr(dec, "func", dec)
+                              for dec in node.decorator_list)):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_cached_functions_return_read_only_arrays():
+    # every caller shares a cached table: a writable array would let one
+    # caller corrupt what every later caller reads
+    assert _cached_functions() == CACHED_CALLS.keys()
+    for name, args in CACHED_CALLS.items():
+        module, fn = name.rsplit(".", 1)
+        result = getattr(importlib.import_module(module), fn)(*args)
+        for array in result if isinstance(result, tuple) else (result,):
+            assert not array.flags.writeable, name
+
+
 def test_seeded_draws_go_through_the_keyed_generator():
     # every seeded draw comes from experiment_rng, keyed by (seed, name), so
     # two experiments sharing a seed never share a stream

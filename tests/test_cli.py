@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,8 +414,11 @@ class TestPlotData:
             assert run(["plot-data", path]) == 2
             assert f"report-unreadable {path}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[]", "{}"])
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", '{"name": "x", "tolerances": 5}',
+        '{"name": "x", "raw_data": {"abscissa": [1]}}'])
     def test_json_that_is_not_a_report(self, text, in_tmp, capsys):
+        # nor is an object of report keys with the wrong shapes
         (in_tmp / "r.json").write_text(text)
         assert run(["plot-data", "r.json"]) == 2
         assert "report-unreadable r.json" in capsys.readouterr().err
@@ -422,3 +428,25 @@ class TestPlotData:
         assert run(["sweep", "t-delta", "--out", str(out)]) == 0
         assert run(["plot-data", str(out / "report.json"), "--foo", "1"]) == 2
         assert "unknown-parameter ['foo']" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("args, code", [(["help"], 0), ([], 2)])
+    def test_a_reader_gone_before_the_output_ends_quietly(
+            self, args, code, unbuffered):
+        # ``extomo help | head -1`` at its extreme: the pipe's read end is
+        # closed before the first write, with stdout buffered or not; the
+        # command exits with its own code and writes no traceback
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "extomo.cli", *args],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        assert proc.stderr == b""

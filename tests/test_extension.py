@@ -239,6 +239,24 @@ class TestFastPaths:
         assert np.array_equal(_nufft1(coeff, thetas, n_modes),
                               _full_grid_nufft1(coeff, thetas, n_modes))
 
+    @pytest.mark.parametrize("dim, n_modes", [(1, 2401), (2, 257), (2, 79)])
+    def test_nufft1_returns_a_fresh_array(self, dim, n_modes, rng):
+        # the transforms run in place on grids each call allocates: the
+        # modes are new on every call, so a caller may write to them
+        xi = rng.standard_normal((128, 3))
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
+        coeff = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        thetas = [0.25 * xi[:, d] for d in range(dim)]
+        first = _nufft1(coeff, thetas, n_modes)
+        kept = first.copy()
+        second = _nufft1(coeff, thetas, n_modes)
+        assert first.flags.owndata and first.flags.writeable
+        assert first.flags.c_contiguous and not np.shares_memory(first, second)
+        second[...] = 0.0
+        assert np.array_equal(first, kept)
+        assert np.array_equal(_nufft1(coeff, thetas, n_modes), kept)
+        assert np.array_equal(kept, _full_grid_nufft1(coeff, thetas, n_modes))
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n_modes", [481, 2401])
     def test_spread_band_is_2m_plus_1_nearest_cells(self, dim, n_modes, rng):

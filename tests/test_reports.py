@@ -50,10 +50,20 @@ class TestExperimentReport:
 
     @pytest.mark.parametrize("text", [
         "[]", "{}", '"report"', '{"params": {}}',
-        '{"name": "t", "metrics": {}, "extra": 1}'])
+        '{"name": "t", "metrics": {}, "extra": 1}',
+        '{"name": "x", "tolerances": 5}',
+        '{"name": "x", "tolerances": {"m": 5}}',
+        '{"name": "x", "raw_data": []}',
+        '{"name": "x", "raw_data": {"abscissa": [1]}}',
+        '{"name": "x", "raw_data": {"abscissa": [1, 2], "ordinate": [3]}}',
+        '{"name": "x", "raw_data": {"abscissa": [1], "ordinate": [null]}}',
+        '{"name": "x", "raw_data": {"abscissa": [1], "ordinate": [2], '
+        '"fit_value": 3}}'])
     def test_json_that_is_not_a_report_is_a_value_error(self, text):
         # an object without a name, or with a key that is not a report
-        # field (``pass`` aside), is not a report
+        # field (``pass`` aside), is not a report; nor is one whose dict
+        # fields are not objects, whose tolerance is not a (lo, hi) pair, or
+        # whose sweep lacks its ordinate
         with pytest.raises(ValueError, match="not a report object"):
             ExperimentReport.from_json(text)
 

@@ -1,5 +1,6 @@
 """Line and hyperplane transforms, the fractional Laplacian, Lorentz norms."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,39 @@ class TestFracLaplacian:
         prof = SampledField(8.0, np.exp(-v ** 2))
         with pytest.raises(PreconditionError):
             frac_laplacian(prof, -0.25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ndim=st.sampled_from([1, 2]), M=st.integers(2, 300),
+           half_width=st.floats(0.5, 64.0),
+           alpha=st.sampled_from([-0.25, 0.25, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(ndim=2, M=257, half_width=24.0, alpha=0.25, seed=0)
+    @example(ndim=2, M=2, half_width=1.0, alpha=-0.25, seed=1)
+    def test_cached_tables_match_an_uncached_multiplier(self, ndim, M,
+                                                        half_width, alpha,
+                                                        seed):
+        # the cached taper and multiplier give the result of tables built
+        # afresh bit for bit, on a first call and on a repeat
+        rng = np.random.default_rng(seed)
+        taper = np.ones(M)
+        edge = max(int(np.ceil(M * 0.1)), 2)
+        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(edge) / edge))
+        taper[:edge], taper[-edge:] = ramp, ramp[::-1]
+        window = functools.reduce(np.multiply.outer, [taper] * ndim)
+        vals = rng.standard_normal((M,) * ndim)
+        if alpha < 0:  # mean-zero once tapered
+            vals -= (vals * window).mean() / (window * window).mean() * window
+        tapered = vals.astype(complex)
+        for axis in range(ndim):
+            tapered = tapered * taper.reshape([-1 if a == axis else 1
+                                               for a in range(ndim)])
+        prof = SampledField(half_width, vals)
+        eta1 = 2.0 * np.pi * np.fft.fftfreq(M, d=prof.spacing)
+        eta2 = functools.reduce(np.add.outer, [eta1 ** 2] * ndim)
+        mult = np.power(eta2, alpha, out=np.zeros_like(eta2), where=eta2 > 0)
+        expected = np.fft.ifftn(np.fft.fftn(tapered) * mult).real
+        for _ in range(2):
+            assert np.array_equal(frac_laplacian(prof, alpha).values, expected)
 
     def test_self_adjoint(self, rng):
         M = 64
