@@ -241,8 +241,8 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
         across the R sweep.
 
     (c) the probe q > 2 (default 3): the same quantity with derivative
-        order (1/2)(1 - 1/q) and L^(q')_v norm is *expected to grow*
-        like a power of R; the fitted log-log slope must be >= 0.1.
+        order (1/2)(1 - 1/q) and L^(q')_v norm (q' = 1 at q = inf) is *expected
+        to grow* like a power of R; the fitted log-log slope must be >= 0.1.
     """
     if min(R_list) <= 1 or q_probe <= 2:
         raise InvalidArgumentError("need R > 1 (C2 divides by log R) and q_probe > 2: "
@@ -283,17 +283,14 @@ def verify_wmiztak(R_list=(16, 32, 64, 128, 256), q_probe=3.0, n_random=10,
             return gamma(r) * sigma_hat_closed_form(2, r) ** 2
 
         # the field oscillates at frequencies up to 2 (twice the sphere
-        # radius), so both the offset grid and the line samples must keep
-        # an R-independent spacing well below pi/2
-        n_v = 2 * int(6.0 * R) + 1
+        # radius), so the grid (offsets and line samples alike) keeps an
+        # R-independent spacing well below pi/2: 0.5 on [-3R, 3R]
         prof = radial_xray_profile(field, half_width=3.0 * R,
-                                   samples_per_axis=n_v, truncation=3.0 * R,
-                                   n_samples=2 * int(6.0 * R))
+                                   samples_per_axis=2 * int(6.0 * R) + 1)
         half = frac_laplacian(prof, 0.25)
         C2.append(2.0 * np.pi * half.lp_norm(2) / (np.log(R) * norm_sq))
-        alpha = 0.5 * (1.0 - 1.0 / q_probe)
-        qprime = q_probe / (q_probe - 1.0)
-        probe = frac_laplacian(prof, alpha)
+        qprime = 1.0 if np.isinf(q_probe) else q_probe / (q_probe - 1.0)
+        probe = frac_laplacian(prof, 0.5 * (1.0 - 1.0 / q_probe))
         Cq.append(2.0 * np.pi * probe.lp_norm(qprime) / norm_sq)
     report.raw_data["R"] = list(R_list)
     report.raw_data["C2"] = C2

@@ -7,11 +7,11 @@ trapezoid rule, ``SampledField.integrate``.
 Fields enter as vectorized callables mapping an (M, n) array of points,
 not always C-contiguous, to an (M,) array of values; ``xray_profile``
 calls a field once per block of lines, ``radial_xray_profile`` a radial
-F(|x|) once per block of radii.  A field may declare ``support = (center,
-radius)``, a closed ball outside which it is exactly 0; ``xray_profile``
-then samples it only in the ball's bounding box.  Improper integrals over
-R are truncated at an explicit parameter, chosen by the caller so the tail
-is negligible at its tolerance (compact support or known decay).
+F(|x|) once per block of radii s >= u >= 0 of its square (u, s) grid.  A
+field may declare ``support = (center, radius)``, a closed ball outside
+which it is exactly 0; ``xray_profile`` then samples it only in the ball's
+bounding box.  Improper integrals over R are truncated at an explicit
+parameter, chosen so the tail is negligible (compact support or decay).
 """
 
 import functools
@@ -234,23 +234,26 @@ def xray_profile(f, omega, half_width, samples_per_axis, truncation,
     return SampledField(half_width, prof)
 
 
-def radial_xray_profile(F, half_width, samples_per_axis, truncation, n_samples):
-    """``xray_profile`` (n = 2) of x -> F(|x|), which is that of every direction.
+def radial_xray_profile(F, half_width, samples_per_axis):
+    """``xray_profile`` (n = 2) of x -> F(|x|), with the offsets as line samples.
 
-    F is evaluated once per orbit {(+-u, +-s)}: on radii hypot(u, s), u, s >= 0,
-    at most _XRAY_BLOCK (or one half line) per call.  A half line takes twice
-    its trapezoid weights, a middle s = 0 once; u < 0 is the mirror image.
+    F is evaluated for s >= u >= 0 only, in row blocks of at most _XRAY_BLOCK
+    radii (or one row) adding row sums and mirrored column sums.  A half line
+    takes twice its trapezoid weights, a middle s = 0 once; u < 0 mirrors u > 0.
     """
-    h = n_samples // 2
-    u = np.linspace(-half_width, half_width, samples_per_axis)[samples_per_axis // 2:]
-    s = np.linspace(-truncation, truncation, n_samples)[h:]
-    w = _trapezoid_weights(n_samples)[h:] * (4.0 * truncation / (n_samples - 1))
-    w[0] /= 1 + n_samples % 2
-    rows = max(_XRAY_BLOCK // s.size, 1)
-    half = np.concatenate([np.add.reduce(F(np.hypot(u[r0:r0 + rows, None], s)) * w,
-                                         axis=1) for r0 in range(0, u.size, rows)])
-    return SampledField(half_width, np.concatenate(
-        [half[samples_per_axis % 2:][::-1], half]))
+    M = samples_per_axis
+    if M < 2:
+        raise InvalidArgumentError("samples_per_axis must be >= 2")
+    x = np.linspace(-half_width, half_width, M)[M // 2:]
+    w = _trapezoid_weights(M)[M // 2:] * (4.0 * half_width / (M - 1))
+    w[0] /= 1 + M % 2
+    rows = max(_XRAY_BLOCK // x.size, 1)
+    half = np.zeros(x.size)
+    for r0 in range(0, x.size, rows):
+        block = F(np.hypot(x[r0:r0 + rows, None], x[r0:]))
+        half[r0 + rows:] += w[r0:r0 + rows] @ block[:, rows:]
+        half[r0:r0 + rows] += block @ w[r0:]
+    return SampledField(half_width, np.concatenate([half[M % 2:][::-1], half]))
 
 
 @functools.lru_cache(maxsize=8)

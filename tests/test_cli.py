@@ -131,6 +131,15 @@ class TestUsage:
         assert run(["verify", "wmiztak", flag, value]) == 2
         assert "need R > 1" in capsys.readouterr().err
 
+    def test_wmiztak_probe_at_q_infinity(self, in_tmp, capsys):
+        # q' = 1 at q = inf: the order-1/2 L^1 probe grows like R^0.49
+        assert run(["verify", "wmiztak", "--q_probe", "inf",
+                    "--out", "r"]) == 0
+        report = json.loads((in_tmp / "r" / "report.json").read_text())
+        assert report["params"]["q_probe"] == math.inf
+        assert math.isfinite(report["metrics"]["probe_slope"])
+        assert report["metrics"]["probe_slope"] >= 0.1
+
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "abc"), ("--seed", "1.5"), ("--tol.slope", "a,b"),
         ("--tol.slope", "a"), ("--tol.slope", "nan"),

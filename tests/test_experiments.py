@@ -22,7 +22,7 @@ from extomo.experiments import (bt_bounds_sweep, extremize,
                                 radon_growth_sweep, t_delta_log_law,
                                 verify_mollified_radon,
                                 verify_radon_identity, verify_reduce_lemma,
-                                verify_xray_identity,
+                                verify_wmiztak, verify_xray_identity,
                                 xray_multiscale_lower_bound)
 from extomo.experiments.extremal import (_build_functional,
                                         _xray_sup_functional)
@@ -440,6 +440,14 @@ class TestWeighted:
                              w.reshape(xx.shape), 0.0)
                 assert mass == float(field.integrate(
                     lambda values: np.abs(values) ** 2 * w))
+
+    def test_wmiztak_defaults_pinned(self):
+        # parts (b) and (c) on the square grid of spacing 0.5, whose line
+        # samples are the offsets (12 R + 1 of them)
+        metrics = verify_wmiztak().metrics
+        assert repr([metrics[k] for k in (
+            "C2_max", "C2_stability", "probe_slope")]) == repr([
+                42.494290815954784, 1.5837729112631456, 0.165046558113791])
 
     def test_truncated_gaussians_keep_closed_form_l2(self):
         for f, l2 in _gaussian_test_functions(

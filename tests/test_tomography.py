@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from extomo import tomography
 from extomo.errors import InvalidArgumentError, PreconditionError
 from extomo.experiments.weighted import (_gamma_R_weight,
                                          _gaussian_test_functions)
@@ -342,46 +343,85 @@ RADIAL_FIELDS = {"gauss": lambda r: np.exp(-(r / 3.0) ** 2),
                  "wmiztak R=4": _wmiztak_field(4.0)}
 
 
+def _radial_block_shapes(M, block):
+    """The (rows, columns) of radial_xray_profile's F calls: row blocks of
+    the n x n half grid, columns from the block's first row to the end."""
+    n = M - M // 2
+    rows = max(block // n, 1)
+    return [(min(rows, n - r0), n - r0) for r0 in range(0, n, rows)]
+
+
 class TestRadialXrayProfile:
     @settings(max_examples=40, deadline=None)
-    @given(M=st.integers(2, 400), n_samples=st.integers(16, 600),
-           field=st.sampled_from(sorted(RADIAL_FIELDS)), seed=st.integers(0, 99))
-    @example(M=601, n_samples=600, field="wmiztak R=4", seed=0)  # 3 blocks
-    @example(M=600, n_samples=601, field="wmiztak R=4", seed=1)
-    def test_matches_xray_profile(self, M, n_samples, field, seed):
-        # the oracle samples the whole offset grid in a random direction
+    @given(M=st.integers(2, 700), field=st.sampled_from(sorted(RADIAL_FIELDS)),
+           seed=st.integers(0, 99))
+    @example(M=601, field="wmiztak R=4", seed=0)  # 3 blocks
+    @example(M=600, field="wmiztak R=4", seed=1)
+    def test_matches_xray_profile(self, M, field, seed):
+        # the oracle samples the whole square grid in a random direction
         F = RADIAL_FIELDS[field]
         rng = np.random.default_rng(seed)
         omega = rng.standard_normal(2)
         omega /= np.linalg.norm(omega)
-        width = rng.uniform(4.0, 16.0, 2)
-        radial = radial_xray_profile(F, width[0], M, width[1], n_samples)
+        L = rng.uniform(4.0, 16.0)
+        radial = radial_xray_profile(F, L, M)
         direct = xray_profile(lambda p: F(np.hypot(p[:, 0], p[:, 1])), omega,
-                              width[0], M, width[1], n_samples)
+                              L, M, L, M)
         assert radial.half_width == direct.half_width
         np.testing.assert_allclose(radial.values, direct.values, rtol=0,
                                    atol=1e-13 * np.abs(direct.values).max())
 
     @pytest.mark.parametrize("M", [64, 65])
-    @pytest.mark.parametrize("n_samples", [96, 97])
-    def test_profile_is_even(self, M, n_samples):
-        prof = radial_xray_profile(_wmiztak_field(2.0), 6.0, M, 6.0, n_samples)
+    def test_profile_is_even(self, M):
+        prof = radial_xray_profile(_wmiztak_field(2.0), 6.0, M)
         assert prof.values.shape == (M,)
         np.testing.assert_array_equal(prof.values, prof.values[::-1])
 
-    @pytest.mark.parametrize("M, n_samples", [
-        (64, 96), (65, 97), (601, 600), (600, 601),
-        (3, 2 * _XRAY_BLOCK + 1), (2, 2 * _XRAY_BLOCK + 2)])
-    def test_each_orbit_is_evaluated_once_in_bounded_blocks(self, M, n_samples):
-        sizes = []
+    @pytest.mark.parametrize("M, block", [
+        (64, _XRAY_BLOCK), (65, _XRAY_BLOCK), (601, _XRAY_BLOCK),
+        (600, _XRAY_BLOCK), (41, 16), (40, 45), (2, 16), (3, 16)])
+    def test_bounded_blocks_cover_s_at_least_u(self, M, block, monkeypatch):
+        # (41, 16): a half grid wider than a block, one row a call; (40, 45):
+        # two rows a call
+        monkeypatch.setattr(tomography, "_XRAY_BLOCK", block)
+        n = M - M // 2
+        x = np.linspace(-2.0, 2.0, M)[M // 2:]
+        shapes = []
 
         def recording(r):
-            assert r.size <= max(_XRAY_BLOCK, n_samples // 2 + 1)
-            sizes.append(r.size)
+            assert r.size <= max(block, n)
+            r0 = n - r.shape[1]
+            # row i of the block holds hypot(x[r0 + i], x[r0:])
+            np.testing.assert_array_equal(
+                r, np.hypot(x[r0:r0 + r.shape[0], None], x[r0:]))
+            shapes.append(r.shape)
             return np.exp(-r ** 2)
 
-        radial_xray_profile(recording, 2.0, M, 4.0, n_samples)
-        assert sum(sizes) == (M - M // 2) * (n_samples - n_samples // 2)
+        radial_xray_profile(recording, 2.0, M)
+        assert shapes == _radial_block_shapes(M, block)
+        rows = max(block // n, 1)
+        assert sum(a * b for a, b in shapes) <= \
+            n * (n + 1) // 2 + (rows - 1) * n / 2
+
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_needs_two_samples_per_axis(self, M):
+        with pytest.raises(InvalidArgumentError, match="samples_per_axis"):
+            radial_xray_profile(np.exp, 2.0, M)
+
+    @pytest.mark.parametrize("R, rel", [(16.0, 2.6e-7), (32.0, 5.7e-8)])
+    def test_12R_line_rule_agrees_within_1e6(self, R, rel):
+        # verify_wmiztak's field on its offsets against 12 R line samples
+        # (spacing 6R / (12R - 1)), the line rule it used before the line
+        # samples were the offsets: the declared move of its metrics
+        F = _wmiztak_field(R)
+        M = int(12 * R) + 1
+        square = radial_xray_profile(F, 3.0 * R, M).values
+        rule_12R = xray_profile(lambda p: F(np.hypot(p[:, 0], p[:, 1])),
+                                np.array([1.0, 0.0]), 3.0 * R, M, 3.0 * R,
+                                int(12 * R)).values
+        moved = np.abs(square - rule_12R).max() / np.abs(rule_12R).max()
+        assert moved == pytest.approx(rel, rel=0.05)
+        assert moved < 1e-6
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
         # verify_wmiztak's sizes at R = 256: an unblocked quadrant would
@@ -390,7 +430,7 @@ class TestRadialXrayProfile:
         F(np.ones(4))  # load scipy outside the measurement
         tracemalloc.start()
         try:
-            radial_xray_profile(F, 768.0, 3073, 768.0, 3072)
+            radial_xray_profile(F, 768.0, 3073)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
