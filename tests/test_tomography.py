@@ -372,10 +372,20 @@ class TestRadialXrayProfile:
                                    atol=1e-13 * np.abs(direct.values).max())
 
     @pytest.mark.parametrize("M", [64, 65])
-    def test_profile_is_even(self, M):
-        prof = radial_xray_profile(_wmiztak_field(2.0), 6.0, M)
+    @pytest.mark.parametrize("n_samples", [96, 97])
+    def test_profile_is_even(self, M, n_samples):
+        # exactly even, and within 2e-5 of the even or odd n_samples line
+        # rule on [-6, 6] that radial_xray_profile took before its line
+        # samples were the offsets (1.66e-5 at most on these grids)
+        F = _wmiztak_field(2.0)
+        prof = radial_xray_profile(F, 6.0, M)
         assert prof.values.shape == (M,)
         np.testing.assert_array_equal(prof.values, prof.values[::-1])
+        line_rule = xray_profile(lambda p: F(np.hypot(p[:, 0], p[:, 1])),
+                                 np.array([1.0, 0.0]), 6.0, M, 6.0,
+                                 n_samples).values
+        np.testing.assert_allclose(prof.values, line_rule, rtol=0,
+                                   atol=2e-5 * np.abs(line_rule).max())
 
     @pytest.mark.parametrize("M, block", [
         (64, _XRAY_BLOCK), (65, _XRAY_BLOCK), (601, _XRAY_BLOCK),
